@@ -50,11 +50,18 @@ from .errors import (
 )
 from .model import BathSpec, SystemSpec, make_system, statistics_from_name
 from .oracle import compare, evolve_exact
-from .scenarios import SCENARIOS, run_scenario
+from .scenarios import (
+    SCENARIOS,
+    _coefficient_table,
+    _energies_table,
+    _trajectory_table,
+    run_scenario,
+)
 from .transport.asymptotics import (
     asymptotic_bath_integral,
     asymptotic_occupation,
     markovian_mixture,
+    resonance_occupation,
     stationarity_condition_residual,
 )
 from .transport.coefficients import coefficient_series
@@ -300,15 +307,6 @@ def write_metadata(out: Path, command: str, raw, numerics, extra=None):
         fh.write("\n")
 
 
-def _coefficient_cols(series):
-    names = ["t", "lambda", "D", "D1_part", "D2_part", "I1", "I2", "ratio"]
-    cols = [series.t, series.friction, series.diffusion,
-            series.diffusion_parts[0], series.diffusion_parts[1],
-            series.memory_integrals[0], series.memory_integrals[1],
-            series.ratio]
-    return names, cols
-
-
 # ----------------------------------------------------------------- subcommands
 
 def _time_grid(run):
@@ -318,10 +316,8 @@ def _time_grid(run):
 def cmd_coeffs(raw, out, numerics):
     spec = config_system(raw)
     run = config_run(raw)
-    series = coefficient_series(spec, _time_grid(run), rtol=numerics["rtol"],
-                                abs_A_power=numerics["abs_A_power"],
-                                w_max_factor=numerics["w_max_factor"])
-    write_csv(out / "coefficients.csv", *_coefficient_cols(series))
+    series = coefficient_series(spec, _time_grid(run), **numerics)
+    write_csv(out / "coefficients.csv", *_coefficient_table(series))
     write_metadata(out, "coeffs", raw, numerics,
                    {"quadrature": _quad_summary(series.quadrature_reports)})
     return 0
@@ -357,18 +353,20 @@ def _series_observables(series, traj):
     return rows
 
 
-def cmd_evolve(raw, out, numerics):
+def _single_run(raw, numerics):
+    """The configured single-system run: series, trajectory, observables."""
     spec = config_system(raw)
     run = config_run(raw)
-    series = coefficient_series(spec, _time_grid(run), rtol=numerics["rtol"],
-                                abs_A_power=numerics["abs_A_power"],
-                                w_max_factor=numerics["w_max_factor"])
+    series = coefficient_series(spec, _time_grid(run), **numerics)
     traj = evolve(series, spec, run["n0"][0])
-    write_csv(out / "coefficients.csv", *_coefficient_cols(series))
-    write_csv(out / "trajectory.csv", ["t", "n1", "dn1_dt"],
-              [traj.t, traj.occupations[0], traj.rates[0]])
-    write_observables(out / "observables.csv",
-                      _series_observables(series, traj))
+    return series, traj, _series_observables(series, traj)
+
+
+def cmd_evolve(raw, out, numerics):
+    series, traj, rows = _single_run(raw, numerics)
+    write_csv(out / "coefficients.csv", *_coefficient_table(series))
+    write_csv(out / "trajectory.csv", *_trajectory_table(traj))
+    write_observables(out / "observables.csv", rows)
     write_metadata(out, "evolve", raw, numerics,
                    {"quadrature": _quad_summary(series.quadrature_reports)})
     return 0
@@ -382,20 +380,14 @@ def cmd_coupled(raw, out, numerics):
     run = config_run(raw)
     beta = _get_float(raw, "coupling", "beta", _DEFAULTS["beta"])
     t = _time_grid(run)
-    kw = dict(rtol=numerics["rtol"], abs_A_power=numerics["abs_A_power"],
-              w_max_factor=numerics["w_max_factor"])
-    series1 = coefficient_series(s1, t, **kw)
-    series2 = coefficient_series(s2, t, **kw)
+    series1 = coefficient_series(s1, t, **numerics)
+    series2 = coefficient_series(s2, t, **numerics)
     n0 = run["n0"] if len(run["n0"]) == 2 else (run["n0"][0], run["n0"][0])
     traj = evolve_coupled(series1, series2, s1, s2, beta, n0)
-    write_csv(out / "coefficients_system1.csv", *_coefficient_cols(series1))
-    write_csv(out / "coefficients_system2.csv", *_coefficient_cols(series2))
-    write_csv(out / "trajectory.csv",
-              ["t", "n1", "n2", "dn1_dt", "dn2_dt"],
-              [traj.t, traj.occupations[0], traj.occupations[1],
-               traj.rates[0], traj.rates[1]])
-    write_csv(out / "energies.csv", ["t", "E1", "E2"],
-              [traj.t, traj.dissipation[0], traj.dissipation[1]])
+    write_csv(out / "coefficients_system1.csv", *_coefficient_table(series1))
+    write_csv(out / "coefficients_system2.csv", *_coefficient_table(series2))
+    write_csv(out / "trajectory.csv", *_trajectory_table(traj))
+    write_csv(out / "energies.csv", *_energies_table(traj))
     lo, hi = 7.0, min(17.0, run["t_max"])
     rows = []
     window = (t >= lo) & (t <= hi)
@@ -436,6 +428,9 @@ def cmd_asymptotics(raw, out, numerics):
                      "info"))
         rows.append((f"{label}_markovian_mixture", markovian_mixture(spec),
                      np.nan, np.nan, np.nan, "info"))
+        rows.append((f"{label}_resonance_occupation",
+                     resonance_occupation(spec), np.nan, np.nan, np.nan,
+                     "info"))
         if spec.statistics_mode == "mixed":
             rows.append((f"{label}_stationarity_residual",
                          stationarity_condition_residual(spec),
@@ -446,10 +441,7 @@ def cmd_asymptotics(raw, out, numerics):
 
 
 def cmd_scenario(name, raw, out, numerics, run_overrides):
-    result = run_scenario(name, rtol=numerics["rtol"],
-                          abs_A_power=numerics["abs_A_power"],
-                          w_max_factor=numerics["w_max_factor"],
-                          **run_overrides)
+    result = run_scenario(name, **numerics, **run_overrides)
     for stem, (names, cols) in result.tables.items():
         write_csv(out / f"{stem}.csv", names, cols)
     write_metadata(out, f"scenario {name}", raw, numerics,
@@ -470,26 +462,11 @@ def _sweep_point(args):
     """One sweep evaluation; returns (index, summary dict, status)."""
     index, raw, rtol_override = args
     try:
-        numerics = config_numerics(raw, rtol_override)
-        spec = config_system(raw)
-        run = config_run(raw)
-        series = coefficient_series(
-            spec, _time_grid(run), rtol=numerics["rtol"],
-            abs_A_power=numerics["abs_A_power"],
-            w_max_factor=numerics["w_max_factor"])
-        traj = evolve(series, spec, run["n0"][0])
-        t_max = float(series.t[-1])
-        tail = series.t >= t_max / 2.0
-        summary = {
-            "n_final": float(traj.occupations[0][-1]),
-            "n_tail_mean": float(traj.occupations[0][tail].mean()),
-        }
-        try:
-            est = estimate_period(series.t, traj.occupations[0],
-                                  window=(min(3.0, t_max / 2.0), t_max))
-            summary["period"] = est.period
-        except InsufficientDataError:
-            summary["period"] = np.nan
+        _, _, rows = _single_run(raw, config_numerics(raw, rtol_override))
+        value = {name: v for name, v, *_ in rows}
+        summary = {"n_final": value["n_final"],
+                   "n_tail_mean": value["n_tail_mean"],
+                   "period": value["occupation_period"]}
         return index, summary, "ok"
     except OpenOscError as exc:
         return index, {}, f"error:{type(exc).__name__}"
@@ -550,8 +527,11 @@ def _closed_form(series, spec, n0, power):
     return (absA + eps * B2) * n0 + B2 + I_total
 
 
-def _second_order_resolve(series, spec, n0, start_index):
-    """Integrate the second-order form directly (needs dlambda, dD)."""
+def _second_order_resolve(series, base, start_index):
+    """Integrate the second-order form directly (needs dlambda, dD).
+
+    Seeded from the first-order trajectory ``base`` at ``start_index``.
+    """
     from scipy.interpolate import CubicSpline
 
     t = series.t
@@ -559,7 +539,6 @@ def _second_order_resolve(series, spec, n0, start_index):
     dif_s = CubicSpline(t, series.diffusion)
     dlam_s = lam_s.derivative()
     ddif_s = dif_s.derivative()
-    base = evolve(series, spec, n0)
     k0 = start_index
     h = t[1] - t[0]
     state = np.array([base.occupations[0][k0], base.rates[0][k0]])
@@ -600,9 +579,7 @@ def cmd_validate(raw, out, numerics):
         BathSpec(statistics=+1, alpha=0.01, gamma=10.0, temperature=1.0),
     )
     t = np.arange(0.0, 10.0 + 1e-9, 0.02)
-    series = coefficient_series(spec, t, rtol=numerics["rtol"],
-                                abs_A_power=numerics["abs_A_power"],
-                                w_max_factor=numerics["w_max_factor"])
+    series = coefficient_series(spec, t, **numerics)
     n0 = 0.0
 
     # 1. closed form vs stepped first-order equation; the tolerance reflects
@@ -616,7 +593,7 @@ def cmd_validate(raw, out, numerics):
 
     # 2. first-order vs literal second-order integration (seeded off t=0)
     k0 = int(np.searchsorted(t, 1.0))
-    ref, second = _second_order_resolve(series, spec, n0, k0)
+    ref, second = _second_order_resolve(series, traj, k0)
     dev_second = float(np.max(np.abs(ref - second)))
     check("first_vs_second_order", dev_second, 1e-6, dev_second <= 1e-6)
 
@@ -642,11 +619,10 @@ def cmd_validate(raw, out, numerics):
     check("decoupled_preset_constant", dev0, 1e-10, dev0 <= 1e-10)
 
     # 5. beta = 0 coupled run equals two independent runs
-    pair = evolve_coupled(series, series, spec, spec, 0.0, (0.0, 0.3))
-    single_a = evolve(series, spec, 0.0)
+    pair = evolve_coupled(series, series, spec, spec, 0.0, (n0, 0.3))
     single_b = evolve(series, spec, 0.3)
     dev_beta0 = float(max(
-        np.max(np.abs(pair.occupations[0] - single_a.occupations[0])),
+        np.max(np.abs(pair.occupations[0] - traj.occupations[0])),
         np.max(np.abs(pair.occupations[1] - single_b.occupations[0])),
     ))
     check("beta_zero_reduction", dev_beta0, 1e-8, dev_beta0 <= 1e-8)

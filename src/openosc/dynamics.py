@@ -36,7 +36,6 @@ from .errors import (
     UndefinedMetricError,
 )
 from .model import SystemSpec, equilibrium_occupation
-from .transport.asymptotics import asymptotic_occupation  # noqa: F401  (re-export)
 from .transport.coefficients import CoefficientSeries
 
 #: occupations above this abort the run as a numerical blow-up
@@ -100,49 +99,6 @@ def _quarter_grid(series: CoefficientSeries):
     return lam, dif
 
 
-def _rk4_pair(lams, difs, h2, n0, y0, beta, t):
-    """RK4 for the (n, y) pairs of one or two oscillators.
-
-    ``lams``/``difs`` are quarter-grid coefficient arrays, one per
-    oscillator; ``h2`` is the RK4 step (half the output spacing).
-    Returns occupations and rates sampled on the output grid.
-    """
-    n_sys = len(lams)
-    n = np.array(n0, dtype=float)
-    y = np.array(y0, dtype=float)
-    k_out = (lams[0].size - 1) // 4
-    out_n = np.empty((n_sys, k_out + 1))
-    out_y = np.empty((n_sys, k_out + 1))
-    out_n[:, 0], out_y[:, 0] = n, y
-
-    lam = np.stack(lams)
-    dif = np.stack(difs)
-
-    def deriv(q, n, y):
-        dn = y - 2.0 * lam[:, q] * n + 2.0 * dif[:, q]
-        if n_sys == 2:
-            dy = -beta * (n - n[::-1])
-        else:
-            dy = np.zeros_like(n)
-        return dn, dy
-
-    for m in range(2 * k_out):
-        q = 2 * m
-        k1n, k1y = deriv(q, n, y)
-        k2n, k2y = deriv(q + 1, n + 0.5 * h2 * k1n, y + 0.5 * h2 * k1y)
-        k3n, k3y = deriv(q + 1, n + 0.5 * h2 * k2n, y + 0.5 * h2 * k2y)
-        k4n, k4y = deriv(q + 2, n + h2 * k3n, y + h2 * k3y)
-        n = n + (h2 / 6.0) * (k1n + 2.0 * k2n + 2.0 * k3n + k4n)
-        y = y + (h2 / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        if not np.all(np.isfinite(n)) or np.any(np.abs(n) > BLOWUP):
-            raise MomentBlowupError(
-                "occupation exceeded the blow-up guard", time=float(t[(m + 1) // 2])
-            )
-        if m % 2 == 1:
-            out_n[:, (m + 1) // 2], out_y[:, (m + 1) // 2] = n, y
-    return out_n, out_y
-
-
 def _envelope(spec: SystemSpec) -> float:
     return ENVELOPE_FACTOR * max(
         float(equilibrium_occupation(spec.omega, b.temperature, b.statistics))
@@ -150,79 +106,104 @@ def _envelope(spec: SystemSpec) -> float:
     )
 
 
-def evolve(series: CoefficientSeries, spec: SystemSpec, n0: float, *,
-           dn0: float = 0.0) -> Trajectory:
+def _evolve(series, specs, betas, n0) -> list:
+    """RK4 runs of one or two oscillators, one run per coupling in ``betas``.
+
+    ``series``, ``specs`` and ``n0`` hold one entry per oscillator; every
+    run starts from ``n0`` with dn/dt(0) = 0.  The stepper state stacks
+    (n, y) into shape (2, oscillators, runs), and the quarter-grid
+    coefficients are indexed on their leading axis, so each substep reads
+    one contiguous row.  With a single oscillator the coupling term
+    -beta (n - n[::-1]) is exactly zero.  Returns one Trajectory per run.
+    """
+    if any(b < 0 for b in betas):
+        raise DomainError("coupling strength must be nonnegative")
+    if any(v < 0 for v in n0):
+        raise DomainError("initial occupations must be nonnegative")
+    t = series[0].t
+    for other in series[1:]:
+        if other.t.shape != t.shape or not np.allclose(
+            other.t, t, rtol=1e-12, atol=0.0
+        ):
+            raise DomainError("coupled evolution requires a shared time grid")
+    h2 = _uniform_step(t) / 2.0
+    half, sixth = 0.5 * h2, h2 / 6.0
+    quarter = [_quarter_grid(s) for s in series]
+    lam2 = 2.0 * np.stack([q[0] for q in quarter], axis=1)[:, :, None]
+    dif2 = 2.0 * np.stack([q[1] for q in quarter], axis=1)[:, :, None]
+    neg_beta = -np.asarray(betas, dtype=float)
+
+    def deriv(q, s):
+        n = s[0]
+        d = np.empty_like(s)
+        np.subtract(s[1], lam2[q] * n, out=d[0])
+        d[0] += dif2[q]
+        np.subtract(n, n[::-1], out=d[1])
+        d[1] *= neg_beta
+        return d
+
+    s = np.zeros((2, len(series), neg_beta.size))
+    s[0] = np.asarray(n0, dtype=float)[:, None]
+    k_out = t.size - 1
+    out = np.empty((k_out + 1,) + s.shape)
+    out[0] = s
+    for m in range(2 * k_out):
+        q = 2 * m
+        k1 = deriv(q, s)
+        k2 = deriv(q + 1, s + half * k1)
+        k3 = deriv(q + 1, s + half * k2)
+        k4 = deriv(q + 2, s + h2 * k3)
+        s = s + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.abs(s[0]).max() <= BLOWUP:
+            raise MomentBlowupError(
+                "occupation exceeded the blow-up guard", time=float(t[(m + 1) // 2])
+            )
+        if m % 2 == 1:
+            out[(m + 1) // 2] = s
+    out = np.ascontiguousarray(out.transpose(3, 1, 2, 0))  # (run, n|y, osc, t)
+
+    envelopes = tuple(_envelope(spec) for spec in specs)
+    trajectories = []
+    for beta, (occ_out, y_out) in zip(betas, out):
+        occ, rates, diss = [], [], []
+        for n, y, ser, spec in zip(occ_out, y_out, series, specs):
+            occ.append(n)
+            rates.append(y - 2.0 * ser.friction * n + 2.0 * ser.diffusion)
+            diss.append(cumulative_trapezoid(
+                2.0 * spec.omega_renormalized * ser.friction * n, ser.t,
+                initial=0.0))
+        exceeded = [bool(np.any(n > env)) for n, env in zip(occ, envelopes)]
+        if any(exceeded):
+            detail = (f" (max n = {occ[0].max():.3g} > {envelopes[0]:.3g})"
+                      if len(occ) == 1 else "")
+            warnings.warn(
+                f"occupation left the equilibrium envelope{detail}; expected "
+                "for persistently oscillating regimes, suspicious otherwise",
+                stacklevel=3,
+            )
+        trajectories.append(Trajectory(
+            t=t, occupations=tuple(occ), rates=tuple(rates),
+            dissipation=tuple(diss),
+            metadata={"beta": beta, "n0": tuple(n0), "envelope": envelopes,
+                      "envelope_exceeded": exceeded},
+        ))
+    return trajectories
+
+
+def evolve(series: CoefficientSeries, spec: SystemSpec, n0: float) -> Trajectory:
     """Integrate a single oscillator's occupation over the series grid."""
-    if n0 < 0:
-        raise DomainError("initial occupation must be nonnegative")
-    h = _uniform_step(series.t)
-    lam_q, dif_q = _quarter_grid(series)
-    out_n, out_y = _rk4_pair([lam_q], [dif_q], h / 2.0, [n0], [dn0], 0.0,
-                             series.t)
-    n = out_n[0]
-    rate = out_y[0] - 2.0 * series.friction * n + 2.0 * series.diffusion
-    E = cumulative_trapezoid(
-        2.0 * spec.omega_renormalized * series.friction * n, series.t, initial=0.0
-    )
-    env = _envelope(spec)
-    exceeded = bool(np.any(n > env))
-    if exceeded:
-        warnings.warn(
-            "occupation left the equilibrium envelope "
-            f"(max n = {n.max():.3g} > {env:.3g}); expected for persistently "
-            "oscillating regimes, suspicious otherwise",
-            stacklevel=2,
-        )
-    return Trajectory(
-        t=series.t, occupations=(n,), rates=(rate,), dissipation=(E,),
-        metadata={
-            "n0": n0, "dn0": dn0, "envelope": env,
-            "envelope_exceeded": exceeded,
-        },
-    )
+    (traj,) = _evolve((series,), (spec,), (0.0,), (n0,))
+    traj.metadata = {"n0": n0, "envelope": traj.metadata["envelope"][0],
+                     "envelope_exceeded": traj.metadata["envelope_exceeded"][0]}
+    return traj
 
 
 def evolve_coupled(series1: CoefficientSeries, series2: CoefficientSeries,
                    spec1: SystemSpec, spec2: SystemSpec, beta: float,
-                   n0: tuple, *, dn0: tuple = (0.0, 0.0)) -> Trajectory:
+                   n0: tuple) -> Trajectory:
     """Integrate two bilinearly coupled oscillators (strength ``beta``)."""
-    if beta < 0:
-        raise DomainError("coupling strength must be nonnegative")
-    if any(v < 0 for v in n0):
-        raise DomainError("initial occupations must be nonnegative")
-    if series1.t.shape != series2.t.shape or not np.allclose(
-        series1.t, series2.t, rtol=1e-12, atol=0.0
-    ):
-        raise DomainError("coupled evolution requires a shared time grid")
-    h = _uniform_step(series1.t)
-    q1 = _quarter_grid(series1)
-    q2 = _quarter_grid(series2)
-    out_n, out_y = _rk4_pair([q1[0], q2[0]], [q1[1], q2[1]], h / 2.0,
-                             list(n0), list(dn0), beta, series1.t)
-    occ, rates, diss, exceeded = [], [], [], []
-    for i, (series, spec) in enumerate(((series1, spec1), (series2, spec2))):
-        n = out_n[i]
-        occ.append(n)
-        rates.append(out_y[i] - 2.0 * series.friction * n
-                     + 2.0 * series.diffusion)
-        diss.append(cumulative_trapezoid(
-            2.0 * spec.omega_renormalized * series.friction * n, series.t,
-            initial=0.0))
-        exceeded.append(bool(np.any(n > _envelope(spec))))
-    if any(exceeded):
-        warnings.warn(
-            "occupation left the equilibrium envelope; expected for "
-            "persistently oscillating regimes, suspicious otherwise",
-            stacklevel=2,
-        )
-    return Trajectory(
-        t=series1.t, occupations=tuple(occ), rates=tuple(rates),
-        dissipation=tuple(diss),
-        metadata={
-            "beta": beta, "n0": tuple(n0), "dn0": tuple(dn0),
-            "envelope_exceeded": exceeded,
-        },
-    )
+    (traj,) = _evolve((series1, series2), (spec1, spec2), (beta,), n0)
+    return traj
 
 
 @dataclass
@@ -230,8 +211,12 @@ class DeltaDissipation:
     """Coupling-induced change of the dissipated energy.
 
     ``delta_energy[i]`` is E_i(beta) - E_i(0) on the shared grid;
-    ``delta_rate[i]`` its smoothed time derivative (moving average over one
-    nominal oscillator period, recorded in ``window``).
+    ``delta_rate[i]`` its time derivative, smoothed by a moving average
+    over 2 pi/Omega_i (the window in time units is recorded in ``window``).
+    That window spans several occupation periods pi/nu, not one: on the
+    fig5 pair it covers about 3.1 and 3.6 of them (pi/nu = 1.995 and
+    1.767).  Each delta_energy carries both oscillators' frequencies, so
+    no single pi/nu removes its ripple.
     """
 
     t: np.ndarray
@@ -242,11 +227,13 @@ class DeltaDissipation:
     uncoupled: Trajectory
 
 
-def delta_dissipation(series1, series2, spec1, spec2, beta, n0, *,
-                      dn0=(0.0, 0.0)) -> DeltaDissipation:
-    """Dissipation excess of the coupled run over the uncoupled one."""
-    coupled = evolve_coupled(series1, series2, spec1, spec2, beta, n0, dn0=dn0)
-    uncoupled = evolve_coupled(series1, series2, spec1, spec2, 0.0, n0, dn0=dn0)
+def delta_dissipation(series1, series2, spec1, spec2, beta, n0) -> DeltaDissipation:
+    """Dissipation excess of the coupled run over the uncoupled one.
+
+    Both runs are stepped together in one pass.
+    """
+    coupled, uncoupled = _evolve((series1, series2), (spec1, spec2),
+                                 (beta, 0.0), n0)
     t = coupled.t
     h = _uniform_step(t)
     d_energy, d_rate, windows = [], [], []

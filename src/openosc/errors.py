@@ -77,10 +77,6 @@ class UndefinedMetricError(NumericalError):
     """A statistical metric is undefined for the given input (e.g. zero variance)."""
 
 
-class PoleError(NumericalError):
-    """An analytic expression was evaluated at (or too near) one of its poles."""
-
-
 class ValidationError(OpenOscError):
     """An invariant or cross-check breached its tolerance."""
 

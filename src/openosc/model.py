@@ -159,20 +159,17 @@ def make_system(Omega, bath1: BathSpec, bath2: BathSpec) -> SystemSpec:
 
 @dataclass(frozen=True)
 class CoupledSpec:
-    """Two oscillator-plus-baths systems exchanging energy at constant rate beta.
+    """Two oscillator-plus-baths systems that a coupling beta can join.
 
-    beta is the primitive coupling input of the coupled master equations, in
-    units of Omega_1**2.  beta = 0 reduces exactly to two independent systems.
+    The coupling strength is an argument of the coupled runs, not part of
+    the pair: beta = 0 reduces exactly to two independent systems.
     """
 
     systems: tuple  # (SystemSpec, SystemSpec)
-    beta: float
 
     def __post_init__(self):
         if len(self.systems) != 2:
             raise DomainError("exactly two systems required")
-        if not (math.isfinite(self.beta) and self.beta >= 0):
-            raise DomainError(f"beta must be finite and >= 0, got {self.beta}")
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +214,17 @@ def bare_frequency(Omega, bath1: BathSpec, bath2: BathSpec) -> float:
     if not (math.isfinite(Omega) and Omega > 0):
         raise DomainError(f"Omega must be > 0, got {Omega}")
     return Omega + 2.0 * bath1.alpha * bath1.gamma + 2.0 * bath2.alpha * bath2.gamma
+
+
+def _default_w_max(spec: SystemSpec) -> float:
+    """Frequency cutoff rule max(20 gamma_max, 40 omega, 20 T_max).
+
+    The one rule behind the memory-integral quadrature's initial cutoff,
+    the stationary integrals' knee and the discretized-bath oracle's comb.
+    """
+    g_max = max(b.gamma for b in spec.baths)
+    t_max = max(b.temperature for b in spec.baths)
+    return max(20.0 * g_max, 40.0 * spec.omega, 20.0 * t_max)
 
 
 def mixing_fraction(bath1: BathSpec, bath2: BathSpec) -> float:

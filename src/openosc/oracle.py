@@ -37,6 +37,7 @@ from .model import (
     MIXED,
     BathSpec,
     SystemSpec,
+    _default_w_max,
     equilibrium_occupation,
     spectral_density,
 )
@@ -85,12 +86,6 @@ def sample_bath(bath: BathSpec, n_modes: int, w_max: float):
     w = (np.arange(n_modes) + 0.5) * dw
     a2 = w * dw * spectral_density(w, bath)
     return w, np.sqrt(a2)
-
-
-def _default_w_max(spec: SystemSpec) -> float:
-    g_max = max(b.gamma for b in spec.baths)
-    t_max = max(b.temperature for b in spec.baths)
-    return max(20.0 * g_max, 40.0 * spec.omega, 20.0 * t_max)
 
 
 def evolve_exact(spec: SystemSpec, t, n0: float, *, n_modes: int = 400,

@@ -51,7 +51,7 @@ def fig3_pair() -> CoupledSpec:
             BathSpec(statistics=+1, alpha=0.03, gamma=12.0, temperature=0.5),
         )
 
-    return CoupledSpec(systems=(system(1.0), system(2.0)), beta=0.0)
+    return CoupledSpec(systems=(system(1.0), system(2.0)))
 
 
 def fig5_pair() -> CoupledSpec:
@@ -66,7 +66,7 @@ def fig5_pair() -> CoupledSpec:
         BathSpec(statistics=+1, alpha=0.05, gamma=12.0, temperature=1.0),
         BathSpec(statistics=+1, alpha=0.03, gamma=15.0, temperature=0.1),
     )
-    return CoupledSpec(systems=(s1, s2), beta=0.0)
+    return CoupledSpec(systems=(s1, s2))
 
 
 @dataclass(frozen=True)
@@ -158,6 +158,11 @@ def _trajectory_table(traj):
              traj.rates[0], traj.rates[1]])
 
 
+def _energies_table(traj):
+    return (["t", "E1", "E2"],
+            [traj.t, traj.dissipation[0], traj.dissipation[1]])
+
+
 def run_scenario(name: str, *, t_max=None, dt=None, n0=None,
                  rtol=DEFAULT_RTOL, abs_A_power: int = 2,
                  w_max_factor: float = 1.0) -> ScenarioResult:
@@ -208,10 +213,7 @@ def run_scenario(name: str, *, t_max=None, dt=None, n0=None,
     elif d.product == "energies":
         for beta in d.betas:
             traj = evolve_coupled(series1, series2, s1, s2, beta, n0)
-            tables[f"energies_beta{beta:g}"] = (
-                ["t", "E1", "E2"],
-                [traj.t, traj.dissipation[0], traj.dissipation[1]],
-            )
+            tables[f"energies_beta{beta:g}"] = _energies_table(traj)
     elif d.product == "delta-dissipation":
         for beta in d.betas:
             dd = delta_dissipation(series1, series2, s1, s2, beta, n0)

@@ -12,7 +12,6 @@ from .coefficients import RATIO_FLOOR, CoefficientSeries, coefficient_series
 from .kernels import (
     AmplitudeSeries,
     KernelEvaluator,
-    KernelState,
     amplitudes_AB,
     propagators_MN,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "ComponentSpec",
     "DEFAULT_RTOL",
     "KernelEvaluator",
-    "KernelState",
     "MemoryIntegrator",
     "RATIO_FLOOR",
     "RootSet",

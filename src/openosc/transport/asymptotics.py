@@ -22,6 +22,7 @@ from ..errors import DomainError
 from ..model import (
     MIXED,
     SystemSpec,
+    _default_w_max,
     equilibrium_occupation,
     mixing_fraction,
     spectral_density,
@@ -30,7 +31,7 @@ from .quadrature import integrate_static
 from .roots import characteristic_roots, oscillatory_pair
 
 
-def _static_edges(spec: SystemSpec, eta: float, nu: float, T: float) -> np.ndarray:
+def _static_edges(spec: SystemSpec, eta: float, nu: float) -> np.ndarray:
     """Panel edges resolving the resonance spike and the power-law tail.
 
     The integrand falls off like 1/w^3 once w clears the Lorentzian knees,
@@ -39,7 +40,7 @@ def _static_edges(spec: SystemSpec, eta: float, nu: float, T: float) -> np.ndarr
     """
     w = spec.omega
     g_max = max(b.gamma for b in spec.baths)
-    w_knee = max(20.0 * g_max, 40.0 * w, 20.0 * T)
+    w_knee = _default_w_max(spec)
     w_far = 3000.0 * w_knee
     scale = max(1.0, w)
     base = np.arange(0.0, min(8.0 * scale, w_knee), 0.05 * scale)
@@ -89,7 +90,7 @@ def asymptotic_bath_integral(spec: SystemSpec, bath_index: int) -> float:
         bracket = (w + wq) ** 2 * n + (w - wq) ** 2 * (1.0 + eps * n)
         return (a * g * g / np.pi) * wq * (partner.gamma**2 + wq**2) / qv * bracket
 
-    edges = _static_edges(spec, eta, nu, T)
+    edges = _static_edges(spec, eta, nu)
     value, _err = integrate_static(integrand, edges)
     return float(value)
 
@@ -100,10 +101,16 @@ def asymptotic_occupation(spec: SystemSpec) -> float:
 
 
 def markovian_mixture(spec: SystemSpec) -> float:
-    """Weak-coupling prediction: coupling-weighted mix of bath equilibria.
+    """Coupling-weighted mix of the bath equilibria at the bare omega.
 
     p n_1(omega) + (1-p) n_2(omega) with p = alpha_1/(alpha_1 + alpha_2),
     each occupation taken with its own bath's statistics and temperature.
+    This is not the alpha -> 0 limit of the stationary occupation: that
+    limit is ``resonance_occupation``, which samples the baths at
+    nu = sqrt(omega Omega) with the omega/Omega stiffness factors.  On a
+    weakly coupled two-temperature system (acceptance item 07) the
+    asymptote lies 0.63% from this mixture and 0.02% from
+    ``resonance_occupation``.
     """
     b1, b2 = spec.baths
     p = mixing_fraction(b1, b2)

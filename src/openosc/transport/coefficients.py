@@ -140,8 +140,8 @@ def _j_parts(series):
 
 
 def coefficient_series(spec: SystemSpec, t, *, abs_A_power: int = 2,
-                       rtol: float = DEFAULT_RTOL, w_max_factor: float = 1.0,
-                       ratio_floor: float = RATIO_FLOOR) -> CoefficientSeries:
+                       rtol: float = DEFAULT_RTOL,
+                       w_max_factor: float = 1.0) -> CoefficientSeries:
     """Compute lambda(t) and D(t) for one system on the given time grid.
 
     Parameters
@@ -198,7 +198,7 @@ def coefficient_series(spec: SystemSpec, t, *, abs_A_power: int = 2,
         parts = (D_1, D_2)
 
     D = parts[0] + parts[1]
-    floor = ratio_floor * np.max(np.abs(lam)) if t.size else 0.0
+    floor = RATIO_FLOOR * np.max(np.abs(lam)) if t.size else 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(np.abs(lam) > floor, D / lam, np.nan)
 

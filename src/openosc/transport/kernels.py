@@ -35,24 +35,6 @@ from .roots import RootSet
 
 
 @dataclass(frozen=True)
-class KernelState:
-    """Scalar kernel snapshot at one time (and optionally one probe frequency)."""
-
-    t: float
-    A: complex
-    B: complex
-    B_parts: tuple
-    dA_dt: complex
-    dB_dt: complex
-    dB_parts_dt: tuple
-    w: float | None = None
-    M: complex | None = None
-    N: complex | None = None
-    dM_dt: complex | None = None
-    dN_dt: complex | None = None
-
-
-@dataclass(frozen=True)
 class AmplitudeSeries:
     """A, B, B_1, B_2 and their time derivatives on a time grid."""
 
@@ -170,29 +152,6 @@ class KernelEvaluator:
         dM = (cM0 * s0)[:, None] * E0 + (cMk * sk) @ Ek
         dN = (cN0 * s0)[:, None] * E0 + (cNk * sk) @ Ek
         return M, N, dM, dN
-
-    # ---- probes ----------------------------------------------------------------
-
-    def state(self, t: float, w: float | None = None) -> KernelState:
-        """Scalar kernel snapshot at time t (and probe frequency w if given)."""
-        amp = self.amplitude_series([t])
-        mnkw = {}
-        if w is not None:
-            if w <= 0:
-                raise DomainError("probe frequency must be > 0")
-            M, N, dM, dN = self.mn_block([w], [t])
-            mnkw = dict(w=w, M=complex(M[0, 0]), N=complex(N[0, 0]),
-                        dM_dt=complex(dM[0, 0]), dN_dt=complex(dN[0, 0]))
-        return KernelState(
-            t=float(t),
-            A=complex(amp.A[0]),
-            B=complex(amp.B[0]),
-            B_parts=(complex(amp.B1[0]), complex(amp.B2[0])),
-            dA_dt=complex(amp.dA[0]),
-            dB_dt=complex(amp.dB[0]),
-            dB_parts_dt=(complex(amp.dB1[0]), complex(amp.dB2[0])),
-            **mnkw,
-        )
 
 
 def amplitudes_AB(rootset: RootSet, spec: SystemSpec, t):

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import QuadratureError
+from ..model import _default_w_max
 
 # 15-point Kronrod abscissae (ascending) with embedded 7-point Gauss rule.
 _XK_HALF = np.array(
@@ -124,27 +125,25 @@ class MemoryIntegrator:
     components : sequence of ComponentSpec
     rtol : float
         Target relative error per time point and component.
-    w_max : float
-        Initial upper cutoff; grows via the tail rule and is carried over
-        between chunks (monotonically) so later chunks reuse the extension.
+    w_max_factor : float
+        Multiplies the initial upper cutoff, the model's cutoff rule.  The
+        cutoff grows via the tail rule and is carried over between chunks
+        (monotonically) so later chunks reuse the extension.
     """
 
     MAX_PANELS = 60000
     MAX_ROUNDS = 24
     MAX_EXTENSIONS = 60
 
-    def __init__(self, evaluator, components, *, rtol=DEFAULT_RTOL, w_max=None,
+    def __init__(self, evaluator, components, *, rtol=DEFAULT_RTOL,
                  w_max_factor=1.0):
         self.ev = evaluator
         self.components = list(components)
         self.rtol = float(rtol)
         spec = evaluator.spec
-        g_max = max(b.gamma for b in spec.baths)
-        t_max_bath = max(b.temperature for b in spec.baths)
-        base = max(20.0 * g_max, 40.0 * spec.omega, 20.0 * t_max_bath)
-        self.w_max = float(w_max if w_max is not None else base) * w_max_factor
+        self.w_max = _default_w_max(spec) * w_max_factor
         self._g_min = min(b.gamma for b in spec.baths)
-        self._g_max = g_max
+        self._g_max = max(b.gamma for b in spec.baths)
         self._w_bare = spec.omega
         self._Omega = spec.omega_renormalized
         from .roots import oscillatory_pair

@@ -16,6 +16,7 @@ from openosc.cli import (
     write_csv,
 )
 from openosc.errors import ConfigError
+from openosc.transport.asymptotics import resonance_occupation
 
 WEAK_SINGLE = """\
 [oscillator]
@@ -201,6 +202,9 @@ def test_asymptotics_end_to_end(tmp_path):
     assert vals["system1_asymptotic_occupation"] > vals["system1_markovian_mixture"]
     assert vals["system1_asymptotic_occupation"] == pytest.approx(
         vals["system1_markovian_mixture"], rel=0.05)
+    assert vals["system1_resonance_occupation"] == pytest.approx(
+        resonance_occupation(config_system(parse_config_text(WEAK_SINGLE))),
+        rel=1e-12)
 
 
 def test_scenario_runs_with_overrides(tmp_path):
@@ -230,6 +234,25 @@ def test_sweep_end_to_end(tmp_path):
     assert float(rows[1][1]) == 2e-3
     meta = json.loads((out / "run_metadata.json").read_text())
     assert meta["sweep"]["points"] == 2
+
+
+def test_one_point_sweep_matches_evolve(tmp_path):
+    cfg = tmp_path / "weak.ini"
+    cfg.write_text(WEAK_SINGLE)
+    sweep_cfg = tmp_path / "sweep.ini"
+    sweep_cfg.write_text(WEAK_SINGLE + "\n[sweep]\nbath.1.alpha = 1e-3\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "evolve"),
+                 "evolve"]) == 0
+    assert main(["--config", str(sweep_cfg), "--out", str(tmp_path / "sweep"),
+                 "sweep"]) == 0
+    _, rows = _read_csv(tmp_path / "evolve" / "observables.csv")
+    observed = {r[0]: r[1] for r in rows}
+    header, rows = _read_csv(tmp_path / "sweep" / "sweep_index.csv")
+    point = dict(zip(header, rows[0]))
+    assert point["status"] == "ok"
+    assert point["n_final"] == observed["n_final"]
+    assert point["n_tail_mean"] == observed["n_tail_mean"]
+    assert point["period"] == observed["occupation_period"]
 
 
 def test_validate_suite_passes(tmp_path, capsys):

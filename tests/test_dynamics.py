@@ -197,6 +197,28 @@ def test_delta_dissipation_vanishes_at_zero_coupling():
     assert len(dd.window) == 2 and dd.window[0] > 0
 
 
+def test_delta_dissipation_runs_match_separate_coupled_runs():
+    dt = 0.01
+    t = np.arange(0.0, 3.0 + 0.5 * dt, dt)
+    s1 = _toy_series(t, 0.7 + 0.2 * np.sin(3.0 * t), 0.3)
+    s2 = _toy_series(t, 0.4, 0.1 + 0.05 * np.cos(2.0 * t))
+    spec = _toy_spec()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        dd = delta_dissipation(s1, s2, spec, spec, 0.3, (1.0, 0.5))
+        at_beta = evolve_coupled(s1, s2, spec, spec, 0.3, (1.0, 0.5))
+        at_zero = evolve_coupled(s1, s2, spec, spec, 0.0, (1.0, 0.5))
+    for run, ref in ((dd.coupled, at_beta), (dd.uncoupled, at_zero)):
+        for field in ("occupations", "rates", "dissipation"):
+            for got, want in zip(getattr(run, field), getattr(ref, field)):
+                assert np.array_equal(got, want)
+    assert dd.coupled.metadata["beta"] == 0.3
+    assert dd.uncoupled.metadata["beta"] == 0.0
+    for i in range(2):
+        assert np.array_equal(dd.delta_energy[i],
+                              at_beta.dissipation[i] - at_zero.dissipation[i])
+
+
 def test_estimate_period_on_a_sine():
     t = np.arange(0.0, 20.0, 0.01)
     est = estimate_period(t, np.sin(2.0 * np.pi * t / 3.7))

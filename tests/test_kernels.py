@@ -85,17 +85,6 @@ def test_negative_time_rejected():
         amplitudes_AB(rs, spec, [-0.1])
 
 
-def test_state_probe():
-    spec, rs = _strong()
-    ev = KernelEvaluator(rs, spec)
-    st = ev.state(0.0, w=1.0)
-    assert st.A == pytest.approx(1.0, abs=1e-10)
-    assert st.M == pytest.approx(0.0, abs=1e-10)
-    assert st.dM_dt == pytest.approx(-1j, abs=1e-8)
-    with pytest.raises(DomainError):
-        ev.state(1.0, w=-2.0)
-
-
 def test_zero_coupling_kernels_are_free():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

@@ -123,8 +123,6 @@ def test_mixing_fraction():
 
 def test_coupled_spec_validation():
     s = make_system(1.0, _bath(), _bath())
-    assert CoupledSpec(systems=(s, s), beta=0.0).beta == 0.0
+    assert CoupledSpec(systems=(s, s)).systems == (s, s)
     with pytest.raises(DomainError):
-        CoupledSpec(systems=(s, s), beta=-0.1)
-    with pytest.raises(DomainError):
-        CoupledSpec(systems=(s,), beta=0.1)
+        CoupledSpec(systems=(s,))
