@@ -219,8 +219,9 @@ def bare_frequency(Omega, bath1: BathSpec, bath2: BathSpec) -> float:
 def _default_w_max(spec: SystemSpec) -> float:
     """Frequency cutoff rule max(20 gamma_max, 40 omega, 20 T_max).
 
-    The one rule behind the memory-integral quadrature's initial cutoff,
-    the stationary integrals' knee and the discretized-bath oracle's comb.
+    The one rule behind the memory-integral quadrature's cutoff between
+    panels and remainder, the stationary integrals' knee and the
+    discretized-bath oracle's comb.
     """
     g_max = max(b.gamma for b in spec.baths)
     t_max = max(b.temperature for b in spec.baths)

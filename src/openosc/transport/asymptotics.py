@@ -27,34 +27,31 @@ from ..model import (
     mixing_fraction,
     spectral_density,
 )
-from .quadrature import integrate_static
+from .quadrature import integrate_ray, integrate_static
 from .roots import characteristic_roots, oscillatory_pair
 
 
 def _static_edges(spec: SystemSpec, eta: float, nu: float) -> np.ndarray:
-    """Panel edges resolving the resonance spike and the power-law tail.
+    """Panel edges on [0, W] resolving the resonance spike and the knees.
 
-    The integrand falls off like 1/w^3 once w clears the Lorentzian knees,
-    so the cutoff must sit far out (truncating at W leaves ~1/W^2 behind);
-    geometric panels cover the smooth power-law stretch cheaply.
+    W is the model's cutoff rule; the power-law stretch beyond it is
+    integrated on the real ray by ``integrate_ray``.
     """
     w = spec.omega
     g_max = max(b.gamma for b in spec.baths)
     w_knee = _default_w_max(spec)
-    w_far = 3000.0 * w_knee
     scale = max(1.0, w)
     base = np.arange(0.0, min(8.0 * scale, w_knee), 0.05 * scale)
     mid = np.arange(min(8.0 * scale, w_knee), min(5.0 * g_max, w_knee),
                     0.2 * scale)
     tail = np.arange(min(5.0 * g_max, w_knee), w_knee, g_max / 4.0)
-    far = np.geomspace(w_knee, w_far, 40)
-    parts = [np.array([0.0, w_knee]), base, mid, tail, far]
+    parts = [np.array([0.0, w_knee]), base, mid, tail]
     if eta > 0:
         lo = max(0.0, nu - 12.0 * eta)
         hi = min(w_knee, nu + 12.0 * eta)
         parts.append(np.arange(lo, hi, max(eta / 3.0, 1e-6)))
     edges = np.unique(np.concatenate(parts))
-    return edges[(edges >= 0.0) & (edges <= w_far)]
+    return edges[(edges >= 0.0) & (edges <= w_knee)]
 
 
 def _require_coupling(spec: SystemSpec) -> None:
@@ -91,8 +88,9 @@ def asymptotic_bath_integral(spec: SystemSpec, bath_index: int) -> float:
         return (a * g * g / np.pi) * wq * (partner.gamma**2 + wq**2) / qv * bracket
 
     edges = _static_edges(spec, eta, nu)
-    value, _err = integrate_static(integrand, edges)
-    return float(value)
+    body, _err = integrate_static(integrand, edges)
+    tail, _err = integrate_ray(integrand, edges[-1])
+    return float(body + tail)
 
 
 def asymptotic_occupation(spec: SystemSpec) -> float:

@@ -33,7 +33,6 @@ from ..model import (
     FERMIONIC,
     MIXED,
     SystemSpec,
-    equilibrium_occupation,
     mixing_fraction,
 )
 from .kernels import KernelEvaluator
@@ -106,25 +105,11 @@ def _friction_from(A, dA, B, dB, eps, power, t):
 def _bath_components(spec: SystemSpec):
     """Quadrature components for the memory integrals of each bath.
 
-    For same-statistics systems each bath contributes with the common sign;
-    for mixed systems bath 1 enters through the fermionic variant and bath 2
-    through the bosonic one.
+    Each bath enters with its own statistics: for mixed systems bath 1
+    through the fermionic variant and bath 2 through the bosonic one.
     """
-    comps = []
-    for idx, bath in enumerate(spec.baths):
-        a, g, T, eps = bath.alpha, bath.gamma, bath.temperature, bath.statistics
-
-        def wn(w, a=a, g=g, T=T, eps=eps):
-            pref = (a * g * g / np.pi) * w / (g * g + w * w)
-            return pref * equilibrium_occupation(w, T, eps)
-
-        def wp(w, a=a, g=g, T=T, eps=eps):
-            pref = (a * g * g / np.pi) * w / (g * g + w * w)
-            return pref * (1.0 + eps * equilibrium_occupation(w, T, eps))
-
-        comps.append(ComponentSpec(name=f"bath{idx + 1}", weight_occupied=wn,
-                                   weight_vacant=wp))
-    return comps
+    return [ComponentSpec(name=f"bath{idx}", bath=bath)
+            for idx, bath in enumerate(spec.baths, start=1)]
 
 
 def _j_parts(series):

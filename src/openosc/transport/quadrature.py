@@ -18,12 +18,16 @@ layout:
   only on a low-frequency window and the effective time saturates once
   e^{-eta t} is below noise; the coarse remainder is still error-controlled
   and gets subdivided adaptively if the estimator asks for it;
-* a Lorentzian tail, truncated at an upper cutoff that is extended until the
-  last panel's contribution to the *value* integrals drops below rtol/10
-  (the derivative integrands at very small t have oscillation-regulated
-  log-tails for which a literal last-panel rule has no finite fixed point;
-  they share the final cutoff, and their own truncation is reported as a
-  tail bound instead).
+* a Lorentzian tail.  The panels end at a fixed cutoff W, the model's
+  cutoff rule times ``w_max_factor``; the remainder int_W^inf is integrated
+  from the kernels' exponential-sum structure instead of with panels.
+  Beyond W >= 20 T_max the thermal factors are at most e^{-20}, so both
+  weights reduce to the spectral weight on |N|^2 (the dropped thermal part
+  is bounded, not integrated).  With N = c_0 e^{-iwt} + sum_k c_k e^{s_k t},
+  the static and root-root parts of |N|^2 are t-independent integrals on
+  the real ray, and the cross terms c_0* c_k e^{iwt} are integrated on the
+  contour w = W + iy, where e^{iwt} decays as e^{-yt}.  The remainder's
+  quadrature error and the thermal bound enter the error budget.
 
 Several consecutive grid times are integrated on one shared panel set
 ("chunk"), sized by the most demanding time in the chunk; error control is
@@ -39,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import QuadratureError
-from ..model import _default_w_max
+from ..model import BathSpec, _default_w_max, equilibrium_occupation
 
 # 15-point Kronrod abscissae (ascending) with embedded 7-point Gauss rule.
 _XK_HALF = np.array(
@@ -87,26 +91,52 @@ NODE_BLOCK = 32768
 
 DEFAULT_RTOL = 1e-7
 
+#: Share of rtol the cutoff remainder's error bound may take; the panels
+#: cannot reduce it, so a remainder that misses it raises.
+_REMAINDER_SHARE = 0.1
+
+#: Rounding allowance of the remainder, relative to its summed parts.
+_ROUNDING = 64 * np.finfo(float).eps
+
+#: K15 panels in u = W/w on (0, 1] for integrals over the real ray [W, inf).
+_RAY_EDGES = np.array([0.0, 0.25, 0.5, 1.0])
+
 
 @dataclass(frozen=True)
 class ComponentSpec:
-    """One memory integral: weights applied to |M|^2 and |N|^2."""
+    """One bath's memory integral: its weights on |M|^2 and |N|^2.
+
+    Both weights are the Lorentzian spectral weight
+    g(w) = (alpha gamma^2/pi) w/(gamma^2 + w^2) times the bath's occupation
+    factors: n(w) on |M|^2 and 1 + eps n(w) on |N|^2.
+    """
 
     name: str
-    weight_occupied: object  # callable w -> array, multiplies |M|^2
-    weight_vacant: object  # callable w -> array, multiplies |N|^2
+    bath: BathSpec
+
+    def spectral_weight(self, w):
+        """g(w), for real or complex w (the remainder's contour)."""
+        a, g = self.bath.alpha, self.bath.gamma
+        return (a * g * g / np.pi) * w / (g * g + w * w)
+
+    def weights(self, w):
+        """(occupied, vacant) weights at real frequencies w > 0."""
+        pref = self.spectral_weight(w)
+        n = equilibrium_occupation(w, self.bath.temperature,
+                                   self.bath.statistics)
+        return pref * n, pref * (1.0 + self.bath.statistics * n)
 
 
 @dataclass
 class QuadratureReport:
     """Error bookkeeping for one integrated chunk.
 
-    ``max_rel_error`` is the accumulated panel-sum estimate relative to the
-    per-component error scales.  ``tail_bound`` maps component name to a
-    conservative absolute estimate of the remainder omitted beyond
-    ``w_max``: last-panel contribution scaled by w_max/width (the exact
-    factor for a 1/w^2 integrand, the slowest decay among the channels)
-    with a safety multiplier for non-power-law behavior.
+    ``max_rel_error`` is the accumulated error estimate of the panel sums
+    plus the remainder beyond ``w_max``, relative to the per-component
+    error scales.  ``tail_bound`` maps component name to the absolute error
+    bound of that remainder (largest over time and over value and
+    derivative): its quadrature error estimate plus the dropped thermal
+    part.
     """
 
     n_panels: int
@@ -126,14 +156,12 @@ class MemoryIntegrator:
     rtol : float
         Target relative error per time point and component.
     w_max_factor : float
-        Multiplies the initial upper cutoff, the model's cutoff rule.  The
-        cutoff grows via the tail rule and is carried over between chunks
-        (monotonically) so later chunks reuse the extension.
+        Multiplies the model's cutoff rule; the product is the fixed cutoff
+        W between the panels and the remainder.
     """
 
     MAX_PANELS = 60000
     MAX_ROUNDS = 24
-    MAX_EXTENSIONS = 60
 
     def __init__(self, evaluator, components, *, rtol=DEFAULT_RTOL,
                  w_max_factor=1.0):
@@ -149,6 +177,15 @@ class MemoryIntegrator:
         from .roots import oscillatory_pair
 
         self._eta, self._nu = oscillatory_pair(evaluator.rootset.roots)
+        # the remainder's integrands have poles at Re w = -Im s_k and 0;
+        # the contour Re w = W must stay clear of them
+        pole = float(np.abs(evaluator.s.imag).max())
+        if pole >= 0.5 * self.w_max:
+            raise QuadratureError(
+                f"cutoff {self.w_max:g} is within a factor 2 of the kernel "
+                f"pole at Re w = {pole:g}; raise w_max_factor",
+            )
+        self._ray = integrate_ray(self._ray_integrand, self.w_max)
         self.last_report = None
 
     # ------------------------------------------------------------------ edges
@@ -201,8 +238,8 @@ class MemoryIntegrator:
     def _panel_sums(self, lo: np.ndarray, hi: np.ndarray, t: np.ndarray):
         """K15 contributions and |K15-G7| errors per (panel, component, time).
 
-        Returns (contrib, err): dicts keyed by (component index, 'I'|'dI')
-        with arrays of shape (n_panels, n_times).
+        Returns (contrib, err), arrays of shape
+        (n_components, 2, n_panels, n_times); axis 1 is value, derivative.
         """
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
@@ -228,8 +265,7 @@ class MemoryIntegrator:
             )
             h = half[start:stop, None]
             for ci, comp in enumerate(self.components):
-                wn = comp.weight_occupied(wb).reshape(stop - start, 15)
-                wp = comp.weight_vacant(wb).reshape(stop - start, 15)
+                wn, wp = (x.reshape(stop - start, 15) for x in comp.weights(wb))
                 for di, (fm, fn) in enumerate(((M2, N2), (dM2, dN2))):
                     f = wn[:, :, None] * fm + wp[:, :, None] * fn
                     k15 = h * np.einsum("pkt,k->pt", f, WK)
@@ -238,14 +274,90 @@ class MemoryIntegrator:
                     err[ci, di, start:stop] = np.abs(k15 - g7)
         return contrib, err
 
+    # --------------------------------------------------------------- remainder
+
+    def _ray_integrand(self, w):
+        """g_c |c_0|^2 and g_c c_j conj(c_k) of N at real w: (n_w, n_c, 17)."""
+        _, _, c0, _, ck = self.ev._mn_coefficients(w)
+        cc = (ck[:, :, None] * ck[:, None, :].conj()).reshape(-1, 16)
+        base = np.concatenate([(c0.real**2 + c0.imag**2)[:, None], cc], axis=1)
+        g = np.stack([c.spectral_weight(w) for c in self.components], axis=1)
+        return g[:, :, None] * base[:, None, :]
+
+    def _remainder(self, t):
+        """int_W^inf of every component's integrands, and its error bound.
+
+        With N = c_0 e^{-iwt} + sum_k c_k e^{s_k t} and g the spectral weight,
+
+            R(t)   = S_0 + sum_jk S_jk e^{(s_j + s_k*) t}
+                     + 2 Re sum_k e^{s_k t} C_k(t)
+            C_k(t) = int_W^inf g c_0* c_k e^{iwt} dw
+                   = i e^{iWt} int_0^inf (g c_0* c_k)(W + iy) e^{-yt} dy,
+
+        S_0 and S_jk from the real ray (``self._ray``).  The contour may be
+        rotated because every pole lies at Re w <= max|Im s_k| < W/2, and
+        c_0* continues analytically as conj(c_0(conj w)).  dR/dt carries
+        (s_j + s_k*) on the root-root terms and (s_k + iw) on the cross
+        terms.  The contour leg uses y = W v/(1 - v) on ``_contour_edges``.
+
+        Returns (value, bound), each of shape (n_components, 2, n_times).
+        The bound adds the quadrature error estimates of every part, each
+        taken in magnitude, a rounding allowance, and 3 n(W)/(1 - n(W)) |R|
+        for the thermal factors dropped beyond W.
+        """
+        s, W = self.ev.s, self.w_max
+        n_c, n_t = len(self.components), t.size
+        S, eS = (x.reshape(n_c, 1, 17) for x in self._ray)
+        E = np.exp(np.multiply.outer(s, t))  # (4, n_t)
+        EE = (E[:, None, :] * E[None, :, :].conj()).reshape(16, n_t)
+        rate = np.stack([np.ones(16), (s[:, None] + s[None, :].conj()).ravel()])
+        value = (rate * S[..., 1:]) @ EE  # (n_c, 2, n_t)
+        value[:, 0] += S[:, :, 0]
+        # the cross terms cancel the static ones as t -> 0, so rounding
+        # scales with the parts' magnitudes, not with the remainder
+        size = np.abs(rate * S[..., 1:]) @ np.abs(EE)
+        size[:, 0] += np.abs(S[:, :, 0])
+        bound = (np.abs(rate) * eS[..., 1:]) @ np.abs(EE)
+        bound[:, 0] += eS[:, :, 0]
+        phase = 1j * np.exp(1j * W * t)
+
+        def cross(v):
+            y = W * v / (1.0 - v)
+            w = W + 1j * y
+            _, _, c0, _, ck = self.ev._mn_coefficients(w)
+            _, _, c0_conj, _, _ = self.ev._mn_coefficients(w.conj())
+            f = c0_conj.conj()[:, None] * ck * (W / (1.0 - v) ** 2)[:, None]
+            f = np.stack([f, f * (s + 1j * w[:, None])], axis=1)  # (n_v, 2, 4)
+            decay = np.exp(-np.multiply.outer(y, t))[:, None, :]
+            g = np.stack([c.spectral_weight(w) for c in self.components], axis=1)
+            g = g[:, :, None, None]
+            # the integrand and the magnitude of its terms, for rounding
+            val = (g * ((f @ E) * phase * decay)[:, None]).real
+            mag = np.abs(g) * ((np.abs(f) @ np.abs(E)) * decay)[:, None]
+            return 2.0 * np.stack([val, mag], axis=1)  # (n_v, 2, n_c, 2, n_t)
+
+        (c_val, c_size), (c_err, _) = integrate_static(cross,
+                                                       _contour_edges(W, t))
+        value = value.real + c_val
+        bound = bound + c_err + _ROUNDING * (size + c_size)
+        # dropped thermal part: n(w) (|M|^2 + eps |N|^2) with n <= n(W);
+        # the |M|^2 remainder is taken as at most 2x the |N|^2 one (their
+        # ratio beyond W measures 0.99-1.07 on fig1, fig5 and a T = 20 bath)
+        for ci, comp in enumerate(self.components):
+            T = comp.bath.temperature
+            x = np.exp(-W / T) if T > 0 else 0.0
+            bound[ci] += 3.0 * x / (1.0 - x) * np.abs(value[ci])
+        return value, bound
+
     # -------------------------------------------------------------- main entry
 
     def integrate(self, t):
         """Integrate all components for the times in ``t`` (one chunk).
 
         Returns a dict name -> (I, dI) plus stores a QuadratureReport in
-        ``last_report``.  Raises QuadratureError if the error target cannot
-        be met within the panel and subdivision budget.
+        ``last_report``.  Raises QuadratureError if the remainder misses its
+        share of rtol, or the error target cannot be met within the panel
+        and subdivision budget.
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))
         if not (t > 0.0).any():
@@ -259,116 +371,106 @@ class MemoryIntegrator:
             )
             return {c.name: (zero.copy(), zero.copy())
                     for c in self.components}
-        t_top = max(float(t.max()), 0.0)
-        edges = self._initial_edges(t_top)
+        edges = self._initial_edges(float(t.max()))
         lo, hi = edges[:-1], edges[1:]
+        self._check_budget(lo.size, None)
         contrib, err = self._panel_sums(lo, hi, t)
+        rem, rem_err = self._remainder(t)
 
-        extensions = 0
-        for _round in range(self.MAX_ROUNDS + self.MAX_EXTENSIONS):
-            totals = contrib.sum(axis=2)  # (n_c, 2, n_t)
-            tot_err = err.sum(axis=2)
+        for round_ in range(self.MAX_ROUNDS + 1):
+            totals = contrib.sum(axis=2) + rem  # (n_c, 2, n_t)
             scale = self._error_scales(totals)
-            rel = tot_err / scale
-            worst = rel.max()
-
-            # tail rule on the value components only (derivative integrands
-            # have no finite last-panel fixed point at small t)
-            tail = np.abs(contrib[:, 0, -1, :]) / scale[:, 0, :]
-            need_tail = tail.max() > self.rtol / 10.0
-
-            if worst <= self.rtol and not need_tail:
-                break
-
-            if need_tail and extensions >= self.MAX_EXTENSIONS:
-                raise QuadratureError(
-                    f"tail rule not satisfied after {extensions} cutoff "
-                    f"extensions (w_max {self.w_max:g})",
-                    achieved=float(tail.max()),
-                )
-            if need_tail:
-                width = hi[-1] - lo[-1]
-                new_lo = np.arange(hi[-1], hi[-1] * 1.3, width)
-                new_hi = np.concatenate([new_lo[1:], [hi[-1] * 1.3]])
-                keep = new_hi > new_lo
-                new_lo, new_hi = new_lo[keep], new_hi[keep]
-                c_new, e_new = self._panel_sums(new_lo, new_hi, t)
-                lo = np.concatenate([lo, new_lo])
-                hi = np.concatenate([hi, new_hi])
-                contrib = np.concatenate([contrib, c_new], axis=2)
-                err = np.concatenate([err, e_new], axis=2)
-                self.w_max = float(hi[-1])
-                extensions += 1
-                if worst <= self.rtol:
-                    continue
-
-            if worst > self.rtol:
-                # split every panel whose error share is material
-                tol = self.rtol * scale  # (n_c, 2, n_t)
-                share = (err / tol[:, :, None, :]).max(axis=(0, 1, 3))  # per panel
-                split = share > 0.5 / lo.size
-                if not split.any():
-                    split = share >= share.max()
-                if lo.size + split.sum() > self.MAX_PANELS:
+            if round_ == 0:
+                rem_rel = float((rem_err / scale).max())
+                if rem_rel > _REMAINDER_SHARE * self.rtol:
                     raise QuadratureError(
-                        f"panel budget exhausted at {lo.size} panels "
-                        f"(relative error {worst:.3g} > rtol {self.rtol:g})",
-                        achieved=float(worst),
+                        f"cutoff remainder error {rem_rel:.3g} exceeds its "
+                        f"share {_REMAINDER_SHARE:g} of rtol {self.rtol:g} "
+                        f"(w_max {self.w_max:g})",
+                        achieved=rem_rel,
                     )
-                mid_s = 0.5 * (lo[split] + hi[split])
-                lo_new = np.concatenate([lo[~split], lo[split], mid_s])
-                hi_new = np.concatenate([hi[~split], mid_s, hi[split]])
-                order = np.argsort(lo_new, kind="stable")
-                lo, hi = lo_new[order], hi_new[order]
-                kept = np.concatenate(
-                    [contrib[:, :, ~split, :], np.zeros_like(contrib[:, :, split, :]),
-                     np.zeros_like(contrib[:, :, split, :])], axis=2)
-                kept_e = np.concatenate(
-                    [err[:, :, ~split, :], np.zeros_like(err[:, :, split, :]),
-                     np.zeros_like(err[:, :, split, :])], axis=2)
-                fresh = np.concatenate(
-                    [np.zeros(np.count_nonzero(~split), dtype=bool),
-                     np.ones(2 * np.count_nonzero(split), dtype=bool)])
-                contrib, err = kept[:, :, order, :], kept_e[:, :, order, :]
-                fresh = fresh[order]
-                c_new, e_new = self._panel_sums(lo[fresh], hi[fresh], t)
-                contrib[:, :, fresh, :] = c_new
-                err[:, :, fresh, :] = e_new
-        else:
-            totals = contrib.sum(axis=2)
-            tot_err = err.sum(axis=2)
-            worst = float((tot_err / self._error_scales(totals)).max())
-            if worst > self.rtol:
+            worst = float(((err.sum(axis=2) + rem_err) / scale).max())
+            if worst <= self.rtol:
+                break
+            if round_ == self.MAX_ROUNDS:
                 raise QuadratureError(
                     f"quadrature did not converge after {self.MAX_ROUNDS} rounds "
                     f"(relative error {worst:.3g} > rtol {self.rtol:g})",
                     achieved=worst,
                 )
+            # split every panel whose error share is material
+            tol = self.rtol * scale  # (n_c, 2, n_t)
+            share = (err / tol[:, :, None, :]).max(axis=(0, 1, 3))  # per panel
+            split = share > 0.5 / lo.size
+            if not split.any():
+                split = share >= share.max()
+            self._check_budget(lo.size + split.sum(), worst)
+            mid_s = 0.5 * (lo[split] + hi[split])
+            lo_new = np.concatenate([lo[~split], lo[split], mid_s])
+            hi_new = np.concatenate([hi[~split], mid_s, hi[split]])
+            order = np.argsort(lo_new, kind="stable")
+            lo, hi = lo_new[order], hi_new[order]
+            kept = np.concatenate(
+                [contrib[:, :, ~split, :], np.zeros_like(contrib[:, :, split, :]),
+                 np.zeros_like(contrib[:, :, split, :])], axis=2)
+            kept_e = np.concatenate(
+                [err[:, :, ~split, :], np.zeros_like(err[:, :, split, :]),
+                 np.zeros_like(err[:, :, split, :])], axis=2)
+            fresh = np.concatenate(
+                [np.zeros(np.count_nonzero(~split), dtype=bool),
+                 np.ones(2 * np.count_nonzero(split), dtype=bool)])
+            contrib, err = kept[:, :, order, :], kept_e[:, :, order, :]
+            fresh = fresh[order]
+            c_new, e_new = self._panel_sums(lo[fresh], hi[fresh], t)
+            contrib[:, :, fresh, :] = c_new
+            err[:, :, fresh, :] = e_new
 
-        totals = contrib.sum(axis=2)
-        tot_err = err.sum(axis=2)
         self.last_report = QuadratureReport(
             n_panels=int(lo.size),
-            w_max=float(hi[-1]),
-            max_rel_error=float((tot_err / self._error_scales(totals)).max()),
-            tail_bound={
-                comp.name: float(np.abs(contrib[ci, :, -1, :]).max()
-                                 * 5.0 * hi[-1] / (hi[-1] - lo[-1]))
-                for ci, comp in enumerate(self.components)
-            },
+            w_max=self.w_max,
+            max_rel_error=worst,
+            tail_bound={comp.name: float(rem_err[ci].max())
+                        for ci, comp in enumerate(self.components)},
         )
         return {
             comp.name: (totals[ci, 0], totals[ci, 1])
             for ci, comp in enumerate(self.components)
         }
 
+    def _check_budget(self, n_panels, worst):
+        """Raise before evaluating more than MAX_PANELS panels."""
+        if n_panels > self.MAX_PANELS:
+            raise QuadratureError(
+                f"panel budget exhausted: {n_panels} panels needed, "
+                f"{self.MAX_PANELS} allowed (rtol {self.rtol:g})",
+                achieved=worst,
+            )
+
+
+def _contour_edges(w_max, t):
+    """Panel edges in v on [0, 1] for the contour leg y = w_max v/(1 - v).
+
+    e^{-yt} falls off over v ~ 1/(w_max t_max) near v = 0, and at the
+    smallest positive time the integrand reaches out to 1 - v ~ w_max t_min
+    near v = 1.  Halving the panels toward both ends, to 16x past those
+    scales, resolves every time in between.
+    """
+    t_pos = t[t > 0]
+    k0 = 4 + max(0, int(np.ceil(np.log2(w_max * t_pos.max()))))
+    k1 = 4 + max(0, int(np.ceil(np.log2(1.0 / (w_max * t_pos.min())))))
+    return np.concatenate([[0.0], 0.5 ** np.arange(k0, 0, -1),
+                           1.0 - 0.5 ** np.arange(2, k1 + 1), [1.0]])
+
 
 def integrate_static(weight, edges, refine=4):
-    """Fixed-panel K15 integration of a plain scalar integrand (no time axis).
+    """Fixed-panel K15 integration of a time-independent integrand.
 
-    Used for the asymptotic (t -> infinity) integrals, where the integrand is
-    smooth apart from the resonance spike already covered by ``edges``.
-    ``refine`` bisections give a convergence ladder; returns (value, err_est).
+    ``weight`` maps an array of nodes to values whose leading axis runs over
+    the nodes; trailing axes are integrated independently.  Used for the
+    asymptotic (t -> infinity) integrals, where the integrand is smooth
+    apart from the resonance spike already covered by ``edges``, and for the
+    memory-integral remainder.  ``refine`` bisections
+    give a convergence ladder; returns (value, err_est).
     """
     edges = np.asarray(edges, dtype=float)
     value_prev = None
@@ -377,12 +479,29 @@ def integrate_static(weight, edges, refine=4):
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
         nodes = (mid[:, None] + half[:, None] * XK[None, :]).ravel()
-        f = weight(nodes).reshape(lo.size, 15)
-        value = float(np.einsum("pk,k,p->", f, WK, half))
-        if value_prev is not None and abs(value - value_prev) <= 1e-12 * abs(value):
-            return value, abs(value - value_prev)
+        f = np.asarray(weight(nodes))
+        f = f.reshape((lo.size, 15) + f.shape[1:])
+        value = np.einsum("pk...,k,p->...", f, WK, half)
+        if value_prev is not None and (np.abs(value - value_prev).max()
+                                       <= 1e-12 * np.abs(value).max()):
+            return value[()], np.abs(value - value_prev)[()]
         value_prev = value
         if level < refine:
             edges = np.sort(np.concatenate([edges, mid]))
-    g7 = float(np.einsum("pk,k,p->", f, WG, half))
-    return value_prev, abs(value_prev - g7)
+    g7 = np.einsum("pk...,k,p->...", f, WG, half)
+    return value_prev[()], np.abs(value_prev - g7)[()]
+
+
+def integrate_ray(weight, w0):
+    """int_{w0}^inf of ``weight`` by the substitution u = w0/w.
+
+    The integrand must decay at least like 1/w^2; the mapped integrand is
+    then bounded on (0, 1], and ``integrate_static`` integrates it on
+    ``_RAY_EDGES``.  Returns (value, err_est) as ``integrate_static`` does.
+    """
+    def mapped(u):
+        f = np.asarray(weight(w0 / u))
+        jac = w0 / (u * u)
+        return f * jac.reshape(jac.shape + (1,) * (f.ndim - 1))
+
+    return integrate_static(mapped, _RAY_EDGES)

@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import numpy as np
@@ -165,6 +166,10 @@ def test_evolve_end_to_end(tmp_path):
     assert meta["resolved_config"]["oscillator"]["Omega"] == "1.0"
     assert meta["numerics"]["abs_A_power"] == 2
     assert "timestamp" not in meta
+    quad = meta["quadrature"]
+    for key in ("n_panels_total", "max_rel_error", "remainder_error_max"):
+        assert math.isfinite(quad[key])
+    assert quad["n_panels_total"] >= quad["n_panels_max"] > 0
 
 
 def test_coupled_end_to_end(tmp_path):
