@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import csv
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -77,14 +78,14 @@ _SCHEMA = {
     "bath2.2": _BATH_KEYS,
     "coupling": ("beta",),
     "run": ("t_max", "dt", "n0", "scenario"),
-    "quadrature": ("rtol", "w_max_factor"),
+    "quadrature": ("rtol",),
     "kernel": ("abs_A_power",),
     "sweep": None,  # keys are parameter paths, validated separately
 }
 _SECTION_ORDER = tuple(_SCHEMA)
 
 _DEFAULTS = {"t_max": 20.0, "dt": 0.005, "n0": (0.0,), "rtol": DEFAULT_RTOL,
-             "w_max_factor": 1.0, "abs_A_power": 2, "beta": 0.0}
+             "abs_A_power": 2, "beta": 0.0}
 
 _UNITS_NOTE = (
     "frequencies and temperatures in units of Omega_1 (hbar = k_B = 1); "
@@ -213,8 +214,6 @@ def config_numerics(raw, rtol_override=None) -> dict:
     kern = raw.get("kernel", {})
     rtol = (rtol_override if rtol_override is not None
             else _get_float(raw, "quadrature", "rtol", _DEFAULTS["rtol"]))
-    w_max_factor = _get_float(raw, "quadrature", "w_max_factor",
-                              _DEFAULTS["w_max_factor"])
     power_txt = kern.get("abs_A_power", str(_DEFAULTS["abs_A_power"]))
     try:
         power = int(power_txt)
@@ -222,9 +221,9 @@ def config_numerics(raw, rtol_override=None) -> dict:
         raise ConfigError(f"[kernel] abs_A_power = {power_txt!r} is not an integer")
     if power not in (1, 2):
         raise ConfigError("[kernel] abs_A_power must be 1 or 2")
-    if rtol <= 0 or w_max_factor <= 0:
-        raise ConfigError("[quadrature] rtol and w_max_factor must be positive")
-    return {"rtol": rtol, "w_max_factor": w_max_factor, "abs_A_power": power}
+    if rtol <= 0:
+        raise ConfigError("[quadrature] rtol must be positive")
+    return {"rtol": rtol, "abs_A_power": power}
 
 
 def config_sweep(raw) -> list:
@@ -462,7 +461,7 @@ def _apply_override(raw, path, value):
 
 
 def _sweep_point(args):
-    """One sweep evaluation; returns (index, summary dict, status)."""
+    """One sweep evaluation; returns (index, summary dict, status, message)."""
     index, raw, rtol_override = args
     try:
         _, _, rows = _single_run(raw, config_numerics(raw, rtol_override))
@@ -470,9 +469,9 @@ def _sweep_point(args):
         summary = {"n_final": value["n_final"],
                    "n_tail_mean": value["n_tail_mean"],
                    "period": value["occupation_period"]}
-        return index, summary, "ok"
+        return index, summary, "ok", ""
     except OpenOscError as exc:
-        return index, {}, f"error:{type(exc).__name__}"
+        return index, {}, f"error:{type(exc).__name__}", str(exc)
 
 
 def cmd_sweep(raw, out, numerics, workers, rtol_override):
@@ -498,18 +497,19 @@ def cmd_sweep(raw, out, numerics, workers, rtol_override):
         results = [_sweep_point(p) for p in points]
 
     names = (["index"] + paths + ["n_final", "n_tail_mean", "period",
-                                  "status"])
-    with open(out / "sweep_index.csv", "w") as fh:
-        fh.write(",".join(names) + "\n")
-        for (flat, summary, status), point in zip(results, points):
+                                  "status", "message"])
+    with open(out / "sweep_index.csv", "w", newline="") as fh:
+        # csv quotes the commas an exception message may hold
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(names)
+        for (flat, summary, status, message), point in zip(results, points):
             idx = np.unravel_index(flat, shape)
             values = [grids[d][i] for d, i in enumerate(idx)]
             cells = [str(flat)] + [_fmt(v) for v in values]
             for col in ("n_final", "n_tail_mean", "period"):
                 cells.append(_fmt(summary.get(col, np.nan)))
-            cells.append(status)
-            fh.write(",".join(cells) + "\n")
-    n_failed = sum(1 for _, _, status in results if status != "ok")
+            writer.writerow(cells + [status, message])
+    n_failed = sum(1 for _, _, status, _ in results if status != "ok")
     write_metadata(out, "sweep", raw, numerics, {
         "sweep": {"parameters": paths, "shape": shape, "points": total,
                   "failed": n_failed, "workers": workers},

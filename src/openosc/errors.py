@@ -50,7 +50,7 @@ class SingularKernelError(NumericalError):
 
 
 class QuadratureError(NumericalError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """A memory integral's error budget exceeds the requested tolerance."""
 
     def __init__(self, message, achieved=None):
         super().__init__(message)

@@ -177,27 +177,30 @@ class CoupledSpec:
 # ---------------------------------------------------------------------------
 
 def equilibrium_occupation(w, T, eps):
-    """Equilibrium occupation 1/(exp(w/T) - eps) for frequency w > 0.
+    """Equilibrium occupation 1/(exp(w/T) - eps) for frequency w with Re w > 0.
 
     eps = +1 gives the Bose-Einstein distribution, eps = -1 Fermi-Dirac.
-    T = 0 returns the analytic limit 0 (for w > 0).  Evaluated in the
-    overflow-safe form exp(-w/T)/(1 - eps*exp(-w/T)).
+    T = 0 returns the analytic limit 0 (for Re w > 0).  Evaluated in the
+    overflow-safe form exp(-w/T)/(1 - eps*exp(-w/T)).  Complex w continues
+    the occupation analytically into the right half-plane.
     """
-    w_arr = np.asarray(w, dtype=float)
+    w_arr = np.asarray(w)
+    if not np.iscomplexobj(w_arr):
+        w_arr = w_arr.astype(float)
     if eps not in (BOSONIC, FERMIONIC):
         raise DomainError(f"statistics must be +1 or -1, got {eps}")
     if not np.all(np.isfinite(w_arr)) or not math.isfinite(T):
         raise DomainError("non-finite input to equilibrium_occupation")
-    if np.any(w_arr <= 0):
-        raise DomainError("equilibrium_occupation requires w > 0")
+    if np.any(w_arr.real <= 0):
+        raise DomainError("equilibrium_occupation requires Re w > 0")
     if T < 0:
         raise DomainError(f"temperature must be >= 0, got {T}")
     if T == 0:
         out = np.zeros_like(w_arr)
-        return out if out.ndim else float(out)
+        return out if out.ndim else out.item()
     ex = np.exp(-w_arr / T)
     out = ex / (1.0 - eps * ex)
-    return out if out.ndim else float(out)
+    return out if out.ndim else out.item()
 
 
 def spectral_density(w, bath: BathSpec):
@@ -219,9 +222,9 @@ def bare_frequency(Omega, bath1: BathSpec, bath2: BathSpec) -> float:
 def _default_w_max(spec: SystemSpec) -> float:
     """Frequency cutoff rule max(20 gamma_max, 40 omega, 20 T_max).
 
-    The one rule behind the memory-integral quadrature's cutoff between
-    panels and remainder, the stationary integrals' knee and the
-    discretized-bath oracle's comb.
+    The one rule behind the real-line split point of the memory integrals'
+    and the stationary integrals' static parts, and the discretized-bath
+    oracle's comb.
     """
     g_max = max(b.gamma for b in spec.baths)
     t_max = max(b.temperature for b in spec.baths)

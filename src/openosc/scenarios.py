@@ -164,8 +164,7 @@ def _energies_table(traj):
 
 
 def run_scenario(name: str, *, t_max=None, dt=None, n0=None,
-                 rtol=DEFAULT_RTOL, abs_A_power: int = 2,
-                 w_max_factor: float = 1.0) -> ScenarioResult:
+                 rtol=DEFAULT_RTOL, abs_A_power: int = 2) -> ScenarioResult:
     """Run one preset scenario and return its tables."""
     if name not in SCENARIOS:
         raise ConfigError(
@@ -176,7 +175,7 @@ def run_scenario(name: str, *, t_max=None, dt=None, n0=None,
     dt = float(dt if dt is not None else d.dt)
     n0 = tuple(np.atleast_1d(n0)) if n0 is not None else d.n0
     t = np.arange(0.0, t_max + 0.5 * dt, dt)
-    kw = dict(rtol=rtol, abs_A_power=abs_A_power, w_max_factor=w_max_factor)
+    kw = dict(rtol=rtol, abs_A_power=abs_A_power)
 
     meta = {"scenario": name, "description": d.description, "t_max": t_max,
             "dt": dt, "rtol": rtol, "abs_A_power": abs_A_power}

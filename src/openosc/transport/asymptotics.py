@@ -22,36 +22,12 @@ from ..errors import DomainError
 from ..model import (
     MIXED,
     SystemSpec,
-    _default_w_max,
     equilibrium_occupation,
     mixing_fraction,
     spectral_density,
 )
-from .quadrature import integrate_ray, integrate_static
+from .quadrature import _static_edges, integrate_ray, integrate_static
 from .roots import characteristic_roots, oscillatory_pair
-
-
-def _static_edges(spec: SystemSpec, eta: float, nu: float) -> np.ndarray:
-    """Panel edges on [0, W] resolving the resonance spike and the knees.
-
-    W is the model's cutoff rule; the power-law stretch beyond it is
-    integrated on the real ray by ``integrate_ray``.
-    """
-    w = spec.omega
-    g_max = max(b.gamma for b in spec.baths)
-    w_knee = _default_w_max(spec)
-    scale = max(1.0, w)
-    base = np.arange(0.0, min(8.0 * scale, w_knee), 0.05 * scale)
-    mid = np.arange(min(8.0 * scale, w_knee), min(5.0 * g_max, w_knee),
-                    0.2 * scale)
-    tail = np.arange(min(5.0 * g_max, w_knee), w_knee, g_max / 4.0)
-    parts = [np.array([0.0, w_knee]), base, mid, tail]
-    if eta > 0:
-        lo = max(0.0, nu - 12.0 * eta)
-        hi = min(w_knee, nu + 12.0 * eta)
-        parts.append(np.arange(lo, hi, max(eta / 3.0, 1e-6)))
-    edges = np.unique(np.concatenate(parts))
-    return edges[(edges >= 0.0) & (edges <= w_knee)]
 
 
 def _require_coupling(spec: SystemSpec) -> None:

@@ -36,7 +36,7 @@ from ..model import (
     mixing_fraction,
 )
 from .kernels import KernelEvaluator
-from .quadrature import CHUNK, DEFAULT_RTOL, ComponentSpec, MemoryIntegrator
+from .quadrature import DEFAULT_RTOL, ComponentSpec, MemoryIntegrator
 from .roots import characteristic_roots
 
 #: friction magnitudes below this fraction of the series maximum make the
@@ -62,6 +62,8 @@ class CoefficientSeries:
         The two bath memory integrals entering the diffusion parts.
     ratio : ndarray
         D(t)/lambda(t); NaN where the friction is too small to divide by.
+    quadrature_reports : list of QuadratureReport
+        The memory integrals' report: one per series.
     """
 
     t: np.ndarray
@@ -125,8 +127,7 @@ def _j_parts(series):
 
 
 def coefficient_series(spec: SystemSpec, t, *, abs_A_power: int = 2,
-                       rtol: float = DEFAULT_RTOL,
-                       w_max_factor: float = 1.0) -> CoefficientSeries:
+                       rtol: float = DEFAULT_RTOL) -> CoefficientSeries:
     """Compute lambda(t) and D(t) for one system on the given time grid.
 
     Parameters
@@ -137,7 +138,7 @@ def coefficient_series(spec: SystemSpec, t, *, abs_A_power: int = 2,
     abs_A_power : {1, 2}
         Power of |A| in the friction denominator X = |A|^p + eps |B|^2.
     rtol : float
-        Relative target for the frequency quadrature.
+        Accuracy contract of the memory integrals (see ``MemoryIntegrator``).
     """
     t = np.asarray(t, dtype=float)
     if t.ndim != 1 or t.size == 0:
@@ -149,19 +150,10 @@ def coefficient_series(spec: SystemSpec, t, *, abs_A_power: int = 2,
     ev = KernelEvaluator(rootset, spec)
     amp = ev.amplitude_series(t)
 
-    integ = MemoryIntegrator(ev, _bath_components(spec), rtol=rtol,
-                             w_max_factor=w_max_factor)
-    I1 = np.empty_like(t)
-    I2 = np.empty_like(t)
-    dI1 = np.empty_like(t)
-    dI2 = np.empty_like(t)
-    reports = []
-    for start in range(0, t.size, CHUNK):
-        sl = slice(start, min(start + CHUNK, t.size))
-        out = integ.integrate(t[sl])
-        I1[sl], dI1[sl] = out["bath1"]
-        I2[sl], dI2[sl] = out["bath2"]
-        reports.append(integ.last_report)
+    integ = MemoryIntegrator(ev, _bath_components(spec), rtol=rtol)
+    out = integ.integrate(t)
+    I1, dI1 = out["bath1"]
+    I2, dI2 = out["bath2"]
 
     (J1, J2), (dJ1, dJ2) = _j_parts(amp)
 
@@ -190,4 +182,5 @@ def coefficient_series(spec: SystemSpec, t, *, abs_A_power: int = 2,
     return CoefficientSeries(t=t, friction=lam, diffusion=D,
                              diffusion_parts=parts,
                              memory_integrals=(I1, I2), ratio=ratio,
-                             amplitudes=amp, quadrature_reports=reports)
+                             amplitudes=amp,
+                             quadrature_reports=[integ.last_report])

@@ -1,38 +1,41 @@
-"""Panel-adaptive Gauss-Kronrod quadrature for the bath memory integrals.
+"""Bath memory integrals as static parts plus one rotated-ray integral.
 
 The integrals have the form
 
     I(t)     = int_0^inf dw [ Wn(w) |M(w,t)|^2 + Wp(w) |N(w,t)|^2 ]
     dI/dt(t) = int_0^inf dw [ Wn(w) d|M|^2/dt + Wp(w) d|N|^2/dt ]
 
-with smooth weights Wn, Wp (spectral density times occupation factors) and
-the five-node propagator kernels M, N.  Three features drive the panel
-layout:
+with weights Wn, Wp (spectral density times occupation factors) and the
+five-node propagator kernels M, N.  Both kernels are exponential sums,
+M = c_0 e^{-iwt} + sum_k c_k e^{s_k t} (N alike), so
 
-* a resonance spike at w ~ nu (the root-pair frequency) of width ~ eta,
-  seeded with dedicated fine panels so adaptive refinement cannot miss it;
-* oscillation in w with effective frequency t (through e^{-iwt} inside M, N),
-  handled by capping the initial panel width at pi/(4*max(t, 1/Omega)).
-  The oscillating cross terms are damped as e^{-eta t} and their amplitude
-  decays as 1/w beyond the spectral support, so the fine width is applied
-  only on a low-frequency window and the effective time saturates once
-  e^{-eta t} is below noise; the coarse remainder is still error-controlled
-  and gets subdivided adaptively if the estimator asks for it;
-* a Lorentzian tail.  The panels end at a fixed cutoff W, the model's
-  cutoff rule times ``w_max_factor``; the remainder int_W^inf is integrated
-  from the kernels' exponential-sum structure instead of with panels.
-  Beyond W >= 20 T_max the thermal factors are at most e^{-20}, so both
-  weights reduce to the spectral weight on |N|^2 (the dropped thermal part
-  is bounded, not integrated).  With N = c_0 e^{-iwt} + sum_k c_k e^{s_k t},
-  the static and root-root parts of |N|^2 are t-independent integrals on
-  the real ray, and the cross terms c_0* c_k e^{iwt} are integrated on the
-  contour w = W + iy, where e^{iwt} decays as e^{-yt}.  The remainder's
-  quadrature error and the thermal bound enter the error budget.
+    I(t) = S_0 + sum_jk S_jk e^{(s_j + s_k*) t} + 2 Re sum_k e^{s_k t} C_k(t)
 
-Several consecutive grid times are integrated on one shared panel set
-("chunk"), sized by the most demanding time in the chunk; error control is
-per time and per component.  The chunk length is a fixed constant so results
-do not depend on worker counts or scheduling.  All panel sums run in a fixed
+    S_0    = int_0^inf [ Wn |c_0^M|^2 + Wp |c_0^N|^2 ] dw
+    S_jk   = int_0^inf [ Wn c_j^M c_k^M* + Wp c_j^N c_k^N* ] dw
+    C_k(t) = int_0^inf F_k(w) e^{iwt} dw,   F_k = Wn c_0^M* c_k^M + Wp c_0^N* c_k^N
+
+and dI/dt carries (s_j + s_k*) on the root-root terms and (s_k + iw) on the
+cross terms.
+
+* The 17 static numbers per bath are integrated once per integrator on the
+  real line: fixed K15 panels on [0, W] that resolve the resonance spike
+  (``_static_edges``, W the model's cutoff rule) and the substitution
+  u = W/w beyond W (``integrate_ray``).
+* The cross terms are integrated on the ray w = r e^{i theta}, where e^{iwt}
+  decays as e^{-r sin(theta) t}.  c_0* continues analytically as
+  conj(c_0(conj w)), whose poles sit at w_j = -i s_j; those between the
+  real axis and the ray add 2 pi i times their residues, which carry
+  e^{i w_j t} = e^{s_j t}.  The other poles (Lorentzian, Matsubara, real
+  roots) lie on the imaginary axis, and those of c_k in the lower
+  half-plane.  theta bisects the widest angular gap between the real axis,
+  the first-quadrant poles and the imaginary axis.  The ray's nodes do not
+  depend on t, so each time costs one column of an e^{iwt} product.
+
+Nothing is adaptive: the node count follows from the spec and grows only as
+log2(t_max/t_min).  The error budget adds the static parts' ladder
+estimates, the ray's difference to one bisection, and a rounding allowance
+on the parts' magnitudes, which cancel as t -> 0.  All sums run in a fixed
 order, so repeated runs are bit-identical.
 """
 
@@ -43,7 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import QuadratureError
-from ..model import BathSpec, _default_w_max, equilibrium_occupation
+from ..model import BathSpec, SystemSpec, _default_w_max, equilibrium_occupation
+from .roots import oscillatory_pair
 
 # 15-point Kronrod abscissae (ascending) with embedded 7-point Gauss rule.
 _XK_HALF = np.array(
@@ -84,22 +88,16 @@ WK = np.concatenate([_WK_HALF[:-1], _WK_HALF[::-1]])
 WG = np.zeros(15)
 WG[1:14:2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
 
-#: Grid times integrated against one shared panel set.
-CHUNK = 64
-#: Frequency nodes evaluated per memory block.
-NODE_BLOCK = 32768
-
 DEFAULT_RTOL = 1e-7
 
-#: Share of rtol the cutoff remainder's error bound may take; the panels
-#: cannot reduce it, so a remainder that misses it raises.
-_REMAINDER_SHARE = 0.1
-
-#: Rounding allowance of the remainder, relative to its summed parts.
+#: Rounding allowance, relative to the summed magnitudes of the parts.
 _ROUNDING = 64 * np.finfo(float).eps
 
 #: K15 panels in u = W/w on (0, 1] for integrals over the real ray [W, inf).
 _RAY_EDGES = np.array([0.0, 0.25, 0.5, 1.0])
+
+#: Times per block of the ray's e^{iwt} product, bounding its memory.
+_TIME_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -114,14 +112,14 @@ class ComponentSpec:
     name: str
     bath: BathSpec
 
-    def spectral_weight(self, w):
-        """g(w), for real or complex w (the remainder's contour)."""
-        a, g = self.bath.alpha, self.bath.gamma
-        return (a * g * g / np.pi) * w / (g * g + w * w)
-
     def weights(self, w):
-        """(occupied, vacant) weights at real frequencies w > 0."""
-        pref = self.spectral_weight(w)
+        """(occupied, vacant) weights at frequencies w with Re w > 0.
+
+        Real w serves the real line, complex w the rotated ray: both
+        factors continue analytically off the real axis.
+        """
+        a, g = self.bath.alpha, self.bath.gamma
+        pref = (a * g * g / np.pi) * w / (g * g + w * w)
         n = equilibrium_occupation(w, self.bath.temperature,
                                    self.bath.statistics)
         return pref * n, pref * (1.0 + self.bath.statistics * n)
@@ -129,14 +127,15 @@ class ComponentSpec:
 
 @dataclass
 class QuadratureReport:
-    """Error bookkeeping for one integrated chunk.
+    """Error bookkeeping for one ``integrate`` call.
 
-    ``max_rel_error`` is the accumulated error estimate of the panel sums
-    plus the remainder beyond ``w_max``, relative to the per-component
-    error scales.  ``tail_bound`` maps component name to the absolute error
-    bound of that remainder (largest over time and over value and
-    derivative): its quadrature error estimate plus the dropped thermal
-    part.
+    ``n_panels`` counts the K15 panels evaluated: the static parts' (every
+    rung of their ladders, on the real line and beyond W) plus the ray's
+    (both levels).  ``w_max`` is the real-line split point W.
+    ``max_rel_error`` is the largest error budget relative to the
+    per-component error scales.  ``tail_bound`` maps component name to the
+    absolute error estimate of the static parts beyond W, bounded over every
+    time and over value and derivative.
     """
 
     n_panels: int
@@ -146,320 +145,274 @@ class QuadratureReport:
 
 
 class MemoryIntegrator:
-    """Integrates a set of memory-integral components over time chunks.
+    """Integrates a set of memory-integral components on a time grid.
+
+    The static parts are integrated on construction; ``integrate`` adds the
+    cross terms for the requested times.
 
     Parameters
     ----------
     evaluator : KernelEvaluator
-        Supplies M, N and their time derivatives.
+        Supplies the roots and the per-node coefficients of M and N.
     components : sequence of ComponentSpec
     rtol : float
-        Target relative error per time point and component.
-    w_max_factor : float
-        Multiplies the model's cutoff rule; the product is the fixed cutoff
-        W between the panels and the remainder.
+        Accuracy contract: ``integrate`` raises QuadratureError if the error
+        budget exceeds rtol times the error scale at any time.
     """
 
-    MAX_PANELS = 60000
-    MAX_ROUNDS = 24
-
-    def __init__(self, evaluator, components, *, rtol=DEFAULT_RTOL,
-                 w_max_factor=1.0):
+    def __init__(self, evaluator, components, *, rtol=DEFAULT_RTOL):
         self.ev = evaluator
         self.components = list(components)
         self.rtol = float(rtol)
         spec = evaluator.spec
-        self.w_max = _default_w_max(spec) * w_max_factor
-        self._g_min = min(b.gamma for b in spec.baths)
-        self._g_max = max(b.gamma for b in spec.baths)
-        self._w_bare = spec.omega
+        self.w_max = _default_w_max(spec)
         self._Omega = spec.omega_renormalized
-        from .roots import oscillatory_pair
-
-        self._eta, self._nu = oscillatory_pair(evaluator.rootset.roots)
-        # the remainder's integrands have poles at Re w = -Im s_k and 0;
-        # the contour Re w = W must stay clear of them
-        pole = float(np.abs(evaluator.s.imag).max())
-        if pole >= 0.5 * self.w_max:
-            raise QuadratureError(
-                f"cutoff {self.w_max:g} is within a factor 2 of the kernel "
-                f"pole at Re w = {pole:g}; raise w_max_factor",
-            )
-        self._ray = integrate_ray(self._ray_integrand, self.w_max)
         self.last_report = None
+        # an uncoupled bath's weights vanish identically, and so do its
+        # integrals; only the coupled ones are integrated
+        self._live = [ci for ci, c in enumerate(self.components)
+                      if c.bath.alpha > 0.0]
+        if not self._live:
+            return
+        s = evaluator.s
+        rate = (s[:, None] + s[None, :].conj()).ravel()
+        self._rate = np.stack([np.ones(16), rate])  # (2, 16): I and dI
 
-    # ------------------------------------------------------------------ edges
+        self._static_panels = 0  # counted by the integrand
+        eta, nu = oscillatory_pair(s)
+        body, body_err = integrate_static(self._static_integrand,
+                                          _static_edges(spec, eta, nu))
+        tail, tail_err = integrate_ray(self._static_integrand, self.w_max)
+        self._S, self._S_err = body + tail, body_err + tail_err  # (n_live, 17)
+        # |e^{(s_j + s_k*) t}| <= 1, so this bounds the tail's error at any t
+        self._tail = tail_err[:, 0] + (np.abs(self._rate)
+                                       * tail_err[:, None, 1:]).sum(-1).max(-1)
+
+        # poles of conj(c_0(conj w)) at w_j = -i s_j; the ray bisects the
+        # widest angular gap in the first quadrant
+        w_pole = -1j * s
+        first = (w_pole.real > 0.0) & (w_pole.imag > 0.0)
+        angles = np.sort(np.concatenate([[0.0, 0.5 * np.pi],
+                                         np.angle(w_pole[first])]))
+        gap = int(np.argmax(np.diff(angles)))
+        self._theta = 0.5 * (angles[gap] + angles[gap + 1])
+        self._R = max(max(b.gamma for b in spec.baths), spec.omega)
+        # the nearest singularities to the ray's origin: the kernel poles,
+        # the Lorentzian poles and the first Matsubara poles
+        self._r_min = min([np.abs(s).min()]
+                          + [b.gamma for b in spec.baths]
+                          + [np.pi * b.temperature for b in spec.baths
+                             if b.temperature > 0])
+        inside = first & (np.angle(w_pole) < self._theta)
+        self._inside = inside
+        self._P = self._residues(w_pole[inside], s[inside],
+                                 evaluator.rootset.xi_prime[inside])
+
+    # ---------------------------------------------------------------- parts
+
+    def _static_integrand(self, w):
+        """(n_w, n_live, 17): the S_0 integrand, then the S_jk ones."""
+        self._static_panels += w.size // 15
+        _, cM0, cN0, cMk, cNk = self.ev._mn_coefficients(w)
+        MM = (cMk[:, :, None] * cMk[:, None, :].conj()).reshape(-1, 16)
+        NN = (cNk[:, :, None] * cNk[:, None, :].conj()).reshape(-1, 16)
+        out = []
+        for ci in self._live:
+            wn, wp = self.components[ci].weights(w)
+            s0 = wn * (cM0.real**2 + cM0.imag**2) + wp * (cN0.real**2 + cN0.imag**2)
+            out.append(np.concatenate(
+                [s0[:, None], wn[:, None] * MM + wp[:, None] * NN], axis=1))
+        return np.stack(out, axis=1)
+
+    def _residues(self, wj, sj, xj):
+        """2 pi i Res_{w_j} F_k for I and dI: (n_live, 2, 4, n_j).
+
+        The residue of conj(c_0^N(conj w)) = (w - omega)(g1 + iw)(g2 + iw)
+        / q(iw) at w_j is -i xi'_j (w_j - omega)(g1 + s_j)(g2 + s_j); for
+        c_0^M, (w - omega) becomes -(w + omega).  The term carries
+        e^{(s_k + s_j) t}, so dI takes the factor s_k + s_j.
+        """
+        ev = self.ev
+        poles = -1j * xj * (ev.g1 + sj) * (ev.g2 + sj)
+        _, _, _, cMk, cNk = ev._mn_coefficients(wj)  # (n_j, 4)
+        out = []
+        for ci in self._live:
+            wn, wp = self.components[ci].weights(wj)
+            res = 2j * np.pi * (
+                (-wn * (wj + ev.w) * poles)[:, None] * cMk
+                + (wp * (wj - ev.w) * poles)[:, None] * cNk)  # (n_j, 4)
+            res = res.T
+            out.append(np.stack([res, res * (ev.s[:, None] + sj[None, :])]))
+        return np.array(out)
+
+    def _ray_nodes(self, edges):
+        """Ray nodes w = R v/(1 - v) e^{i theta} on the K15 panels ``edges``
+        in v, and the weighted F_k dw/dv: (n_v,), (n_v, n_live * 2 * 4)."""
+        v, half = _k15_nodes(edges)
+        phase = np.exp(1j * self._theta)
+        w = self._R * v / (1.0 - v) * phase
+        jac = (half[:, None] * WK).ravel() * phase * self._R / (1.0 - v) ** 2
+        _, cM0, cN0, _, _ = self.ev._mn_coefficients(w.conj())
+        _, _, _, cMk, cNk = self.ev._mn_coefficients(w)
+        rate = self.ev.s[None, :] + 1j * w[:, None]
+        f = []
+        for ci in self._live:
+            wn, wp = self.components[ci].weights(w)
+            F = ((wn * cM0.conj() * jac)[:, None] * cMk
+                 + (wp * cN0.conj() * jac)[:, None] * cNk)  # (n_v, 4)
+            f.append(np.stack([F, F * rate], axis=1))
+        return w, np.stack(f, axis=1).reshape(w.size, -1)
+
+    def _block(self, t, rays):
+        """I and dI of the coupled components at times t > 0, with budgets.
+
+        ``rays`` holds the ray's nodes at the base level and one bisection
+        finer; the finer gives the value, their difference its error.
+        Returns (value, budget), each of shape (n_live, 2, n_t).
+        """
+        n_l, s = len(self._live), self.ev.s
+        E = np.exp(np.multiply.outer(s, t))  # (4, n_t)
+        EE = (E[:, None, :] * E[None, :, :].conj()).reshape(16, t.size)
+        S, eS = self._S, self._S_err
+        terms = self._rate[None] * S[:, None, 1:]  # (n_l, 2, 16)
+        value = (terms @ EE).real
+        value[:, 0] += S[:, 0, None].real
+        # the parts cancel as t -> 0, so rounding scales with their size
+        size = np.abs(terms) @ np.abs(EE)
+        size[:, 0] += np.abs(S[:, 0, None])
+        budget = (np.abs(self._rate)[None] * eS[:, None, 1:]) @ np.abs(EE)
+        budget[:, 0] += eS[:, 0, None]
+
+        Ej = E[self._inside]
+        res = self._P @ Ej  # (n_l, 2, 4, n_t)
+        res_size = np.abs(self._P) @ np.abs(Ej)
+        cross = []
+        for w, f in rays:
+            X = np.exp(1j * np.multiply.outer(w, t))  # (n_v, n_t)
+            C = (f.T @ X).reshape(n_l, 2, 4, t.size) + res
+            cross.append(2.0 * (C * E).sum(axis=2).real)
+        # the finer level's magnitudes (w, f, X are still the finer level's)
+        C_size = (np.abs(f).T @ np.abs(X)).reshape(n_l, 2, 4, t.size) + res_size
+        size += 2.0 * (C_size * np.abs(E)).sum(axis=2)
+        value += cross[1]
+        budget += np.abs(cross[1] - cross[0]) + _ROUNDING * size
+        return value, budget
 
     def _error_scales(self, totals: np.ndarray) -> np.ndarray:
         """Per-(component, derivative, time) denominators for error control.
 
-        The value integrals are sign-definite, so their own magnitude (with a
-        small floor against the t ~ 0 zeros) is the right yardstick.  The
-        derivative integrals oscillate through zero and decay like e^{-eta t},
-        while the consumer adds them to Omega-sized combinations of the value
-        integrals; demanding relative accuracy at their zero crossings would
-        chase the cancellation noise of d|M|^2/dt, so they are controlled
-        against the larger of their own chunk maximum and the value scale.
+        The value integrals are sign-definite, so their own magnitude is the
+        right yardstick, floored at 1e-6 of the larger of the grid maximum
+        and S_0 against the t ~ 0 zeros (a short grid alone would set the
+        floor far below the integral's size).  The derivative integrals
+        oscillate through zero and decay like e^{-eta t}, while the consumer
+        adds them to Omega-sized combinations of the value integrals;
+        demanding relative accuracy at their zero crossings would chase the
+        cancellation noise of d|M|^2/dt, so they are controlled against the
+        larger of their own grid maximum and the value scale.
         """
         mag = np.abs(totals)
-        ref = np.maximum(mag[:, 0, :].max(axis=-1), 1e-300)  # per component
+        ref = np.maximum(mag[:, 0, :].max(axis=-1), np.abs(self._S[:, 0]))
         scale = np.empty_like(mag)
         scale[:, 0, :] = np.maximum(mag[:, 0, :], 1e-6 * ref[:, None])
         dref = np.maximum(self._Omega * ref, mag[:, 1, :].max(axis=-1))
         scale[:, 1, :] = np.maximum(mag[:, 1, :], 1e-3 * dref[:, None])
         return np.maximum(scale, 1e-300)
 
-    def _initial_edges(self, t_top: float) -> np.ndarray:
-        base = self._g_min / 4.0
-        t_alive = t_top
-        if self._eta > 0:
-            # once e^{-eta t} is far below rtol the cross terms cannot move
-            # the error estimator, so the oscillation width stops shrinking
-            t_alive = min(t_top, np.log(1e3 / self.rtol) / self._eta)
-        w_fine = min(
-            self.w_max,
-            max(6.0 * self._g_max, 2.0 * self._nu + 20.0 * self._eta,
-                4.0 * self._w_bare),
-        )
-        width = min(base, np.pi / (4.0 * max(t_alive, 1.0 / self._Omega)))
-        edges = [np.arange(0.0, w_fine, width),
-                 np.arange(w_fine, self.w_max, base)]
-        if self._nu > 0 and self._eta > 0:
-            lo = max(0.0, self._nu - 12.0 * self._eta)
-            hi = min(self.w_max, self._nu + 12.0 * self._eta)
-            res_width = min(self._eta / 3.0, width)
-            if res_width > 0 and hi > lo:
-                edges.append(np.arange(lo, hi, res_width))
-        e = np.unique(np.concatenate(edges + [np.array([self.w_max])]))
-        return e[(e >= 0.0) & (e <= self.w_max)]
-
-    # -------------------------------------------------------------- evaluation
-
-    def _panel_sums(self, lo: np.ndarray, hi: np.ndarray, t: np.ndarray):
-        """K15 contributions and |K15-G7| errors per (panel, component, time).
-
-        Returns (contrib, err), arrays of shape
-        (n_components, 2, n_panels, n_times); axis 1 is value, derivative.
-        """
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        n_p = lo.size
-        nodes = (mid[:, None] + half[:, None] * XK[None, :]).ravel()
-        n_c = len(self.components)
-        contrib = np.zeros((n_c, 2, n_p, t.size))
-        err = np.zeros((n_c, 2, n_p, t.size))
-
-        panels_per_block = max(1, NODE_BLOCK // 15)
-        for start in range(0, n_p, panels_per_block):
-            stop = min(start + panels_per_block, n_p)
-            blk = slice(start * 15, stop * 15)
-            wb = nodes[blk]
-            M, N, dM, dN = self.ev.mn_block(wb, t)
-            M2 = (M.real**2 + M.imag**2).reshape(stop - start, 15, t.size)
-            N2 = (N.real**2 + N.imag**2).reshape(stop - start, 15, t.size)
-            dM2 = 2.0 * (M.real * dM.real + M.imag * dM.imag).reshape(
-                stop - start, 15, t.size
-            )
-            dN2 = 2.0 * (N.real * dN.real + N.imag * dN.imag).reshape(
-                stop - start, 15, t.size
-            )
-            h = half[start:stop, None]
-            for ci, comp in enumerate(self.components):
-                wn, wp = (x.reshape(stop - start, 15) for x in comp.weights(wb))
-                for di, (fm, fn) in enumerate(((M2, N2), (dM2, dN2))):
-                    f = wn[:, :, None] * fm + wp[:, :, None] * fn
-                    k15 = h * np.einsum("pkt,k->pt", f, WK)
-                    g7 = h * np.einsum("pkt,k->pt", f, WG)
-                    contrib[ci, di, start:stop] = k15
-                    err[ci, di, start:stop] = np.abs(k15 - g7)
-        return contrib, err
-
-    # --------------------------------------------------------------- remainder
-
-    def _ray_integrand(self, w):
-        """g_c |c_0|^2 and g_c c_j conj(c_k) of N at real w: (n_w, n_c, 17)."""
-        _, _, c0, _, ck = self.ev._mn_coefficients(w)
-        cc = (ck[:, :, None] * ck[:, None, :].conj()).reshape(-1, 16)
-        base = np.concatenate([(c0.real**2 + c0.imag**2)[:, None], cc], axis=1)
-        g = np.stack([c.spectral_weight(w) for c in self.components], axis=1)
-        return g[:, :, None] * base[:, None, :]
-
-    def _remainder(self, t):
-        """int_W^inf of every component's integrands, and its error bound.
-
-        With N = c_0 e^{-iwt} + sum_k c_k e^{s_k t} and g the spectral weight,
-
-            R(t)   = S_0 + sum_jk S_jk e^{(s_j + s_k*) t}
-                     + 2 Re sum_k e^{s_k t} C_k(t)
-            C_k(t) = int_W^inf g c_0* c_k e^{iwt} dw
-                   = i e^{iWt} int_0^inf (g c_0* c_k)(W + iy) e^{-yt} dy,
-
-        S_0 and S_jk from the real ray (``self._ray``).  The contour may be
-        rotated because every pole lies at Re w <= max|Im s_k| < W/2, and
-        c_0* continues analytically as conj(c_0(conj w)).  dR/dt carries
-        (s_j + s_k*) on the root-root terms and (s_k + iw) on the cross
-        terms.  The contour leg uses y = W v/(1 - v) on ``_contour_edges``.
-
-        Returns (value, bound), each of shape (n_components, 2, n_times).
-        The bound adds the quadrature error estimates of every part, each
-        taken in magnitude, a rounding allowance, and 3 n(W)/(1 - n(W)) |R|
-        for the thermal factors dropped beyond W.
-        """
-        s, W = self.ev.s, self.w_max
-        n_c, n_t = len(self.components), t.size
-        S, eS = (x.reshape(n_c, 1, 17) for x in self._ray)
-        E = np.exp(np.multiply.outer(s, t))  # (4, n_t)
-        EE = (E[:, None, :] * E[None, :, :].conj()).reshape(16, n_t)
-        rate = np.stack([np.ones(16), (s[:, None] + s[None, :].conj()).ravel()])
-        value = (rate * S[..., 1:]) @ EE  # (n_c, 2, n_t)
-        value[:, 0] += S[:, :, 0]
-        # the cross terms cancel the static ones as t -> 0, so rounding
-        # scales with the parts' magnitudes, not with the remainder
-        size = np.abs(rate * S[..., 1:]) @ np.abs(EE)
-        size[:, 0] += np.abs(S[:, :, 0])
-        bound = (np.abs(rate) * eS[..., 1:]) @ np.abs(EE)
-        bound[:, 0] += eS[:, :, 0]
-        phase = 1j * np.exp(1j * W * t)
-
-        def cross(v):
-            y = W * v / (1.0 - v)
-            w = W + 1j * y
-            _, _, c0, _, ck = self.ev._mn_coefficients(w)
-            _, _, c0_conj, _, _ = self.ev._mn_coefficients(w.conj())
-            f = c0_conj.conj()[:, None] * ck * (W / (1.0 - v) ** 2)[:, None]
-            f = np.stack([f, f * (s + 1j * w[:, None])], axis=1)  # (n_v, 2, 4)
-            decay = np.exp(-np.multiply.outer(y, t))[:, None, :]
-            g = np.stack([c.spectral_weight(w) for c in self.components], axis=1)
-            g = g[:, :, None, None]
-            # the integrand and the magnitude of its terms, for rounding
-            val = (g * ((f @ E) * phase * decay)[:, None]).real
-            mag = np.abs(g) * ((np.abs(f) @ np.abs(E)) * decay)[:, None]
-            return 2.0 * np.stack([val, mag], axis=1)  # (n_v, 2, n_c, 2, n_t)
-
-        (c_val, c_size), (c_err, _) = integrate_static(cross,
-                                                       _contour_edges(W, t))
-        value = value.real + c_val
-        bound = bound + c_err + _ROUNDING * (size + c_size)
-        # dropped thermal part: n(w) (|M|^2 + eps |N|^2) with n <= n(W);
-        # the |M|^2 remainder is taken as at most 2x the |N|^2 one (their
-        # ratio beyond W measures 0.99-1.07 on fig1, fig5 and a T = 20 bath)
-        for ci, comp in enumerate(self.components):
-            T = comp.bath.temperature
-            x = np.exp(-W / T) if T > 0 else 0.0
-            bound[ci] += 3.0 * x / (1.0 - x) * np.abs(value[ci])
-        return value, bound
-
     # -------------------------------------------------------------- main entry
 
     def integrate(self, t):
-        """Integrate all components for the times in ``t`` (one chunk).
+        """Integrate all components at the times ``t``.
 
-        Returns a dict name -> (I, dI) plus stores a QuadratureReport in
-        ``last_report``.  Raises QuadratureError if the remainder misses its
-        share of rtol, or the error target cannot be met within the panel
-        and subdivision budget.
+        Returns a dict name -> (I, dI) and stores a QuadratureReport in
+        ``last_report``.  I(0) = dI(0) = 0 exactly, because every kernel
+        vanishes at t = 0.  Raises QuadratureError if the error budget
+        exceeds rtol.
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        if not (t > 0.0).any():
-            # every kernel vanishes identically at t = 0, so the integrals
-            # and their derivatives are exactly zero; running the adaptive
-            # loop would only chase the roundoff noise of that cancellation
-            zero = np.zeros(t.size)
-            self.last_report = QuadratureReport(
-                n_panels=0, w_max=self.w_max, max_rel_error=0.0,
-                tail_bound={c.name: 0.0 for c in self.components},
-            )
-            return {c.name: (zero.copy(), zero.copy())
-                    for c in self.components}
-        edges = self._initial_edges(float(t.max()))
-        lo, hi = edges[:-1], edges[1:]
-        self._check_budget(lo.size, None)
-        contrib, err = self._panel_sums(lo, hi, t)
-        rem, rem_err = self._remainder(t)
-
-        for round_ in range(self.MAX_ROUNDS + 1):
-            totals = contrib.sum(axis=2) + rem  # (n_c, 2, n_t)
-            scale = self._error_scales(totals)
-            if round_ == 0:
-                rem_rel = float((rem_err / scale).max())
-                if rem_rel > _REMAINDER_SHARE * self.rtol:
-                    raise QuadratureError(
-                        f"cutoff remainder error {rem_rel:.3g} exceeds its "
-                        f"share {_REMAINDER_SHARE:g} of rtol {self.rtol:g} "
-                        f"(w_max {self.w_max:g})",
-                        achieved=rem_rel,
-                    )
-            worst = float(((err.sum(axis=2) + rem_err) / scale).max())
-            if worst <= self.rtol:
-                break
-            if round_ == self.MAX_ROUNDS:
+        totals = np.zeros((len(self.components), 2, t.size))
+        pos = t > 0.0
+        n_panels, worst = 0, 0.0
+        tail = {c.name: 0.0 for c in self.components}
+        if self._live and pos.any():
+            tp = t[pos]
+            # e^{iwt} decays over r ~ 1/t_max and reaches out to 1/t_min
+            edges = _ray_edges(self._R, min(self._r_min, 1.0 / tp.max()),
+                               1.0 / tp.min())
+            rays = [self._ray_nodes(e) for e in (edges, _bisect(edges))]
+            value = np.empty((len(self._live), 2, tp.size))
+            budget = np.empty_like(value)
+            for start in range(0, tp.size, _TIME_BLOCK):
+                sl = slice(start, start + _TIME_BLOCK)
+                value[..., sl], budget[..., sl] = self._block(tp[sl], rays)
+            worst = float((budget / self._error_scales(value)).max())
+            if worst > self.rtol:
                 raise QuadratureError(
-                    f"quadrature did not converge after {self.MAX_ROUNDS} rounds "
-                    f"(relative error {worst:.3g} > rtol {self.rtol:g})",
+                    f"memory-integral error budget {worst:.3g} exceeds rtol "
+                    f"{self.rtol:g}",
                     achieved=worst,
                 )
-            # split every panel whose error share is material
-            tol = self.rtol * scale  # (n_c, 2, n_t)
-            share = (err / tol[:, :, None, :]).max(axis=(0, 1, 3))  # per panel
-            split = share > 0.5 / lo.size
-            if not split.any():
-                split = share >= share.max()
-            self._check_budget(lo.size + split.sum(), worst)
-            mid_s = 0.5 * (lo[split] + hi[split])
-            lo_new = np.concatenate([lo[~split], lo[split], mid_s])
-            hi_new = np.concatenate([hi[~split], mid_s, hi[split]])
-            order = np.argsort(lo_new, kind="stable")
-            lo, hi = lo_new[order], hi_new[order]
-            kept = np.concatenate(
-                [contrib[:, :, ~split, :], np.zeros_like(contrib[:, :, split, :]),
-                 np.zeros_like(contrib[:, :, split, :])], axis=2)
-            kept_e = np.concatenate(
-                [err[:, :, ~split, :], np.zeros_like(err[:, :, split, :]),
-                 np.zeros_like(err[:, :, split, :])], axis=2)
-            fresh = np.concatenate(
-                [np.zeros(np.count_nonzero(~split), dtype=bool),
-                 np.ones(2 * np.count_nonzero(split), dtype=bool)])
-            contrib, err = kept[:, :, order, :], kept_e[:, :, order, :]
-            fresh = fresh[order]
-            c_new, e_new = self._panel_sums(lo[fresh], hi[fresh], t)
-            contrib[:, :, fresh, :] = c_new
-            err[:, :, fresh, :] = e_new
-
+            for li, ci in enumerate(self._live):
+                totals[ci][:, pos] = value[li]
+                tail[self.components[ci].name] = float(self._tail[li])
+            n_panels = self._static_panels + sum(w.size // 15 for w, _ in rays)
         self.last_report = QuadratureReport(
-            n_panels=int(lo.size),
-            w_max=self.w_max,
-            max_rel_error=worst,
-            tail_bound={comp.name: float(rem_err[ci].max())
-                        for ci, comp in enumerate(self.components)},
+            n_panels=n_panels, w_max=self.w_max, max_rel_error=worst,
+            tail_bound=tail,
         )
-        return {
-            comp.name: (totals[ci, 0], totals[ci, 1])
-            for ci, comp in enumerate(self.components)
-        }
-
-    def _check_budget(self, n_panels, worst):
-        """Raise before evaluating more than MAX_PANELS panels."""
-        if n_panels > self.MAX_PANELS:
-            raise QuadratureError(
-                f"panel budget exhausted: {n_panels} panels needed, "
-                f"{self.MAX_PANELS} allowed (rtol {self.rtol:g})",
-                achieved=worst,
-            )
+        return {comp.name: (totals[ci, 0], totals[ci, 1])
+                for ci, comp in enumerate(self.components)}
 
 
-def _contour_edges(w_max, t):
-    """Panel edges in v on [0, 1] for the contour leg y = w_max v/(1 - v).
+def _bisect(edges):
+    """``edges`` with every panel halved."""
+    return np.sort(np.concatenate([edges, 0.5 * (edges[1:] + edges[:-1])]))
 
-    e^{-yt} falls off over v ~ 1/(w_max t_max) near v = 0, and at the
-    smallest positive time the integrand reaches out to 1 - v ~ w_max t_min
-    near v = 1.  Halving the panels toward both ends, to 16x past those
-    scales, resolves every time in between.
+
+def _k15_nodes(edges):
+    """K15 nodes on the panels ``edges`` and the panels' half-widths."""
+    half = 0.5 * np.diff(edges)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    return (mid[:, None] + half[:, None] * XK[None, :]).ravel(), half
+
+
+def _ray_edges(R, r_lo, r_hi):
+    """Panel edges in v on [0, 1] for the ray r = R v/(1 - v).
+
+    The inner edges sit at r = R 2^m, so every inner panel spans a factor 2
+    in r and resolves a pole at any distance from the origin that keeps its
+    angle to the ray.  They run from 16x below r_lo, the smallest scale of
+    the integrand near the origin, to 16x beyond r_hi, how far out it
+    reaches at the smallest time; the end panels cover the rest.
     """
-    t_pos = t[t > 0]
-    k0 = 4 + max(0, int(np.ceil(np.log2(w_max * t_pos.max()))))
-    k1 = 4 + max(0, int(np.ceil(np.log2(1.0 / (w_max * t_pos.min())))))
-    return np.concatenate([[0.0], 0.5 ** np.arange(k0, 0, -1),
-                           1.0 - 0.5 ** np.arange(2, k1 + 1), [1.0]])
+    lo = 4 + max(0, int(np.ceil(np.log2(R / r_lo))))
+    hi = 4 + max(0, int(np.ceil(np.log2(r_hi / R))))
+    return np.concatenate([[0.0], 1.0 / (1.0 + 2.0 ** -np.arange(-lo, hi + 1.0)),
+                           [1.0]])
+
+
+def _static_edges(spec: SystemSpec, eta: float, nu: float) -> np.ndarray:
+    """Real-line panel edges on [0, W] resolving the resonance spike and
+    the knees.
+
+    W is the model's cutoff rule; the power-law stretch beyond it is
+    integrated on the real ray by ``integrate_ray``.
+    """
+    w = spec.omega
+    g_max = max(b.gamma for b in spec.baths)
+    w_knee = _default_w_max(spec)
+    scale = max(1.0, w)
+    base = np.arange(0.0, min(8.0 * scale, w_knee), 0.05 * scale)
+    mid = np.arange(min(8.0 * scale, w_knee), min(5.0 * g_max, w_knee),
+                    0.2 * scale)
+    tail = np.arange(min(5.0 * g_max, w_knee), w_knee, g_max / 4.0)
+    parts = [np.array([0.0, w_knee]), base, mid, tail]
+    if eta > 0:
+        lo = max(0.0, nu - 12.0 * eta)
+        hi = min(w_knee, nu + 12.0 * eta)
+        parts.append(np.arange(lo, hi, max(eta / 3.0, 1e-6)))
+    edges = np.unique(np.concatenate(parts))
+    return edges[(edges >= 0.0) & (edges <= w_knee)]
 
 
 def integrate_static(weight, edges, refine=4):
@@ -467,27 +420,24 @@ def integrate_static(weight, edges, refine=4):
 
     ``weight`` maps an array of nodes to values whose leading axis runs over
     the nodes; trailing axes are integrated independently.  Used for the
-    asymptotic (t -> infinity) integrals, where the integrand is smooth
-    apart from the resonance spike already covered by ``edges``, and for the
-    memory-integral remainder.  ``refine`` bisections
+    static parts of the memory integrals and for the asymptotic
+    (t -> infinity) integrals, where the integrand is smooth apart from the
+    resonance spike already covered by ``edges``.  ``refine`` bisections
     give a convergence ladder; returns (value, err_est).
     """
     edges = np.asarray(edges, dtype=float)
     value_prev = None
     for level in range(refine + 1):
-        lo, hi = edges[:-1], edges[1:]
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        nodes = (mid[:, None] + half[:, None] * XK[None, :]).ravel()
+        nodes, half = _k15_nodes(edges)
         f = np.asarray(weight(nodes))
-        f = f.reshape((lo.size, 15) + f.shape[1:])
+        f = f.reshape((half.size, 15) + f.shape[1:])
         value = np.einsum("pk...,k,p->...", f, WK, half)
         if value_prev is not None and (np.abs(value - value_prev).max()
                                        <= 1e-12 * np.abs(value).max()):
             return value[()], np.abs(value - value_prev)[()]
         value_prev = value
         if level < refine:
-            edges = np.sort(np.concatenate([edges, mid]))
+            edges = _bisect(edges)
     g7 = np.einsum("pk...,k,p->...", f, WG, half)
     return value_prev[()], np.abs(value_prev - g7)[()]
 

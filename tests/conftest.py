@@ -1,10 +1,10 @@
 """Shared fixtures.
 
-The coefficient series are the expensive part (adaptive frequency
-quadrature per time chunk), so the heavily reused ones are computed once
-per session: the strongly coupled single system at fine resolution, the
-two coupled pairs, and the weak-coupling reference with its
-discretized-bath cross-check.
+The coefficient series (about 0.1 s each, nearly all of it the memory
+integrals) are shared by many tests, so the heavily reused ones are
+computed once per session: the strongly coupled single system at fine
+resolution, the two coupled pairs, and the weak-coupling reference with
+its discretized-bath cross-check.
 """
 
 import warnings

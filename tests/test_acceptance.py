@@ -37,6 +37,7 @@ from openosc import (
 )
 from openosc.cli import main
 from openosc.scenarios import BETA_FAMILY, fig1_system, fig3_pair, fig5_pair
+from openosc.transport import quadrature
 from openosc.transport.coefficients import CoefficientSeries, _bath_components
 from openosc.transport.kernels import KernelEvaluator
 from openosc.transport.quadrature import MemoryIntegrator
@@ -401,17 +402,28 @@ def _rk4_error(dt, lam0=0.9, dif0=0.45, n0=2.0, t_max=5.0):
 def test_11_numerical_hygiene(tmp_path):
     ratio = _rk4_error(0.1) / _rk4_error(0.05)
 
-    # self-convergence of the adaptive frequency quadrature, judged
-    # against its own reported error budget (panel sums + cutoff remainder)
+    # self-convergence of the memory integrals, judged against their own
+    # reported error budget: the default panels against the static and ray
+    # panels bisected once more
     spec = make_system(1.0, BathSpec(+1, 0.01, 10.0, 1.0),
                        BathSpec(+1, 0.01, 10.0, 1.0))
     ev = KernelEvaluator(characteristic_roots(spec), spec)
     t = np.linspace(0.0, 2.0, 41)
-    runs = {}
-    for rtol in (1e-6, 1e-9):
-        integ = MemoryIntegrator(ev, _bath_components(spec), rtol=rtol)
-        runs[rtol] = (integ.integrate(t), integ.last_report)
-    (out_c, rep_c), (out_f, rep_f) = runs[1e-6], runs[1e-9]
+    runs = []
+    with pytest.MonkeyPatch.context() as patch:
+        for finer in (False, True):
+            if finer:
+                bisect = quadrature._bisect
+                static, ray = quadrature._static_edges, quadrature._ray_edges
+                patch.setattr(quadrature, "_static_edges",
+                              lambda *a: bisect(static(*a)))
+                patch.setattr(quadrature, "_ray_edges",
+                              lambda *a: bisect(ray(*a)))
+                patch.setattr(quadrature, "_RAY_EDGES",
+                              bisect(quadrature._RAY_EDGES))
+            integ = MemoryIntegrator(ev, _bath_components(spec))
+            runs.append((integ.integrate(t), integ.last_report))
+    (out_c, rep_c), (out_f, rep_f) = runs
     worst_cover = 0.0
     worst_abs = 0.0
     for name in out_c:

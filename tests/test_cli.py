@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import warnings
@@ -16,7 +17,8 @@ from openosc.cli import (
     render_config,
     write_csv,
 )
-from openosc.errors import ConfigError
+from openosc.errors import ConfigError, DomainError
+from openosc.model import BathSpec
 from openosc.transport.asymptotics import resonance_occupation
 
 WEAK_SINGLE = """\
@@ -79,6 +81,9 @@ def test_schema_rejections():
         parse_config_text("[oscillators]\nOmega = 1\n")
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config_text("[oscillator]\nomega = 1\n")
+    # the memory integrals have no cutoff knob any more
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config_text("[quadrature]\nw_max_factor = 1.0\n")
     with pytest.raises(ConfigError, match="malformed"):
         parse_config_text("[oscillator\nOmega = 1\n")
     with pytest.raises(ConfigError, match="not a number"):
@@ -233,12 +238,29 @@ def test_sweep_end_to_end(tmp_path):
     assert main(["--config", str(cfg), "--out", str(out), "sweep"]) == 0
     header, rows = _read_csv(out / "sweep_index.csv")
     assert header == ["index", "bath.1.alpha", "n_final", "n_tail_mean",
-                      "period", "status"]
+                      "period", "status", "message"]
     assert [r[0] for r in rows] == ["0", "1"]
-    assert all(r[-1] == "ok" for r in rows)
+    assert all(r[-2:] == ["ok", ""] for r in rows)
     assert float(rows[1][1]) == 2e-3
     meta = json.loads((out / "run_metadata.json").read_text())
     assert meta["sweep"]["points"] == 2
+
+
+def test_failed_sweep_point_carries_its_message(tmp_path):
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text(WEAK_SINGLE + "\n[sweep]\nbath.1.alpha = 1e-3, -1\n")
+    out = tmp_path / "run"
+    assert main(["--config", str(cfg), "--out", str(out), "sweep"]) == 0
+    with open(out / "sweep_index.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    point = [dict(zip(header, row)) for row in rows]
+    assert [p["status"] for p in point] == ["ok", "error:DomainError"]
+    assert point[0]["message"] == ""
+    with pytest.raises(DomainError) as info:
+        BathSpec(statistics=+1, alpha=-1.0, gamma=10.0, temperature=1.0)
+    assert point[1]["message"] == str(info.value)
+    meta = json.loads((out / "run_metadata.json").read_text())
+    assert meta["sweep"]["failed"] == 1
 
 
 def test_one_point_sweep_matches_evolve(tmp_path):
