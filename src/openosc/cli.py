@@ -36,6 +36,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import (
+    _local_cubic,
     antiphase_metric,
     detect_stationarity,
     estimate_period,
@@ -296,12 +297,6 @@ def write_metadata(out: Path, command: str, raw, numerics, extra=None):
         "resolved_config": raw,
         "numerics": numerics,
     }
-    try:
-        import scipy
-
-        meta["scipy_version"] = scipy.__version__
-    except Exception:  # pragma: no cover - scipy is a hard dependency
-        pass
     if extra:
         meta.update(extra)
     with open(out / "run_metadata.json", "w") as fh:
@@ -534,32 +529,31 @@ def _second_order_resolve(series, base, start_index):
     """Integrate the second-order form directly (needs dlambda, dD).
 
     Seeded from the first-order trajectory ``base`` at ``start_index``.
+    Each step reads lambda, dlambda/dt and dD/dt at its interval's ends
+    and midpoint from the local cubics the stepper interpolates with.
     """
-    from scipy.interpolate import CubicSpline
-
     t = series.t
-    lam_s = CubicSpline(t, series.friction)
-    dif_s = CubicSpline(t, series.diffusion)
-    dlam_s = lam_s.derivative()
-    ddif_s = dif_s.derivative()
-    k0 = start_index
     h = t[1] - t[0]
+    lam = _local_cubic(series.friction, 2)[0]
+    dlam, ddif = _local_cubic([series.friction, series.diffusion], 2,
+                              derivative=True) / h
+    k0 = start_index
     state = np.array([base.occupations[0][k0], base.rates[0][k0]])
     out = np.empty(t.size - k0)
     out[0] = state[0]
 
-    def rhs(ti, s):
+    def rhs(k, j, s):
         n, v = s
         return np.array([
             v,
-            -2.0 * lam_s(ti) * v - 2.0 * dlam_s(ti) * n + 2.0 * ddif_s(ti),
+            -2.0 * lam[k, j] * v - 2.0 * dlam[k, j] * n + 2.0 * ddif[k, j],
         ])
 
-    for i, ti in enumerate(t[k0:-1]):
-        k1 = rhs(ti, state)
-        k2 = rhs(ti + h / 2, state + h / 2 * k1)
-        k3 = rhs(ti + h / 2, state + h / 2 * k2)
-        k4 = rhs(ti + h, state + h * k3)
+    for i, k in enumerate(range(k0, t.size - 1)):
+        k1 = rhs(k, 0, state)
+        k2 = rhs(k, 1, state + h / 2 * k1)
+        k3 = rhs(k, 1, state + h / 2 * k2)
+        k4 = rhs(k, 2, state + h * k3)
         state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         out[i + 1] = state[0]
     return base.occupations[0][k0:], out
@@ -587,10 +581,10 @@ def cmd_validate(raw, out, numerics):
 
     # 1. closed form vs stepped first-order equation.  The deviation is the
     # stepper's, made in its first steps and then carried: at dt 0.04, 0.02,
-    # 0.01, 0.005 it reads 1.92e-4, 4.68e-5, 1.16e-5, 2.90e-6 (order 2.0,
-    # largest by t = 2 dt, within 15% of that for t >= 1).  D(t) is not
-    # smooth at t = 0+ (see the dynamics module), so RK4's fourth order is
-    # lost in the first steps
+    # 0.01, 0.005 it reads 2.08e-4, 5.07e-5, 1.26e-5, 3.14e-6 (order 2.0,
+    # largest at t = dt, 72-73% of that for t >= 1).  D(t) is not smooth at
+    # t = 0+ (see the dynamics module), so RK4's fourth order is lost in the
+    # first steps
     traj = evolve(series, spec, n0)
     closed = _closed_form(series, spec, n0, numerics["abs_A_power"])
     dev_closed = float(np.max(np.abs(traj.occupations[0] - closed)))

@@ -16,8 +16,9 @@ logarithmically divergent second derivative at t = 0+ that a naive
 second-order stepper would sample.
 
 The stepper is classic fixed-step RK4 on half the coefficient-grid spacing,
-with lambda and D interpolated to the quarter points by cubic splines; the
-result is reported on the coefficient grid itself.
+with lambda and D interpolated to the quarter points by local cubics, each
+through the four grid points nearest its interval; the result is reported
+on the coefficient grid itself.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.interpolate import CubicSpline
 
 from .errors import (
     DomainError,
@@ -89,14 +88,40 @@ def _uniform_step(t: np.ndarray) -> float:
     return float(dt[0])
 
 
-def _quarter_grid(series: CoefficientSeries):
-    """lambda and D on the quarter-spacing grid used by the RK4 substeps."""
-    t = series.t
-    k = t.size - 1
-    tq = t[0] + (t[-1] - t[0]) * np.arange(4 * k + 1) / (4 * k)
-    lam = CubicSpline(t, series.friction)(tq)
-    dif = CubicSpline(t, series.diffusion)(tq)
-    return lam, dif
+def _local_cubic(y, sub: int, derivative: bool = False) -> np.ndarray:
+    """Rows of ``y``, sampled on a uniform grid, inside each grid interval.
+
+    Interval [k, k+1] takes the cubic through the four grid points nearest
+    it, k-1..k+2, or the first or last four at the ends (fewer points and a
+    lower degree on grids shorter than four), and is sampled at k + j/sub,
+    j = 0..sub.  On quarter points the weights are fixed stencils, e.g.
+    (-7, 105, 35, -5)/128 at k + 1/4.  The cubic is summed as the nearest
+    grid value plus weighted differences from it, so grid values and
+    constants come back exactly.  With ``derivative`` the result is the
+    cubic's derivative per grid step (divide by the spacing); at a grid
+    point the two intervals that share it then differ.  Returns shape
+    (rows, K - 1, sub + 1) for K grid points.
+    """
+    y = np.atleast_2d(y)
+    k_pts = y.shape[-1]
+    width = min(k_pts, 4)
+    start = np.clip(np.arange(k_pts - 1) - 1, 0, k_pts - width)
+    offset = np.arange(k_pts - 1) - start  # interval start inside its window
+    # sample points, in grid steps from the window start, for each offset
+    u = np.arange(width - 1)[:, None] + np.arange(sub + 1) / sub
+    near = np.take(y, start[:, None] + np.rint(u).astype(int)[offset], axis=1)
+    nodes = np.arange(width)
+    out = np.zeros_like(near)
+    for i in nodes:
+        others = nodes[nodes != i]  # Lagrange basis polynomial of node i
+        if derivative:
+            w = sum(np.prod(u[..., None] - others[others != j], axis=-1)
+                    for j in others)
+        else:
+            w = np.prod(u[..., None] - others, axis=-1)
+        w = (w / np.prod(i - others))[offset]
+        out += (np.take(y, start + i, axis=1)[..., None] - near) * w
+    return out if derivative else out + near
 
 
 def _envelope(spec: SystemSpec) -> float:
@@ -128,9 +153,12 @@ def _evolve(series, specs, betas, n0) -> list:
             raise DomainError("coupled evolution requires a shared time grid")
     h2 = _uniform_step(t) / 2.0
     half, sixth = 0.5 * h2, h2 / 6.0
-    quarter = [_quarter_grid(s) for s in series]
-    lam2 = 2.0 * np.stack([q[0] for q in quarter], axis=1)[:, :, None]
-    dif2 = 2.0 * np.stack([q[1] for q in quarter], axis=1)[:, :, None]
+    n_osc = len(series)
+    # row 5k + j: 2 lambda and 2 D at t_k + j h2 / 2 on interval k's cubic
+    coef2 = 2.0 * _local_cubic(
+        [s.friction for s in series] + [s.diffusion for s in series], 4)
+    coef2 = np.ascontiguousarray(coef2.reshape(2 * n_osc, -1).T)
+    lam2, dif2 = coef2[:, :n_osc, None], coef2[:, n_osc:, None]
     neg_beta = -np.asarray(betas, dtype=float)
 
     def deriv(q, s):
@@ -148,7 +176,7 @@ def _evolve(series, specs, betas, n0) -> list:
     out = np.empty((k_out + 1,) + s.shape)
     out[0] = s
     for m in range(2 * k_out):
-        q = 2 * m
+        q = 5 * (m // 2) + 2 * (m % 2)
         k1 = deriv(q, s)
         k2 = deriv(q + 1, s + half * k1)
         k3 = deriv(q + 1, s + half * k2)
@@ -169,9 +197,9 @@ def _evolve(series, specs, betas, n0) -> list:
         for n, y, ser, spec in zip(occ_out, y_out, series, specs):
             occ.append(n)
             rates.append(y - 2.0 * ser.friction * n + 2.0 * ser.diffusion)
-            diss.append(cumulative_trapezoid(
-                2.0 * spec.omega_renormalized * ser.friction * n, ser.t,
-                initial=0.0))
+            power = 2.0 * spec.omega_renormalized * ser.friction * n
+            diss.append(np.concatenate(([0.0], np.cumsum(
+                np.diff(ser.t) * (power[1:] + power[:-1]) / 2.0))))
         exceeded = [bool(np.any(n > env)) for n, env in zip(occ, envelopes)]
         if any(exceeded):
             detail = (f" (max n = {occ[0].max():.3g} > {envelopes[0]:.3g})"
@@ -234,10 +262,15 @@ def delta_dissipation(series1, series2, spec1, spec2, beta, n0) -> DeltaDissipat
     """
     coupled, uncoupled = _evolve((series1, series2), (spec1, spec2),
                                  (beta, 0.0), n0)
+    return _dissipation_excess(coupled, uncoupled, (spec1, spec2))
+
+
+def _dissipation_excess(coupled, uncoupled, specs) -> DeltaDissipation:
+    """``delta_dissipation`` of two runs already stepped on the same grid."""
     t = coupled.t
     h = _uniform_step(t)
     d_energy, d_rate, windows = [], [], []
-    for i, spec in enumerate((spec1, spec2)):
+    for i, spec in enumerate(specs):
         dE = coupled.dissipation[i] - uncoupled.dissipation[i]
         d_energy.append(dE)
         rate = np.gradient(dE, t)

@@ -29,8 +29,6 @@ from .errors import DomainError
 BOSONIC = +1
 FERMIONIC = -1
 
-_STAT_NAMES = {BOSONIC: "bosonic", FERMIONIC: "fermionic"}
-
 
 def statistics_from_name(name: str) -> int:
     """Map 'bosonic'/'fermionic' (or +1/-1 strings) to the statistics sign."""
@@ -74,10 +72,6 @@ class BathSpec:
             raise DomainError(
                 f"temperature must be finite and >= 0, got {self.temperature}"
             )
-
-    @property
-    def statistics_name(self) -> str:
-        return _STAT_NAMES[self.statistics]
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import delta_dissipation, evolve, evolve_coupled
+from .dynamics import _dissipation_excess, _evolve, evolve
 from .errors import ConfigError
 from .model import BathSpec, CoupledSpec, SystemSpec, make_system
 from .transport.coefficients import coefficient_series
@@ -205,21 +205,24 @@ def run_scenario(name: str, *, t_max=None, dt=None, n0=None,
 
     n0 = n0 if len(n0) == 2 else (n0[0], n0[0])
     meta["betas"] = list(d.betas)
-    if d.product == "coupled-trajectory":
-        for beta in d.betas:
-            traj = evolve_coupled(series1, series2, s1, s2, beta, n0)
-            tables[f"trajectory_beta{beta:g}"] = _trajectory_table(traj)
-    elif d.product == "energies":
-        for beta in d.betas:
-            traj = evolve_coupled(series1, series2, s1, s2, beta, n0)
-            tables[f"energies_beta{beta:g}"] = _energies_table(traj)
-    elif d.product == "delta-dissipation":
-        for beta in d.betas:
-            dd = delta_dissipation(series1, series2, s1, s2, beta, n0)
+    # every coupling of the scenario is stepped in one pass
+    pair_series = (series1, series2)
+    if d.product == "delta-dissipation":
+        uncoupled, *coupled = _evolve(pair_series, pair.systems,
+                                      (0.0,) + d.betas, n0)
+        for beta, traj in zip(d.betas, coupled):
+            dd = _dissipation_excess(traj, uncoupled, pair.systems)
             tables[f"delta_beta{beta:g}"] = (
                 ["t", "delta_E1", "delta_E2", "rate1", "rate2"],
                 [dd.t, dd.delta_energy[0], dd.delta_energy[1],
                  dd.delta_rate[0], dd.delta_rate[1]],
             )
             meta["smoothing_window"] = list(dd.window)
+        return ScenarioResult(name=name, tables=tables, metadata=meta)
+    stem, table = (("trajectory", _trajectory_table)
+                   if d.product == "coupled-trajectory"
+                   else ("energies", _energies_table))
+    for beta, traj in zip(d.betas, _evolve(pair_series, pair.systems,
+                                           d.betas, n0)):
+        tables[f"{stem}_beta{beta:g}"] = table(traj)
     return ScenarioResult(name=name, tables=tables, metadata=meta)

@@ -1,11 +1,16 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import openosc
 from openosc.cli import (
     config_numerics,
     config_sweep,
@@ -292,3 +297,37 @@ def test_validate_suite_passes(tmp_path, capsys):
     header, rows = _read_csv(out / "observables.csv")
     assert len(rows) == 9
     assert all(r[-1] == "pass" for r in rows)
+
+
+def _run_python(code, cwd):
+    """Run ``code`` in a fresh interpreter that imports this openosc."""
+    src = str(Path(openosc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-W", "ignore", "-c", code],
+                          cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=300)
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    proc = _run_python(
+        "import sys, openosc.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # a None entry in sys.modules makes every scipy import fail
+    proc = _run_python(
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from openosc.cli import main\n"
+        "for argv in (['validate'], ['scenario', 'fig2', '--t-max', '2'],\n"
+        "             ['scenario', 'fig8', '--t-max', '2']):\n"
+        "    print(main(['--out', 'out'] + argv))\n",
+        tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-3:] == ["0", "0", "0"]

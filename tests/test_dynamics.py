@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
 from openosc import (
     BathSpec,
@@ -13,13 +14,15 @@ from openosc import (
     evolve_coupled,
     make_system,
 )
+from openosc.dynamics import _local_cubic
 from openosc.errors import (
     DomainError,
     InsufficientDataError,
     MomentBlowupError,
     UndefinedMetricError,
 )
-from openosc.transport.coefficients import CoefficientSeries
+from openosc.scenarios import SCENARIOS, _PAIR_BUILDERS, run_scenario
+from openosc.transport.coefficients import CoefficientSeries, coefficient_series
 
 
 def _toy_spec():
@@ -50,6 +53,37 @@ def _run_constant(dt, lam0=0.9, dif0=0.45, n0=2.0, t_max=5.0):
         traj = evolve(series, _toy_spec(), n0)
     exact = dif0 / lam0 + (n0 - dif0 / lam0) * np.exp(-2.0 * lam0 * t)
     return np.abs(traj.occupations[0] - exact).max()
+
+
+def test_local_cubic_reproduces_cubics_and_constants():
+    # every quarter point of every interval, the one-sided end windows
+    # included, and the derivative per grid step
+    t = np.linspace(-1.0, 2.0, 13)
+    h = t[1] - t[0]
+    tq = t[:-1, None] + h * np.arange(5) / 4.0
+    coeffs = (0.7, -1.3, 0.4, 0.9)  # highest power first
+    got = _local_cubic(np.polyval(coeffs, t), 4)[0]
+    assert got.shape == (12, 5)
+    assert np.abs(got - np.polyval(coeffs, tq)).max() < 1e-14
+    slope = _local_cubic(np.polyval(coeffs, t), 4, derivative=True)[0] / h
+    assert np.abs(slope - np.polyval(np.polyder(coeffs), tq)).max() < 1e-13
+    # constants come back exactly, which the RK4 order check relies on
+    rows = np.array([np.full(t.size, 0.9), np.full(t.size, -1.0 / 3.0)])
+    assert np.array_equal(_local_cubic(rows, 4),
+                          np.broadcast_to(rows[:, :1, None], (2, 12, 5)))
+    assert not np.any(_local_cubic(rows, 4, derivative=True))
+    # grids of two and three points take the line and the parabola
+    for pts in (2, 3):
+        x = np.arange(pts, dtype=float)
+        got = _local_cubic(x ** (pts - 1), 4)[0]
+        want = (x[:-1, None] + np.arange(5) / 4.0) ** (pts - 1)
+        assert np.abs(got - want).max() < 1e-15
+    # the stencil (-7, 105, 35, -5)/128 at k + 1/4 inside, seen from the
+    # intervals whose windows hold node 6, and the grid values themselves
+    unit = np.eye(13)[6]
+    assert np.array_equal(_local_cubic(unit, 4)[0, 4:8, 1] * 128,
+                          [-5, 35, 105, -7])
+    assert np.array_equal(_local_cubic(unit, 4)[0, 6, ::4], [1.0, 0.0])
 
 
 def test_stepper_is_fourth_order():
@@ -88,6 +122,9 @@ def test_rates_and_dissipation_bookkeeping():
     expected_E = np.concatenate([[0.0], np.cumsum(
         0.5 * dt * (2.0 * lam0 * n[1:] + 2.0 * lam0 * n[:-1]))])
     assert np.allclose(traj.dissipation[0], expected_E, rtol=0, atol=1e-12)
+    # and in scipy's operation order, so E(t) is unchanged to the bit
+    assert np.array_equal(traj.dissipation[0], cumulative_trapezoid(
+        2.0 * lam0 * n, t, initial=0.0))
     assert traj.metadata["n0"] == n0
 
 
@@ -217,6 +254,36 @@ def test_delta_dissipation_runs_match_separate_coupled_runs():
     for i in range(2):
         assert np.array_equal(dd.delta_energy[i],
                               at_beta.dissipation[i] - at_zero.dissipation[i])
+
+
+@pytest.mark.parametrize("name", ["fig4", "fig6", "fig7", "fig8"])
+def test_coupled_scenarios_match_per_coupling_calls(name):
+    # run_scenario steps every coupling in one pass; each table must equal
+    # the public per-coupling calls bit for bit
+    d = SCENARIOS[name]
+    t = np.arange(0.0, 2.0 + 0.5 * d.dt, d.dt)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        specs = _PAIR_BUILDERS[name]().systems
+        tables = run_scenario(name, t_max=2.0).tables
+        s1, s2 = (coefficient_series(spec, t) for spec in specs)
+        expected = {}
+        for beta in d.betas:
+            if d.product == "delta-dissipation":
+                dd = delta_dissipation(s1, s2, *specs, beta, d.n0)
+                expected[f"delta_beta{beta:g}"] = [
+                    dd.t, *dd.delta_energy, *dd.delta_rate]
+                continue
+            traj = evolve_coupled(s1, s2, *specs, beta, d.n0)
+            if d.product == "energies":
+                expected[f"energies_beta{beta:g}"] = [t, *traj.dissipation]
+            else:
+                expected[f"trajectory_beta{beta:g}"] = [
+                    t, *traj.occupations, *traj.rates]
+    assert set(tables) == set(expected)
+    for stem, cols in expected.items():
+        assert all(np.array_equal(got, want)
+                   for got, want in zip(tables[stem][1], cols, strict=True))
 
 
 def test_estimate_period_on_a_sine():
