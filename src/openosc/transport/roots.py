@@ -87,11 +87,12 @@ def _xi_prime(roots: np.ndarray) -> np.ndarray:
 def characteristic_roots(spec: SystemSpec) -> RootSet:
     """Solve the characteristic quartic and validate the root set.
 
-    Companion-matrix eigenvalues seed a Newton polish that is run to a
-    relative residual of 1e-12.  Errors: a root with non-negative real part
-    raises StabilityError (except the exactly decoupled alpha_1=alpha_2=0
-    case, whose pole pair +-i*omega is marginal by construction);
-    a near-degenerate pair raises DegenerateRootsError.
+    Companion-matrix eigenvalues seed a Newton polish that stops once its
+    largest relative step is below 1e-15 or no longer shrinks; the roots
+    must then meet a relative residual of 1e-12.  Errors: a root with
+    non-negative real part raises StabilityError (except the exactly
+    decoupled alpha_1=alpha_2=0 case, whose pole pair +-i*omega is marginal
+    by construction); a near-degenerate pair raises DegenerateRootsError.
     """
     c = characteristic_polynomial(spec)
     decoupled = spec.baths[0].alpha == 0.0 and spec.baths[1].alpha == 0.0
@@ -105,13 +106,18 @@ def characteristic_roots(spec: SystemSpec) -> RootSet:
     else:
         roots = np.roots(c)
         dc = c[:-1] * np.arange(4, 0, -1)
+        last = np.inf
         for _ in range(100):
             num = np.polyval(c, roots)
             den = np.polyval(dc, roots)
             step = num / den
             roots = roots - step
-            if np.all(np.abs(step) <= 1e-15 * np.maximum(np.abs(roots), 1.0)):
+            # a step that no longer shrinks is rounding noise, as near two
+            # close real roots, where it stalls above the 1e-15 target
+            rel = np.max(np.abs(step) / np.maximum(np.abs(roots), 1.0))
+            if rel <= 1e-15 or rel >= last:
                 break
+            last = rel
 
     order = np.lexsort((roots.imag, roots.real))
     roots = roots[order]

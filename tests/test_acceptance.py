@@ -126,10 +126,10 @@ def test_02_characteristic_roots():
 # second-order equation must produce the same occupation when both are
 # integrated from the same smooth coefficient model
 
-def _splines(series):
-    lam = CubicSpline(series.t, series.friction)
-    dif = CubicSpline(series.t, series.diffusion)
-    return lam, dif, lam.derivative(), dif.derivative()
+def _stacked_spline(t, rows):
+    """One cubic spline through the stacked ``rows`` and its derivative."""
+    spline = CubicSpline(t, np.stack(rows, axis=-1))
+    return spline, spline.derivative()
 
 
 _IVP_KW = dict(method="DOP853", rtol=1e-11, atol=1e-13)
@@ -137,41 +137,41 @@ _IVP_KW = dict(method="DOP853", rtol=1e-11, atol=1e-13)
 
 def _dual_gap_single(series, n0):
     t = series.t
-    lam, dif, dlam, ddif = _splines(series)
+    coef, dcoef = _stacked_spline(t, (series.friction, series.diffusion))
     kw = dict(_IVP_KW, max_step=float(t[1] - t[0]), t_eval=t)
 
-    a = solve_ivp(lambda ti, s: [-2 * lam(ti) * s[0] + 2 * dif(ti)],
-                  (t[0], t[-1]), [n0], **kw)
-    b = solve_ivp(
-        lambda ti, s: [s[1], -2 * lam(ti) * s[1] - 2 * dlam(ti) * s[0]
-                       + 2 * ddif(ti)],
-        (t[0], t[-1]), [n0, 0.0], **kw)
+    def first(ti, s):
+        lam, dif = coef(ti)
+        return [-2 * lam * s[0] + 2 * dif]
+
+    def second(ti, s):
+        lam = coef(ti)[0]
+        dlam, ddif = dcoef(ti)
+        return [s[1], -2 * lam * s[1] - 2 * dlam * s[0] + 2 * ddif]
+
+    a = solve_ivp(first, (t[0], t[-1]), [n0], **kw)
+    b = solve_ivp(second, (t[0], t[-1]), [n0, 0.0], **kw)
     assert a.success and b.success
     return float(np.abs(a.y[0] - b.y[0]).max())
 
 
 def _dual_gap_pair(series1, series2, beta, n0=(0.0, 0.0)):
     t = series1.t
-    sp = [_splines(series1), _splines(series2)]
+    coef, dcoef = _stacked_spline(t, (series1.friction, series2.friction,
+                                      series1.diffusion, series2.diffusion))
     kw = dict(_IVP_KW, max_step=float(t[1] - t[0]), t_eval=t)
 
     def first(ti, s):
         n, y = s[:2], s[2:]
-        out = [0.0] * 4
-        for i in (0, 1):
-            lam, dif, _, _ = sp[i]
-            out[i] = y[i] - 2 * lam(ti) * n[i] + 2 * dif(ti)
-            out[2 + i] = -beta * (n[i] - n[1 - i])
-        return out
+        c = coef(ti)
+        return np.concatenate((y - 2 * c[:2] * n + 2 * c[2:],
+                               -beta * (n - n[::-1])))
 
     def second(ti, s):
         n, v = s[:2], s[2:]
-        out = [v[0], v[1], 0.0, 0.0]
-        for i in (0, 1):
-            lam, _, dlam, ddif = sp[i]
-            out[2 + i] = (-2 * lam(ti) * v[i] - 2 * dlam(ti) * n[i]
-                          + 2 * ddif(ti) - beta * (n[i] - n[1 - i]))
-        return out
+        lam, dc = coef(ti)[:2], dcoef(ti)
+        return np.concatenate((v, -2 * lam * v - 2 * dc[:2] * n + 2 * dc[2:]
+                               - beta * (n - n[::-1])))
 
     a = solve_ivp(first, (t[0], t[-1]), [*n0, 0.0, 0.0], **kw)
     b = solve_ivp(second, (t[0], t[-1]), [*n0, 0.0, 0.0], **kw)

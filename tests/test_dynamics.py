@@ -14,14 +14,14 @@ from openosc import (
     evolve_coupled,
     make_system,
 )
-from openosc.dynamics import _local_cubic
+from openosc.dynamics import _local_cubic, _uniform_step
 from openosc.errors import (
     DomainError,
     InsufficientDataError,
     MomentBlowupError,
     UndefinedMetricError,
 )
-from openosc.scenarios import SCENARIOS, _PAIR_BUILDERS, run_scenario
+from openosc.scenarios import BETA_FAMILY, SCENARIOS, _PAIR_BUILDERS, run_scenario
 from openosc.transport.coefficients import CoefficientSeries, coefficient_series
 
 
@@ -53,6 +53,92 @@ def _run_constant(dt, lam0=0.9, dif0=0.45, n0=2.0, t_max=5.0):
         traj = evolve(series, _toy_spec(), n0)
     exact = dif0 / lam0 + (n0 - dif0 / lam0) * np.exp(-2.0 * lam0 * t)
     return np.abs(traj.occupations[0] - exact).max()
+
+
+def _rk4_reference(series, betas, n0):
+    """Occupations (run, oscillator, t) from a plain per-half-step RK4 loop.
+
+    The same equations, stage arithmetic and quarter-grid coefficients as
+    the stepper, applied to the state one half-step at a time; it raises
+    MomentBlowupError where the state first leaves the guard.
+    """
+    t = series[0].t
+    h2 = _uniform_step(t) / 2.0
+    n_osc = len(series)
+    coef2 = 2.0 * _local_cubic(
+        [s.friction for s in series] + [s.diffusion for s in series], 4)
+    coef2 = coef2.reshape(2 * n_osc, -1).T
+    lam2, dif2 = coef2[:, :n_osc, None], coef2[:, n_osc:, None]
+    neg_beta = -np.asarray(betas, dtype=float)
+
+    def deriv(q, s):
+        n = s[0]
+        return np.array([s[1] - lam2[q] * n + dif2[q],
+                         neg_beta * (n - n[::-1])])
+
+    s = np.zeros((2, n_osc, neg_beta.size))
+    s[0] = np.asarray(n0, dtype=float)[:, None]
+    out = [s[0]]
+    for m in range(2 * (t.size - 1)):
+        q = 5 * (m // 2) + 2 * (m % 2)
+        k1 = deriv(q, s)
+        k2 = deriv(q + 1, s + 0.5 * h2 * k1)
+        k3 = deriv(q + 1, s + 0.5 * h2 * k2)
+        k4 = deriv(q + 2, s + h2 * k3)
+        s = s + h2 / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.abs(s[0]).max() <= 1e12:
+            raise MomentBlowupError("occupation exceeded the blow-up guard",
+                                    time=float(t[(m + 1) // 2]))
+        if m % 2 == 1:
+            out.append(s[0])
+    return np.array(out).transpose(2, 1, 0)
+
+
+def _assert_matches_reference(series, specs, betas, n0):
+    want = _rk4_reference(series, betas, n0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for beta, ref in zip(betas, want):
+            if len(series) == 1:
+                got = [evolve(series[0], specs[0], n0[0]).occupations[0]]
+            else:
+                got = evolve_coupled(*series, *specs, beta, n0).occupations
+            assert np.abs(np.array(got) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_stepper_matches_per_step_rk4_on_a_coupled_toy():
+    dt = 0.01
+    t = np.arange(0.0, 6.0 + 0.5 * dt, dt)
+    s1 = _toy_series(t, 0.7 + 0.2 * np.sin(3.0 * t), 0.3 + 0.1 * np.cos(t))
+    s2 = _toy_series(t, 0.4 - 0.1 * np.cos(2.0 * t), 0.1 + 0.05 * np.sin(2.0 * t))
+    spec = _toy_spec()
+    _assert_matches_reference((s1, s2), (spec, spec), (0.0, 0.3, 2.0), (1.0, 0.5))
+    _assert_matches_reference((s1,), (spec,), (0.0,), (1.0,))
+
+
+def test_stepper_matches_per_step_rk4_on_the_fig5_pair(pair5_case):
+    specs, series = pair5_case
+    _assert_matches_reference(series, specs, (0.0,) + BETA_FAMILY, (0.0, 0.25))
+
+
+@pytest.mark.parametrize("lam", [-5.0, -150.0])
+def test_blowup_time_matches_per_step_rk4(lam):
+    # at lambda = -150 the prefix maps overflow to inf and nan past the
+    # blow-up; that must neither move the reported time nor warn
+    t = np.arange(0.0, 8.0, 0.01)
+    grow = _toy_series(t, lam, 0.0)
+    calm = _toy_series(t, 0.5, 0.1)
+    spec = _toy_spec()
+    for series, run in (((grow,), lambda: evolve(grow, spec, 1.0)),
+                        ((calm, grow), lambda: evolve_coupled(
+                            calm, grow, spec, spec, 0.3, (0.5, 1.0)))):
+        with pytest.raises(MomentBlowupError) as want:
+            _rk4_reference(series, (0.3,), (0.5, 1.0)[-len(series):])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(MomentBlowupError) as got:
+                run()
+        assert got.value.time == want.value.time
 
 
 def test_local_cubic_reproduces_cubics_and_constants():

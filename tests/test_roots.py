@@ -3,7 +3,8 @@ import pytest
 
 from openosc import BathSpec, characteristic_polynomial, characteristic_roots, make_system
 from openosc.errors import DegenerateRootsError
-from openosc.scenarios import fig1_system
+from openosc.scenarios import fig1_system, fig5_pair
+from openosc.transport import roots as roots_module
 from openosc.transport.roots import oscillatory_pair
 
 
@@ -34,6 +35,24 @@ def test_roots_strong_system():
     eta, nu = oscillatory_pair(rs.roots)
     assert eta == pytest.approx(0.7414963781655706, rel=1e-10)
     assert nu == pytest.approx(2.152887549937039, rel=1e-10)
+
+
+def test_polish_stops_when_it_stagnates(monkeypatch):
+    # fig5 system 1 has the close real roots -12 and -11.705, where the
+    # Newton step stalls at a few 1e-15 instead of reaching 1e-15
+    spec = _quiet(fig5_pair).systems[0]
+    c = characteristic_polynomial(spec)
+    calls = []
+    polyval = np.polyval
+    monkeypatch.setattr(roots_module.np, "polyval",
+                        lambda *a: calls.append(1) or polyval(*a))
+    rs = characteristic_roots(spec)
+    monkeypatch.undo()
+    assert len(calls) <= 12  # two per iteration, one for the residuals
+    seed = np.roots(c)
+    seed = seed[np.lexsort((seed.imag, seed.real))]
+    assert np.all(np.abs(rs.roots - seed) <= 1e-13 * np.abs(rs.roots))
+    assert rs.residuals_relative().max() < 1e-12
 
 
 def test_roots_deterministic():
