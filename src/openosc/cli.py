@@ -530,32 +530,30 @@ def _second_order_resolve(series, base, start_index):
 
     Seeded from the first-order trajectory ``base`` at ``start_index``.
     Each step reads lambda, dlambda/dt and dD/dt at its interval's ends
-    and midpoint from the local cubics the stepper interpolates with.
+    and midpoint from the local cubics the stepper interpolates with.  The
+    state (n, dn/dt) is carried as two Python floats.
     """
     t = series.t
-    h = t[1] - t[0]
-    lam = _local_cubic(series.friction, 2)[0]
-    dlam, ddif = _local_cubic([series.friction, series.diffusion], 2,
-                              derivative=True) / h
+    h = float(t[1] - t[0])
+    lam = _local_cubic(series.friction, 2)[0].tolist()
+    dlam, ddif = (_local_cubic([series.friction, series.diffusion], 2,
+                               derivative=True) / h).tolist()
     k0 = start_index
-    state = np.array([base.occupations[0][k0], base.rates[0][k0]])
+    n, v = float(base.occupations[0][k0]), float(base.rates[0][k0])
     out = np.empty(t.size - k0)
-    out[0] = state[0]
+    out[0] = n
 
-    def rhs(k, j, s):
-        n, v = s
-        return np.array([
-            v,
-            -2.0 * lam[k, j] * v - 2.0 * dlam[k, j] * n + 2.0 * ddif[k, j],
-        ])
+    def rhs(k, j, n, v):
+        return v, -2.0 * lam[k][j] * v - 2.0 * dlam[k][j] * n + 2.0 * ddif[k][j]
 
     for i, k in enumerate(range(k0, t.size - 1)):
-        k1 = rhs(k, 0, state)
-        k2 = rhs(k, 1, state + h / 2 * k1)
-        k3 = rhs(k, 1, state + h / 2 * k2)
-        k4 = rhs(k, 2, state + h * k3)
-        state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[i + 1] = state[0]
+        k1n, k1v = rhs(k, 0, n, v)
+        k2n, k2v = rhs(k, 1, n + h / 2 * k1n, v + h / 2 * k1v)
+        k3n, k3v = rhs(k, 1, n + h / 2 * k2n, v + h / 2 * k2v)
+        k4n, k4v = rhs(k, 2, n + h * k3n, v + h * k3v)
+        n, v = (n + (h / 6.0) * (k1n + 2 * k2n + 2 * k3n + k4n),
+                v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v))
+        out[i + 1] = n
     return base.occupations[0][k0:], out
 
 

@@ -20,6 +20,18 @@ Two conventions worth spelling out:
   spacing) the discretization error grows from 'small' to O(1).  The
   recurrence time is reported and exceeding it warns.
 
+Both baths are sampled on the same midpoints w_i, so at each w_i the two
+bath modes are degenerate and an orthogonal rotation of the pair leaves
+exactly one mode coupled to the oscillator, with coupling
+a_i = sqrt(a_1i^2 + a_2i^2) and initial occupation
+(a_1i^2 n_1i + a_2i^2 n_2i) / a_i^2.  The orthogonal mode of the pair is an
+invariant subspace that never reaches the oscillator, and the oscillator's
+<x^2> and <p^2> are linear in the initial covariance, so the correlation the
+rotation creates between the two modes drops out as well.  The oracle
+therefore diagonalizes one merged comb of n_modes + 1 modes; this is an
+identity of the discretized model (full coupling, ``rwa=True`` and the
+fermionic convention alike), not an approximation.
+
 An excitation-conserving variant (``rwa=True``) drops the counter-rotating
 part of the coupling; it is a diagnostic, not a model of the full system.
 """
@@ -42,7 +54,8 @@ from .model import (
     spectral_density,
 )
 
-#: total bath modes allowed in one diagonalization
+#: bath modes sampled in one oracle run, summed over both baths (the merged
+#: comb then diagonalizes half of them plus the oscillator)
 MODE_CAP = 2000
 
 _TIME_BLOCK = 256
@@ -78,14 +91,37 @@ def sample_bath(bath: BathSpec, n_modes: int, w_max: float):
     sum a_i^2 / w_i then reproduces the truncated continuum integral
     (alpha gamma / pi) arctan(w_max / gamma) to second order in dw.
     """
+    w, dw = _midpoints(n_modes, w_max)
+    return w, np.sqrt(w * dw * spectral_density(w, bath))
+
+
+def _midpoints(n_modes: int, w_max: float):
+    """Midpoint frequencies w_i and spacing dw of the comb every bath shares."""
     if n_modes < 1:
         raise DomainError("need at least one bath mode")
     if w_max <= 0:
         raise DomainError("bath cutoff must be positive")
     dw = w_max / n_modes
-    w = (np.arange(n_modes) + 0.5) * dw
-    a2 = w * dw * spectral_density(w, bath)
-    return w, np.sqrt(a2)
+    return (np.arange(n_modes) + 0.5) * dw, dw
+
+
+def _comb(spec: SystemSpec, n_modes: int, w_max: float):
+    """Both baths merged into one comb on their shared midpoints.
+
+    Returns w_i, a_i = sqrt(sum_b a_bi^2) and the coupling-weighted initial
+    occupation sum_b a_bi^2 n_bi / a_i^2 (see the module docstring).  Where
+    every bath has a_bi = 0 the mode is decoupled and its occupation is set
+    to 0.
+    """
+    w, dw = _midpoints(n_modes, w_max)
+    a2 = np.zeros_like(w)
+    a2_occ = np.zeros_like(w)
+    for b in spec.baths:
+        a2_b = w * dw * spectral_density(w, b)
+        a2 += a2_b
+        a2_occ += a2_b * equilibrium_occupation(w, b.temperature, b.statistics)
+    occ = np.divide(a2_occ, a2, out=np.zeros_like(w), where=a2 > 0)
+    return w, np.sqrt(a2), occ
 
 
 def evolve_exact(spec: SystemSpec, t, n0: float, *, n_modes: int = 400,
@@ -137,13 +173,7 @@ def evolve_exact(spec: SystemSpec, t, n0: float, *, n_modes: int = 400,
         w_max = _default_w_max(spec)
 
     w = spec.omega
-    combs = [sample_bath(b, n_modes, w_max) for b in spec.baths]
-    w_bath = np.concatenate([c[0] for c in combs])
-    a_bath = np.concatenate([c[1] for c in combs])
-    occ_bath = np.concatenate([
-        equilibrium_occupation(c[0], b.temperature, b.statistics)
-        for c, b in zip(combs, spec.baths)
-    ])
+    w_bath, a_bath, occ_bath = _comb(spec, n_modes, w_max)
     dw = w_max / n_modes
     recurrence = 2.0 * np.pi / dw
     if t.max() > recurrence:
@@ -181,14 +211,13 @@ def propagator_blocks(spec: SystemSpec, t_point: float, *, n_modes: int = 25,
                       w_max: float | None = None):
     """Full (X, P) propagator blocks at one time, for invariant checks.
 
-    Returns (Txx, Txp, Tpx, Tpp, wm).  Meant for small mode counts; the
-    evolution path only ever materializes the oscillator row.
+    Returns (Txx, Txp, Tpx, Tpp, wm) on the oscillator plus the merged
+    comb, the matrix the evolution path diagonalizes.  Meant for small mode
+    counts; the evolution path only ever materializes the oscillator row.
     """
     if w_max is None:
         w_max = _default_w_max(spec)
-    combs = [sample_bath(b, n_modes, w_max) for b in spec.baths]
-    w_bath = np.concatenate([c[0] for c in combs])
-    a_bath = np.concatenate([c[1] for c in combs])
+    w_bath, a_bath, _ = _comb(spec, n_modes, w_max)
     wm, nu, O = _mode_system(spec.omega, w_bath, a_bath)
     sqw = np.sqrt(wm)
     c = O @ np.diag(np.cos(nu * t_point)) @ O.T

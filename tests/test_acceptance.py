@@ -17,7 +17,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid, solve_ivp
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, PPoly
 
 from openosc import (
     BathSpec,
@@ -127,9 +127,17 @@ def test_02_characteristic_roots():
 # integrated from the same smooth coefficient model
 
 def _stacked_spline(t, rows):
-    """One cubic spline through the stacked ``rows`` and its derivative."""
+    """One cubic spline through the stacked ``rows``, and its values and
+    derivative stacked in one piecewise polynomial.
+
+    The derivative's quadratic pieces get a zero cubic coefficient, which
+    adds an exact zero, so one evaluation returns the values then the
+    derivatives, each bit for bit what its own spline returns.
+    """
     spline = CubicSpline(t, np.stack(rows, axis=-1))
-    return spline, spline.derivative()
+    dc = spline.derivative().c
+    padded = np.concatenate((np.zeros_like(dc[:1]), dc))
+    return spline, PPoly(np.concatenate((spline.c, padded), axis=-1), spline.x)
 
 
 _IVP_KW = dict(method="DOP853", rtol=1e-11, atol=1e-13)
@@ -137,7 +145,7 @@ _IVP_KW = dict(method="DOP853", rtol=1e-11, atol=1e-13)
 
 def _dual_gap_single(series, n0):
     t = series.t
-    coef, dcoef = _stacked_spline(t, (series.friction, series.diffusion))
+    coef, both = _stacked_spline(t, (series.friction, series.diffusion))
     kw = dict(_IVP_KW, max_step=float(t[1] - t[0]), t_eval=t)
 
     def first(ti, s):
@@ -145,8 +153,7 @@ def _dual_gap_single(series, n0):
         return [-2 * lam * s[0] + 2 * dif]
 
     def second(ti, s):
-        lam = coef(ti)[0]
-        dlam, ddif = dcoef(ti)
+        lam, _, dlam, ddif = both(ti)
         return [s[1], -2 * lam * s[1] - 2 * dlam * s[0] + 2 * ddif]
 
     a = solve_ivp(first, (t[0], t[-1]), [n0], **kw)
@@ -157,8 +164,8 @@ def _dual_gap_single(series, n0):
 
 def _dual_gap_pair(series1, series2, beta, n0=(0.0, 0.0)):
     t = series1.t
-    coef, dcoef = _stacked_spline(t, (series1.friction, series2.friction,
-                                      series1.diffusion, series2.diffusion))
+    coef, both = _stacked_spline(t, (series1.friction, series2.friction,
+                                     series1.diffusion, series2.diffusion))
     kw = dict(_IVP_KW, max_step=float(t[1] - t[0]), t_eval=t)
 
     def first(ti, s):
@@ -169,7 +176,8 @@ def _dual_gap_pair(series1, series2, beta, n0=(0.0, 0.0)):
 
     def second(ti, s):
         n, v = s[:2], s[2:]
-        lam, dc = coef(ti)[:2], dcoef(ti)
+        c = both(ti)
+        lam, dc = c[:2], c[4:]
         return np.concatenate((v, -2 * lam * v - 2 * dc[:2] * n + 2 * dc[2:]
                                - beta * (n - n[::-1])))
 

@@ -6,12 +6,14 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import openosc
 from openosc.cli import (
+    _second_order_resolve,
     config_numerics,
     config_sweep,
     config_system,
@@ -22,6 +24,7 @@ from openosc.cli import (
     render_config,
     write_csv,
 )
+from openosc.dynamics import _local_cubic
 from openosc.errors import ConfigError, DomainError
 from openosc.model import BathSpec
 from openosc.transport.asymptotics import resonance_occupation
@@ -297,6 +300,41 @@ def test_validate_suite_passes(tmp_path, capsys):
     header, rows = _read_csv(out / "observables.csv")
     assert len(rows) == 9
     assert all(r[-1] == "pass" for r in rows)
+
+
+def test_second_order_resolve_matches_array_rk4():
+    # the float loop against the same RK4 on 2-element arrays: same stages,
+    # same order of operations, so the trajectories agree bit for bit
+    t = np.arange(0.0, 6.0 + 1e-9, 0.02)
+    series = SimpleNamespace(t=t, friction=0.7 + 0.2 * np.sin(3.0 * t),
+                             diffusion=0.3 + 0.1 * np.cos(t))
+    base = SimpleNamespace(occupations=[np.zeros_like(t)],
+                           rates=[np.ones_like(t)])
+    k0 = 50
+    h = t[1] - t[0]
+    lam = _local_cubic(series.friction, 2)[0]
+    dlam, ddif = _local_cubic([series.friction, series.diffusion], 2,
+                              derivative=True) / h
+
+    def rhs(k, j, s):
+        n, v = s
+        return np.array([
+            v,
+            -2.0 * lam[k, j] * v - 2.0 * dlam[k, j] * n + 2.0 * ddif[k, j],
+        ])
+
+    state = np.array([base.occupations[0][k0], base.rates[0][k0]])
+    want = [state[0]]
+    for k in range(k0, t.size - 1):
+        k1 = rhs(k, 0, state)
+        k2 = rhs(k, 1, state + h / 2 * k1)
+        k3 = rhs(k, 1, state + h / 2 * k2)
+        k4 = rhs(k, 2, state + h * k3)
+        state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        want.append(state[0])
+    ref, got = _second_order_resolve(series, base, k0)
+    assert np.array_equal(ref, base.occupations[0][k0:])
+    assert np.array_equal(got, want)
 
 
 def _run_python(code, cwd):

@@ -5,7 +5,8 @@ import pytest
 
 from openosc import BathSpec, compare, evolve_exact, make_system, sample_bath
 from openosc.errors import DimensionCapError, DomainError
-from openosc.oracle import propagator_blocks
+from openosc.model import _default_w_max, equilibrium_occupation
+from openosc.oracle import _evolve_full, _evolve_rwa, propagator_blocks
 from openosc.scenarios import fig1_system
 
 
@@ -15,6 +16,53 @@ def _weak(eps=+1, T=1.0):
         BathSpec(statistics=eps, alpha=0.01, gamma=10.0, temperature=T),
         BathSpec(statistics=eps, alpha=0.01, gamma=10.0, temperature=T),
     )
+
+
+def _per_bath_reference(spec, t, n0, n_modes, rwa):
+    """Occupation from the unmerged model: one mode per bath and frequency.
+
+    The two baths' combs are concatenated and diagonalized together, with
+    2 n_modes + 1 modes, through the same propagators as the oracle.
+    """
+    combs = [sample_bath(b, n_modes, _default_w_max(spec)) for b in spec.baths]
+    w_bath = np.concatenate([w for w, _ in combs])
+    a_bath = np.concatenate([a for _, a in combs])
+    occ_bath = np.concatenate([
+        equilibrium_occupation(w, b.temperature, b.statistics)
+        for (w, _), b in zip(combs, spec.baths)
+    ])
+    evolve = _evolve_rwa if rwa else _evolve_full
+    return evolve(spec.omega, w_bath, a_bath, occ_bath, t, n0)
+
+
+_MERGE_CASES = {
+    "bosonic": (+1, (0.02, 8.0, 2.0), (0.005, 14.0, 0.3)),
+    "fermionic": (-1, (0.015, 9.0, 0.8), (0.01, 12.0, 0.2)),
+    "one bath decoupled": (+1, (0.0, 10.0, 1.0), (0.02, 12.0, 0.5)),
+}
+
+
+@pytest.mark.parametrize("rwa", [False, True])
+@pytest.mark.parametrize("case", sorted(_MERGE_CASES))
+def test_merged_comb_matches_the_per_bath_model(case, rwa):
+    eps, bath1, bath2 = _MERGE_CASES[case]
+    spec = make_system(1.0, BathSpec(eps, *bath1), BathSpec(eps, *bath2))
+    t = np.linspace(0.0, 4.0, 41)
+    got = evolve_exact(spec, t, 0.2, n_modes=200, rwa=rwa,
+                       allow_fermionic=eps < 0).n
+    want = _per_bath_reference(spec, t, 0.2, 200, rwa)
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("rwa", [False, True])
+def test_fully_decoupled_comb_keeps_its_occupation(rwa):
+    # every merged mode has a = 0, where the weighted occupation is 0/0
+    spec = make_system(1.0, BathSpec(+1, 0.0, 10.0, 1.0),
+                       BathSpec(+1, 0.0, 12.0, 0.5))
+    res = evolve_exact(spec, np.linspace(0.0, 4.0, 41), 0.25, n_modes=200,
+                       rwa=rwa)
+    assert np.isfinite(res.n).all()
+    assert np.abs(res.n - 0.25).max() <= 1e-12
 
 
 def test_sample_bath_reproduces_the_truncated_coupling_sum():
