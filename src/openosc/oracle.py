@@ -231,29 +231,26 @@ def propagator_blocks(spec: SystemSpec, t_point: float, *, n_modes: int = 25,
 
 
 def _evolve_full(w, w_bath, a_bath, occ_bath, t, n0):
-    """Full position-position coupling via the normal-mode propagator."""
+    """Full position-position coupling via the normal-mode propagator.
+
+    The oscillator row of each propagator block is a scaled row of
+    O cos(nu t) O^T, O sin(nu t)/nu O^T or O sin(nu t) nu O^T, so
+    <X^2> + <P^2> is three weighted sums of their squares.
+    """
     wm, nu, O = _mode_system(w, w_bath, a_bath)
     occ0 = np.concatenate([[n0], occ_bath]) + 0.5
-    sqw = np.sqrt(wm)
     u = O[0, :]
+    weights = np.stack([occ0 * (wm / w + w / wm), occ0 * w * wm,
+                        occ0 / (w * wm)])
 
     n_out = np.empty(t.size)
     for i in range(0, t.size, _TIME_BLOCK):
         ts = t[i:i + _TIME_BLOCK]
         cos_t = np.cos(np.outer(nu, ts)) * u[:, None]
-        sin_t = np.sin(np.outer(nu, ts))
-        sin_over = (sin_t / nu[:, None]) * u[:, None]
-        sin_times = (sin_t * nu[:, None]) * u[:, None]
-        OC = O @ cos_t
-        OS = O @ sin_over
-        OS2 = O @ sin_times
-        Txx = sqw[0] * OC / sqw[:, None]
-        Txp = sqw[0] * OS * sqw[:, None]
-        Tpx = -OS2 / (sqw[0] * sqw[:, None])
-        Tpp = OC * sqw[:, None] / sqw[0]
-        X2 = (Txx**2 + Txp**2).T @ occ0
-        P2 = (Tpx**2 + Tpp**2).T @ occ0
-        n_out[i:i + _TIME_BLOCK] = 0.5 * (X2 + P2 - 1.0)
+        sin_t = np.sin(np.outer(nu, ts)) * u[:, None]
+        rows = (O @ cos_t, O @ (sin_t / nu[:, None]), O @ (sin_t * nu[:, None]))
+        X2P2 = sum((r**2).T @ wt for r, wt in zip(rows, weights))
+        n_out[i:i + _TIME_BLOCK] = 0.5 * (X2P2 - 1.0)
     return n_out
 
 

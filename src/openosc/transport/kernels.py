@@ -65,6 +65,11 @@ class KernelEvaluator:
         )
         self.w = w
         self.g1, self.g2 = g1, g2
+        # w-independent numerators of the root coefficients of M and N,
+        # c_k(w) = a_k / (s_k + i w)
+        poles = (s + g1) * (s + g2) * xp
+        self.aM = -(1j * s + w) * poles
+        self.aN = (1j * s - w) * poles
         self._decoupled = a1 == 0.0 and a2 == 0.0
         if self._decoupled:
             # zero coupling: a root sits exactly at -i*w and the residue
@@ -109,27 +114,31 @@ class KernelEvaluator:
 
     # ---- five-node kernels ---------------------------------------------------
 
-    def _mn_coefficients(self, wq):
-        """Per-node coefficients of M and N for probe frequencies wq (array)."""
+    def _resolvent(self, wq):
+        """1/(s_k + i wq) for probe frequencies wq (array): (len(wq), 4).
+
+        Raises DomainError where the probe node -i wq collides with a root.
+        """
         s = self.s
-        smax = np.max(np.abs(s))
-        s0 = -1j * wq
-        gap = np.min(np.abs(s0[:, None] - s[None, :]), axis=1)
-        if np.any(gap < 1e-10 * max(smax, 1.0)):
-            bad = wq[gap < 1e-10 * max(smax, 1.0)][0]
+        d = s[None, :] + 1j * wq[:, None]
+        close = np.min(np.abs(d), axis=1) < 1e-10 * max(np.max(np.abs(s)), 1.0)
+        if np.any(close):
+            bad = wq[close][0]
             raise DomainError(
                 f"probe node -i*{bad:g} collides with a characteristic root; "
                 "this can only happen for marginally stable (decoupled) systems"
             )
+        return 1.0 / d
+
+    def _mn_coefficients(self, wq):
+        """Per-node coefficients of M and N for probe frequencies wq (array)."""
+        R = self._resolvent(wq)
+        s0 = -1j * wq
         xi0 = 1.0 / np.polyval(self.rootset.quartic_coefficients, s0)
-        xik = self.rootset.xi_prime[None, :] / (s[None, :] - s0[:, None])  # (Nw, 4)
         poles = (s0 + self.g1) * (s0 + self.g2)
         cN0 = (1j * s0 - self.w) * poles * xi0
         cM0 = -(1j * s0 + self.w) * poles * xi0
-        polesk = (s + self.g1) * (s + self.g2)
-        cNk = (1j * s - self.w) * polesk * xik
-        cMk = -(1j * s + self.w) * polesk * xik
-        return s0, cM0, cN0, cMk, cNk
+        return s0, cM0, cN0, self.aM * R, self.aN * R
 
     def mn_block(self, wq, t):
         """Evaluate M, N, dM/dt, dN/dt on the (frequency x time) grid.

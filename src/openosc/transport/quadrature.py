@@ -18,10 +18,19 @@ M = c_0 e^{-iwt} + sum_k c_k e^{s_k t} (N alike), so
 and dI/dt carries (s_j + s_k*) on the root-root terms and (s_k + iw) on the
 cross terms.
 
-* The 17 static numbers per bath are integrated once per integrator on the
-  real line: fixed K15 panels on [0, W] that resolve the resonance spike
-  (``_static_edges``, W the model's cutoff rule) and the substitution
-  u = W/w beyond W (``integrate_ray``).
+* The 17 static numbers per bath follow from 8 resolvent integrals.  The
+  root coefficients are c_k = a_k/(s_k + iw) with a_k independent of w, and
+
+      1/((s_j + iw)(s_k* - iw)) = [1/(s_j + iw) + 1/(s_k* - iw)] / (s_j + s_k*)
+
+  gives S_jk = [a^M_j a^M_k* (Gn_j + Gn_k*) + a^N_j a^N_k* (Gp_j + Gp_k*)]
+  / (s_j + s_k*) with Gn_k = int Wn/(s_k + iw) dw (Gp alike), while
+  c_0 = -sum_k c_k (M(w, 0) = 0) gives S_0 = sum_jk S_jk.  The G are
+  integrated once per integrator on the real line: fixed K15 panels on
+  [0, W] that resolve the resonance spike (``_static_edges``, W the model's
+  cutoff rule) and the substitution u = W/w beyond W.  Their ladders'
+  signed differences pass through the same assembly to give the parts'
+  error estimates.
 * The cross terms are integrated on the ray w = r e^{i theta}, where e^{iwt}
   decays as e^{-r sin(theta) t}.  c_0* continues analytically as
   conj(c_0(conj w)), whose poles sit at w_j = -i s_j; those between the
@@ -180,10 +189,15 @@ class MemoryIntegrator:
 
         self._static_panels = 0  # counted by the integrand
         eta, nu = oscillatory_pair(s)
-        body, body_err = integrate_static(self._static_integrand,
-                                          _static_edges(spec, eta, nu))
-        tail, tail_err = integrate_ray(self._static_integrand, self.w_max)
-        self._S, self._S_err = body + tail, body_err + tail_err  # (n_live, 17)
+        body, body_diff = _ladder(self._resolvent_integrand,
+                                  _static_edges(spec, eta, nu))
+        tail, tail_diff = _ladder(_on_ray(self._resolvent_integrand,
+                                          self.w_max), _RAY_EDGES)
+        # the assembly is linear, so the ladders' signed differences
+        # propagate through it before their magnitude is taken
+        tail_err = np.abs(self._assemble(tail_diff))
+        self._S = self._assemble(body + tail)  # (n_live, 17)
+        self._S_err = np.abs(self._assemble(body_diff)) + tail_err
         # |e^{(s_j + s_k*) t}| <= 1, so this bounds the tail's error at any t
         self._tail = tail_err[:, 0] + (np.abs(self._rate)
                                        * tail_err[:, None, 1:]).sum(-1).max(-1)
@@ -210,19 +224,29 @@ class MemoryIntegrator:
 
     # ---------------------------------------------------------------- parts
 
-    def _static_integrand(self, w):
-        """(n_w, n_live, 17): the S_0 integrand, then the S_jk ones."""
+    def _resolvent_integrand(self, w):
+        """(n_w, n_live, 2, 4): Wn and Wp of each live bath times 1/(s_k + iw)."""
         self._static_panels += w.size // 15
-        _, cM0, cN0, cMk, cNk = self.ev._mn_coefficients(w)
-        MM = (cMk[:, :, None] * cMk[:, None, :].conj()).reshape(-1, 16)
-        NN = (cNk[:, :, None] * cNk[:, None, :].conj()).reshape(-1, 16)
-        out = []
-        for ci in self._live:
-            wn, wp = self.components[ci].weights(w)
-            s0 = wn * (cM0.real**2 + cM0.imag**2) + wp * (cN0.real**2 + cN0.imag**2)
-            out.append(np.concatenate(
-                [s0[:, None], wn[:, None] * MM + wp[:, None] * NN], axis=1))
-        return np.stack(out, axis=1)
+        W = np.stack([wt for ci in self._live
+                      for wt in self.components[ci].weights(w)], axis=1)
+        R = self.ev._resolvent(w)
+        return (W[:, :, None] * R[:, None, :]).reshape(w.size, -1, 2, 4)
+
+    def _assemble(self, G):
+        """S_0 and the S_jk, (n_live, 17), from the resolvent integrals G.
+
+        With c_k = a_k/(s_k + iw), partial fractions turn each product
+        c_j c_k* into [1/(s_j + iw) + 1/(s_k* - iw)] a_j a_k*/(s_j + s_k*),
+        and c_0 = -sum_k c_k makes S_0 the sum of the S_jk.
+        """
+        ev = self.ev
+        Gn, Gp = G[:, 0, :, None], G[:, 1, :, None]
+        AM = ev.aM[:, None] * ev.aM[None, :].conj()
+        AN = ev.aN[:, None] * ev.aN[None, :].conj()
+        S = ((AM * (Gn + Gn.swapaxes(1, 2).conj())
+              + AN * (Gp + Gp.swapaxes(1, 2).conj())).reshape(-1, 16)
+             / self._rate[1])
+        return np.concatenate([S.sum(axis=1, keepdims=True).real, S], axis=1)
 
     def _residues(self, wj, sj, xj):
         """2 pi i Res_{w_j} F_k for I and dI: (n_live, 2, 4, n_j).
@@ -415,15 +439,12 @@ def _static_edges(spec: SystemSpec, eta: float, nu: float) -> np.ndarray:
     return edges[(edges >= 0.0) & (edges <= w_knee)]
 
 
-def integrate_static(weight, edges, refine=4):
-    """Fixed-panel K15 integration of a time-independent integrand.
+def _ladder(weight, edges, refine=4):
+    """Fixed-panel K15 integration with a signed error estimate.
 
-    ``weight`` maps an array of nodes to values whose leading axis runs over
-    the nodes; trailing axes are integrated independently.  Used for the
-    static parts of the memory integrals and for the asymptotic
-    (t -> infinity) integrals, where the integrand is smooth apart from the
-    resonance spike already covered by ``edges``.  ``refine`` bisections
-    give a convergence ladder; returns (value, err_est).
+    ``refine`` bisections of ``edges`` give a convergence ladder, stopped
+    once two rungs agree to 1e-12 of the largest value, else closed with the
+    embedded G7 rule.  Returns (value, value minus the coarser estimate).
     """
     edges = np.asarray(edges, dtype=float)
     value_prev = None
@@ -434,12 +455,37 @@ def integrate_static(weight, edges, refine=4):
         value = np.einsum("pk...,k,p->...", f, WK, half)
         if value_prev is not None and (np.abs(value - value_prev).max()
                                        <= 1e-12 * np.abs(value).max()):
-            return value[()], np.abs(value - value_prev)[()]
+            return value[()], (value - value_prev)[()]
         value_prev = value
         if level < refine:
             edges = _bisect(edges)
     g7 = np.einsum("pk...,k,p->...", f, WG, half)
-    return value_prev[()], np.abs(value_prev - g7)[()]
+    return value_prev[()], (value_prev - g7)[()]
+
+
+def integrate_static(weight, edges, refine=4):
+    """Fixed-panel K15 integration of a time-independent integrand.
+
+    ``weight`` maps an array of nodes to values whose leading axis runs over
+    the nodes; trailing axes are integrated independently.  Used for the
+    asymptotic (t -> infinity) integrals, where the integrand is smooth
+    apart from the resonance spike already covered by ``edges``.
+    ``refine`` bisections give a convergence ladder; returns
+    (value, err_est).
+    """
+    value, diff = _ladder(weight, edges, refine)
+    return value, np.abs(diff)
+
+
+def _on_ray(weight, w0):
+    """``weight`` on [w0, inf) in the variable u = w0/w on (0, 1], with the
+    Jacobian w0/u^2."""
+    def mapped(u):
+        f = np.asarray(weight(w0 / u))
+        jac = w0 / (u * u)
+        return f * jac.reshape(jac.shape + (1,) * (f.ndim - 1))
+
+    return mapped
 
 
 def integrate_ray(weight, w0):
@@ -449,9 +495,4 @@ def integrate_ray(weight, w0):
     then bounded on (0, 1], and ``integrate_static`` integrates it on
     ``_RAY_EDGES``.  Returns (value, err_est) as ``integrate_static`` does.
     """
-    def mapped(u):
-        f = np.asarray(weight(w0 / u))
-        jac = w0 / (u * u)
-        return f * jac.reshape(jac.shape + (1,) * (f.ndim - 1))
-
-    return integrate_static(mapped, _RAY_EDGES)
+    return integrate_static(_on_ray(weight, w0), _RAY_EDGES)

@@ -101,3 +101,18 @@ def test_zero_coupling_kernels_are_free():
     M, N, dM, dN = propagators_MN(rs, spec, [1.0, 3.0], t)
     assert np.abs(M).max() == 0.0
     assert np.abs(dN).max() == 0.0
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_probe_on_a_root_raises_on_every_coefficient_path(k):
+    # the probe node -i w sits on s_k at w = i s_k; the static parts reach
+    # 1/(s_k + iw) through _resolvent, the kernels through _mn_coefficients
+    spec, rs = _strong()
+    ev = KernelEvaluator(rs, spec)
+    w = np.array([0.5, 1j * rs.roots[k]])
+    with pytest.raises(DomainError, match="collides"):
+        ev._resolvent(w)
+    with pytest.raises(DomainError, match="collides"):
+        ev._mn_coefficients(w)
+    assert np.all(np.isfinite(ev._resolvent(w[:1])))
+

@@ -2,11 +2,12 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from openosc import BathSpec, compare, evolve_exact, make_system, sample_bath
 from openosc.errors import DimensionCapError, DomainError
 from openosc.model import _default_w_max, equilibrium_occupation
-from openosc.oracle import _evolve_full, _evolve_rwa, propagator_blocks
+from openosc.oracle import _comb, _evolve_full, _evolve_rwa, propagator_blocks
 from openosc.scenarios import fig1_system
 
 
@@ -33,6 +34,40 @@ def _per_bath_reference(spec, t, n0, n_modes, rwa):
     ])
     evolve = _evolve_rwa if rwa else _evolve_full
     return evolve(spec.omega, w_bath, a_bath, occ_bath, t, n0)
+
+
+def _propagator_reference(spec, t, n0, n_modes, w_max, rwa):
+    """Occupation of the merged comb from each time's whole propagator.
+
+    Full coupling sums the four squared oscillator-row blocks of
+    ``propagator_blocks``; ``rwa`` takes |e^{-iht}|^2 of the single-quantum
+    hopping matrix h from ``expm``.
+    """
+    w_bath, a_bath, occ_bath = _comb(spec, n_modes, w_max)
+    occ0 = np.concatenate([[n0], occ_bath])
+    h = np.diag(np.concatenate([[spec.omega], w_bath]))
+    h[0, 1:] = h[1:, 0] = a_bath
+    n = []
+    for tk in t:
+        if rwa:
+            n.append(np.abs(expm(-1j * tk * h)[0]) ** 2 @ occ0)
+        else:
+            Txx, Txp, Tpx, Tpp, _ = propagator_blocks(spec, tk, n_modes=n_modes,
+                                                      w_max=w_max)
+            rows = Txx[0] ** 2 + Txp[0] ** 2 + Tpx[0] ** 2 + Tpp[0] ** 2
+            n.append(0.5 * (rows @ (occ0 + 0.5) - 1.0))
+    return np.array(n)
+
+
+@pytest.mark.parametrize("rwa", [False, True])
+def test_occupation_matches_the_whole_propagator(rwa):
+    spec = make_system(1.0, BathSpec(+1, 0.02, 8.0, 2.0),
+                       BathSpec(+1, 0.005, 14.0, 0.3))
+    # a low cutoff keeps |h t| small enough for expm's 1e-15 accuracy
+    t = np.linspace(0.0, 4.0, 21)
+    got = evolve_exact(spec, t, 0.2, n_modes=100, w_max=40.0, rwa=rwa).n
+    want = _propagator_reference(spec, t, 0.2, 100, 40.0, rwa)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 _MERGE_CASES = {

@@ -10,6 +10,7 @@ from openosc.transport.asymptotics import asymptotic_bath_integral
 from openosc.transport.coefficients import _bath_components
 from openosc.transport.kernels import KernelEvaluator
 from openosc.transport.quadrature import MemoryIntegrator, integrate_static
+from openosc.transport.roots import oscillatory_pair
 
 #: gamma_1 = gamma_2 makes s = -gamma an exact root of the quartic, so a
 #: kernel pole sits on the Lorentzian pole
@@ -289,3 +290,62 @@ def test_fine_short_grid_meets_the_default_rtol():
     for I, dI in out.values():
         assert I[0] == 0.0 and dI[0] == 0.0
         assert np.all(np.diff(I) > 0.0)
+
+
+def _quadratic_static_parts(integ):
+    """S_0 and the S_jk integrated node by node from |c_0|^2 and c_j c_k*.
+
+    The products of the kernel coefficients at every node, on the same
+    panels and ray as the integrator: an independent route to the parts it
+    assembles from resolvent integrals.
+    """
+    ev = integ.ev
+
+    def integrand(w):
+        _, cM0, cN0, cMk, cNk = ev._mn_coefficients(w)
+        MM = (cMk[:, :, None] * cMk[:, None, :].conj()).reshape(-1, 16)
+        NN = (cNk[:, :, None] * cNk[:, None, :].conj()).reshape(-1, 16)
+        out = []
+        for comp in integ.components:
+            wn, wp = comp.weights(w)
+            s0 = wn * np.abs(cM0) ** 2 + wp * np.abs(cN0) ** 2
+            out.append(np.concatenate(
+                [s0[:, None], wn[:, None] * MM + wp[:, None] * NN], axis=1))
+        return np.stack(out, axis=1)
+
+    eta, nu = oscillatory_pair(ev.s)
+    body, _ = integrate_static(integrand,
+                               quadrature._static_edges(ev.spec, eta, nu))
+    tail, _ = quadrature.integrate_ray(integrand, integ.w_max)
+    return body + tail
+
+
+@pytest.mark.parametrize("baths", [EQUAL_CUTOFFS, NEAR_ROOTS, FERMIONIC_T0,
+                                   FIG1])
+def test_assembled_static_parts_match_the_quadratic_integrand(baths):
+    integ = _integrator(baths)
+    ref = _quadratic_static_parts(integ)
+    assert np.abs(integ._S - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("baths", [EQUAL_CUTOFFS, NEAR_ROOTS, FERMIONIC_T0,
+                                   FIG1])
+def test_static_error_covers_bisected_panels(baths, monkeypatch):
+    # on bisected panels every ladder stops one rung finer; the ladders
+    # agree to rounding there, so the parts' bound is their ladder estimate
+    # plus the rounding allowance the budget takes on their summed
+    # magnitude (its t -> 0 form, where every e^{(s_j + s_k*) t} is 1)
+    t = np.array([0.003, 0.1, 1.0, 5.0, 20.0, 50.0])
+    base = _integrator(baths)
+    out = base.integrate(t)
+    budget = base.last_report.max_rel_error * _error_scales(base, out)
+    edges = quadrature._static_edges
+    monkeypatch.setattr(quadrature, "_static_edges",
+                        lambda *args: quadrature._bisect(edges(*args)))
+    fine = _integrator(baths)
+    assert fine._static_panels > base._static_panels
+    rounding = quadrature._ROUNDING * np.abs(base._S).sum(axis=1, keepdims=True)
+    assert np.all(np.abs(fine._S - base._S) <= base._S_err + rounding)
+    fine_out = fine.integrate(t)
+    for ci, name in enumerate(out):
+        assert np.all(np.abs(np.array(out[name]) - fine_out[name]) <= budget[ci])
