@@ -29,7 +29,6 @@ import configparser
 import csv
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -60,11 +59,10 @@ from .scenarios import (
     run_scenario,
 )
 from .transport.asymptotics import (
-    asymptotic_bath_integral,
-    asymptotic_occupation,
+    _stationarity_residual,
+    _stationary_integrals,
     markovian_mixture,
     resonance_occupation,
-    stationarity_condition_residual,
 )
 from .transport.coefficients import coefficient_series
 from .transport.quadrature import DEFAULT_RTOL
@@ -414,15 +412,13 @@ def cmd_asymptotics(raw, out, numerics):
         systems.append(("system2", config_system(raw, second=True)))
     rows = []
     for label, spec in systems:
-        i1 = asymptotic_bath_integral(spec, 0)
-        i2 = asymptotic_bath_integral(spec, 1)
+        i1, i2 = _stationary_integrals(spec)
         rows.append((f"{label}_bath1_integral", i1, np.nan, np.nan, np.nan,
                      "info"))
         rows.append((f"{label}_bath2_integral", i2, np.nan, np.nan, np.nan,
                      "info"))
-        rows.append((f"{label}_asymptotic_occupation",
-                     asymptotic_occupation(spec), np.nan, np.nan, np.nan,
-                     "info"))
+        rows.append((f"{label}_asymptotic_occupation", i1 + i2, np.nan,
+                     np.nan, np.nan, "info"))
         rows.append((f"{label}_markovian_mixture", markovian_mixture(spec),
                      np.nan, np.nan, np.nan, "info"))
         rows.append((f"{label}_resonance_occupation",
@@ -430,7 +426,7 @@ def cmd_asymptotics(raw, out, numerics):
                      "info"))
         if spec.statistics_mode == "mixed":
             rows.append((f"{label}_stationarity_residual",
-                         stationarity_condition_residual(spec),
+                         _stationarity_residual(spec, i1, i2),
                          np.nan, np.nan, np.nan, "info"))
     write_observables(out / "observables.csv", rows)
     write_metadata(out, "asymptotics", raw, numerics, {})
@@ -486,6 +482,10 @@ def cmd_sweep(raw, out, numerics, workers, rtol_override):
         points.append((flat, cfg, rtol_override))
 
     if workers > 1:
+        # imported here: it pulls in multiprocessing, which every other
+        # command would pay for at import
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_point, points))
     else:

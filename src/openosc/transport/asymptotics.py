@@ -38,6 +38,39 @@ def _require_coupling(spec: SystemSpec) -> None:
         )
 
 
+def _stationary_integrals(spec: SystemSpec) -> tuple:
+    """Stationary values (I_1(inf), I_2(inf)) of both baths' memory
+    integrals, from one root solve.
+
+    Raises DomainError if both couplings vanish.
+    """
+    _require_coupling(spec)
+    rootset = characteristic_roots(spec)
+    eta, nu = oscillatory_pair(rootset.roots)
+    edges = _static_edges(spec, eta, nu)
+    w = spec.omega
+    quartic = rootset.quartic_coefficients
+    out = []
+    for bath, partner in (spec.baths, spec.baths[::-1]):
+        if bath.alpha == 0.0:
+            out.append(0.0)
+            continue
+        a, g, T, eps = (bath.alpha, bath.gamma, bath.temperature,
+                        bath.statistics)
+
+        def integrand(wq):
+            qv = np.abs(np.polyval(quartic, -1j * wq)) ** 2
+            n = equilibrium_occupation(wq, T, eps)
+            bracket = (w + wq) ** 2 * n + (w - wq) ** 2 * (1.0 + eps * n)
+            return ((a * g * g / np.pi) * wq * (partner.gamma**2 + wq**2)
+                    / qv * bracket)
+
+        body, _err = integrate_static(integrand, edges)
+        tail, _err = integrate_ray(integrand, edges[-1])
+        out.append(float(body + tail))
+    return tuple(out)
+
+
 def asymptotic_bath_integral(spec: SystemSpec, bath_index: int) -> float:
     """Stationary value of bath ``bath_index``'s memory integral (0 or 1).
 
@@ -46,32 +79,13 @@ def asymptotic_bath_integral(spec: SystemSpec, bath_index: int) -> float:
     """
     if bath_index not in (0, 1):
         raise DomainError(f"bath index must be 0 or 1, got {bath_index}")
-    _require_coupling(spec)
-    bath = spec.baths[bath_index]
-    if bath.alpha == 0.0:
-        return 0.0
-    partner = spec.baths[1 - bath_index]
-    rootset = characteristic_roots(spec)
-    eta, nu = oscillatory_pair(rootset.roots)
-    w = spec.omega
-    a, g, T, eps = bath.alpha, bath.gamma, bath.temperature, bath.statistics
-    quartic = rootset.quartic_coefficients
-
-    def integrand(wq):
-        qv = np.abs(np.polyval(quartic, -1j * wq)) ** 2
-        n = equilibrium_occupation(wq, T, eps)
-        bracket = (w + wq) ** 2 * n + (w - wq) ** 2 * (1.0 + eps * n)
-        return (a * g * g / np.pi) * wq * (partner.gamma**2 + wq**2) / qv * bracket
-
-    edges = _static_edges(spec, eta, nu)
-    body, _err = integrate_static(integrand, edges)
-    tail, _err = integrate_ray(integrand, edges[-1])
-    return float(body + tail)
+    return _stationary_integrals(spec)[bath_index]
 
 
 def asymptotic_occupation(spec: SystemSpec) -> float:
     """Stationary occupation: the sum of both baths' asymptotic integrals."""
-    return asymptotic_bath_integral(spec, 0) + asymptotic_bath_integral(spec, 1)
+    i1, i2 = _stationary_integrals(spec)
+    return i1 + i2
 
 
 def markovian_mixture(spec: SystemSpec) -> float:
@@ -141,9 +155,12 @@ def stationarity_condition_residual(spec: SystemSpec) -> float:
         raise DomainError(
             "stationarity residual is defined for mixed statistics only"
         )
+    return _stationarity_residual(spec, *_stationary_integrals(spec))
+
+
+def _stationarity_residual(spec: SystemSpec, I_f: float, I_b: float) -> float:
+    """The residual of a mixed system from its stationary integrals."""
     p = mixing_fraction(*spec.baths)
-    I_f = asymptotic_bath_integral(spec, 0)
-    I_b = asymptotic_bath_integral(spec, 1)
     scale = 1.0 - 2.0 * I_f / p
     if abs(scale) < 1e-300:
         raise DomainError("fermionic channel target is singular (I_f/p = 1/2)")

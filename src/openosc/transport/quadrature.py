@@ -39,7 +39,11 @@ cross terms.
   roots) lie on the imaginary axis, and those of c_k in the lower
   half-plane.  theta bisects the widest angular gap between the real axis,
   the first-quadrant poles and the imaginary axis.  The ray's nodes do not
-  depend on t, so each time costs one column of an e^{iwt} product.
+  depend on t, so each time costs one column of an e^{iwt} product.  On a
+  uniform grid t_k = t_0 + k h the table e^{iwt} is itself an outer
+  product, e^{iw(t_0 + a m h)} e^{iwjh} with k = a m + j (``_phase_table``):
+  one complex multiply per entry, and exponentials only for the coarse and
+  fine factors.  Other grids take one exponential per entry.
 
 Nothing is adaptive: the node count follows from the spec and grows only as
 log2(t_max/t_min).  The error budget adds the static parts' ladder
@@ -107,6 +111,15 @@ _RAY_EDGES = np.array([0.0, 0.25, 0.5, 1.0])
 
 #: Times per block of the ray's e^{iwt} product, bounding its memory.
 _TIME_BLOCK = 512
+
+#: Fine phase factors per coarse one in ``_phase_table``: about the square
+#: root of ``_TIME_BLOCK``, which minimizes the exponentials per block.
+_PHASE_STEP = round(_TIME_BLOCK ** 0.5)
+
+#: How far, in ulp of the largest time, each time may sit from t_0 + k h
+#: for ``_phase_table`` to rebuild the grid from t_0 and h.  np.arange and
+#: np.linspace grids sit within 2.
+_UNIFORM_ULPS = 4
 
 
 @dataclass(frozen=True)
@@ -312,7 +325,7 @@ class MemoryIntegrator:
         res_size = np.abs(self._P) @ np.abs(Ej)
         cross = []
         for w, f in rays:
-            X = np.exp(1j * np.multiply.outer(w, t))  # (n_v, n_t)
+            X = _phase_table(w, t)  # (n_v, n_t)
             C = (f.T @ X).reshape(n_l, 2, 4, t.size) + res
             cross.append(2.0 * (C * E).sum(axis=2).real)
         # the finer level's magnitudes (w, f, X are still the finer level's)
@@ -386,6 +399,30 @@ class MemoryIntegrator:
         )
         return {comp.name: (totals[ci, 0], totals[ci, 1])
                 for ci, comp in enumerate(self.components)}
+
+
+def _phase_table(w, t):
+    """The table e^{iwt}, (n_w, n_t), for Im w >= 0 and t >= 0.
+
+    On a uniform grid t_k = t_0 + k h, write k = a m + j with 0 <= j < m:
+    e^{i w t_k} = e^{i w (t_0 + a m h)} e^{i w j h}, so the table is an
+    outer product of n_t/m coarse and m fine factors per node, with one
+    complex multiply per entry in place of one exponential.  With h >= 0
+    neither factor exceeds 1 in magnitude, so their product cannot be
+    0 * inf.  Any other grid takes one exponential per entry.
+    """
+    n = t.size
+    if n > 1:
+        h = (t[-1] - t[0]) / (n - 1)
+        drift = np.abs(t[0] + h * np.arange(n) - t).max()
+        if h >= 0.0 and drift <= _UNIFORM_ULPS * np.spacing(np.abs(t).max()):
+            m = min(n, _PHASE_STEP)
+            coarse = np.exp(1j * np.multiply.outer(
+                w, t[0] + (m * h) * np.arange(-(-n // m))))
+            fine = np.exp(1j * np.multiply.outer(w, h * np.arange(m)))
+            table = coarse[:, :, None] * fine[:, None, :]
+            return table.reshape(w.size, -1)[:, :n]
+    return np.exp(1j * np.multiply.outer(w, t))
 
 
 def _bisect(edges):

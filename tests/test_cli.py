@@ -225,6 +225,30 @@ def test_asymptotics_end_to_end(tmp_path):
         rel=1e-12)
 
 
+def test_asymptotics_integrates_each_bath_once(tmp_path, monkeypatch):
+    # a mixed-statistics system has every row: the bath integrals, their
+    # sum and the stationarity residual.  Each bath costs two static
+    # integrals, one up to the cutoff and one on the ray beyond it
+    from openosc.transport import asymptotics, quadrature
+
+    calls = []
+    integrate = quadrature.integrate_static
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "integrate_static", counted)
+    monkeypatch.setattr(asymptotics, "integrate_static", counted)
+    cfg = tmp_path / "mixed.ini"
+    cfg.write_text(WEAK_SINGLE.replace("bosonic", "fermionic", 1))
+    out = tmp_path / "run"
+    assert main(["--config", str(cfg), "--out", str(out), "asymptotics"]) == 0
+    _, rows = _read_csv(out / "observables.csv")
+    assert "system1_stationarity_residual" in [r[0] for r in rows]
+    assert len(calls) == 4
+
+
 def test_scenario_runs_with_overrides(tmp_path):
     out = tmp_path / "run"
     with warnings.catch_warnings():
@@ -355,6 +379,15 @@ def test_cli_import_loads_no_scipy(tmp_path):
         tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_process_pool(tmp_path):
+    # the pool serves only `sweep --workers N`; it is imported there
+    proc = _run_python(
+        "import sys, openosc.cli\n"
+        "print('concurrent.futures.process' in sys.modules)", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_commands_run_without_scipy(tmp_path):

@@ -349,3 +349,55 @@ def test_static_error_covers_bisected_panels(baths, monkeypatch):
     fine_out = fine.integrate(t)
     for ci, name in enumerate(out):
         assert np.all(np.abs(np.array(out[name]) - fine_out[name]) <= budget[ci])
+
+
+#: ray-like nodes: on the real axis, at a shallow angle and near the
+#: imaginary axis, small enough that e^{iwt} stays a normal number
+PHASE_NODES = np.concatenate([np.geomspace(1e-3, 50.0, 40),
+                              np.geomspace(1e-3, 50.0, 40) * np.exp(0.3j),
+                              np.geomspace(1e-3, 50.0, 40) * np.exp(1.5j)])
+
+
+@pytest.mark.parametrize("t", [
+    np.arange(1, 400) * 0.03,  # an arange grid that starts at dt
+    np.linspace(0.7, 11.0, 333),
+    np.arange(1, 1301) * 0.0075,  # longer than _TIME_BLOCK
+], ids=["arange", "linspace", "long"])
+def test_factored_phase_table_matches_the_exponentials(t):
+    table = quadrature._phase_table(PHASE_NODES, t)
+    wt = np.multiply.outer(PHASE_NODES, t)
+    direct = np.exp(1j * wt)
+    assert not np.array_equal(table, direct)  # the factored path ran
+    bound = 4.0 * np.finfo(float).eps * (1.0 + np.abs(wt)) * np.abs(direct)
+    assert np.all(np.abs(table - direct) <= bound)
+
+
+@pytest.mark.parametrize("t", [
+    FROZEN_T,
+    np.array([0.0, 0.01, 1.0, 20.0]),
+    # a uniform grid with one time 1e-9 off, the tolerance that serves the
+    # stepper's step check, against a few ulp here
+    np.arange(1, 200) * 0.05 * (1.0 + 1e-9 * (np.arange(1, 200) == 77)),
+    # uniform but decreasing: its fine factors would grow
+    np.linspace(5.0, 1.0, 100),
+], ids=["frozen", "uneven", "perturbed", "decreasing"])
+def test_uneven_grid_takes_the_exponentials(t):
+    direct = np.exp(1j * np.multiply.outer(PHASE_NODES, t))
+    assert np.array_equal(quadrature._phase_table(PHASE_NODES, t), direct)
+
+
+@pytest.mark.parametrize("baths", [EQUAL_CUTOFFS, FIG1])
+def test_factored_and_direct_tables_give_the_same_integrals(baths):
+    # the inserted midpoint makes the grid uneven, so the ray's table takes
+    # one exponential per entry, while t_min and t_max, and so the ray's
+    # nodes, stay the same.  NEAR_ROOTS is left out: on t <= 5 its I is
+    # small against the parts that cancel in it, and the midpoint moves I
+    # by 1.7e-14 of max|I| even when both grids take the exponentials
+    integ = _integrator(baths)
+    t = np.arange(0.0, 5.0 + 0.005, 0.01)
+    out = integ.integrate(t)
+    uneven = integ.integrate(np.insert(t, 250, 0.5 * (t[249] + t[250])))
+    for name, pair in out.items():
+        for value, other in zip(pair, uneven[name]):
+            other = np.delete(other, 250)
+            assert np.abs(value - other).max() <= 1e-14 * np.abs(value).max()
