@@ -257,11 +257,12 @@ def _fmt(value) -> str:
 
 
 def write_csv(path: Path, names, cols):
-    cols = [np.asarray(c, dtype=float) for c in cols]
+    # one %-template per row formats exactly as _fmt does value by value
+    cols = [np.asarray(c, dtype=float).tolist() for c in cols]
+    template = ",".join(["%.12g"] * len(cols)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(names) + "\n")
-        for row in zip(*cols):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(template % row for row in zip(*cols))
 
 
 def write_observables(path: Path, rows):

@@ -27,7 +27,7 @@ from ..model import (
     spectral_density,
 )
 from .quadrature import _static_edges, integrate_ray, integrate_static
-from .roots import characteristic_roots, oscillatory_pair
+from .roots import characteristic_roots
 
 
 def _require_coupling(spec: SystemSpec) -> None:
@@ -46,8 +46,7 @@ def _stationary_integrals(spec: SystemSpec) -> tuple:
     """
     _require_coupling(spec)
     rootset = characteristic_roots(spec)
-    eta, nu = oscillatory_pair(rootset.roots)
-    edges = _static_edges(spec, eta, nu)
+    edges = _static_edges(spec, rootset.roots)
     w = spec.omega
     quartic = rootset.quartic_coefficients
     out = []

@@ -26,11 +26,11 @@ cross terms.
   gives S_jk = [a^M_j a^M_k* (Gn_j + Gn_k*) + a^N_j a^N_k* (Gp_j + Gp_k*)]
   / (s_j + s_k*) with Gn_k = int Wn/(s_k + iw) dw (Gp alike), while
   c_0 = -sum_k c_k (M(w, 0) = 0) gives S_0 = sum_jk S_jk.  The G are
-  integrated once per integrator on the real line: fixed K15 panels on
-  [0, W] that resolve the resonance spike (``_static_edges``, W the model's
-  cutoff rule) and the substitution u = W/w beyond W.  Their ladders'
-  signed differences pass through the same assembly to give the parts'
-  error estimates.
+  integrated once per integrator on the real line: K15 panels on [0, W]
+  graded by the distance to the integrands' nearest singularity
+  (``_static_edges``, W the model's cutoff rule) and the substitution
+  u = W/w beyond W.  Their ladders' signed differences pass through the
+  same assembly to give the parts' error estimates.
 * The cross terms are integrated on the ray w = r e^{i theta}, where e^{iwt}
   decays as e^{-r sin(theta) t}.  c_0* continues analytically as
   conj(c_0(conj w)), whose poles sit at w_j = -i s_j; those between the
@@ -60,7 +60,6 @@ import numpy as np
 
 from ..errors import QuadratureError
 from ..model import BathSpec, SystemSpec, _default_w_max, equilibrium_occupation
-from .roots import oscillatory_pair
 
 # 15-point Kronrod abscissae (ascending) with embedded 7-point Gauss rule.
 _XK_HALF = np.array(
@@ -201,9 +200,8 @@ class MemoryIntegrator:
         self._rate = np.stack([np.ones(16), rate])  # (2, 16): I and dI
 
         self._static_panels = 0  # counted by the integrand
-        eta, nu = oscillatory_pair(s)
         body, body_diff = _ladder(self._resolvent_integrand,
-                                  _static_edges(spec, eta, nu))
+                                  _static_edges(spec, s))
         tail, tail_diff = _ladder(_on_ray(self._resolvent_integrand,
                                           self.w_max), _RAY_EDGES)
         # the assembly is linear, so the ladders' signed differences
@@ -452,28 +450,29 @@ def _ray_edges(R, r_lo, r_hi):
                            [1.0]])
 
 
-def _static_edges(spec: SystemSpec, eta: float, nu: float) -> np.ndarray:
-    """Real-line panel edges on [0, W] resolving the resonance spike and
-    the knees.
+def _static_edges(spec: SystemSpec, roots: np.ndarray) -> np.ndarray:
+    """Real-line panel edges on [0, W] marching from 0 by x <- x + d(x)/2.
 
-    W is the model's cutoff rule; the power-law stretch beyond it is
-    integrated on the real ray by ``integrate_ray``.
+    d(x) is the distance to the nearest singularity of the static
+    integrands: the roots' images i s_k (poles of 1/(s_k + iw), zeros of
+    q(-iw)), the Lorentzian poles +-i gamma_b and each bath's first
+    Matsubara pole, i 2 pi T_b (bosonic) or i pi T_b (fermionic).  A
+    resonance of width eta thus gets panels of width ~eta however narrow
+    it is.  W, the model's cutoff rule, is the last edge; ``integrate_ray``
+    covers the rest.  The step floor 1e-12 W only ensures termination.
     """
-    w = spec.omega
-    g_max = max(b.gamma for b in spec.baths)
     w_knee = _default_w_max(spec)
-    scale = max(1.0, w)
-    base = np.arange(0.0, min(8.0 * scale, w_knee), 0.05 * scale)
-    mid = np.arange(min(8.0 * scale, w_knee), min(5.0 * g_max, w_knee),
-                    0.2 * scale)
-    tail = np.arange(min(5.0 * g_max, w_knee), w_knee, g_max / 4.0)
-    parts = [np.array([0.0, w_knee]), base, mid, tail]
-    if eta > 0:
-        lo = max(0.0, nu - 12.0 * eta)
-        hi = min(w_knee, nu + 12.0 * eta)
-        parts.append(np.arange(lo, hi, max(eta / 3.0, 1e-6)))
-    edges = np.unique(np.concatenate(parts))
-    return edges[(edges >= 0.0) & (edges <= w_knee)]
+    poles = (1j * roots).tolist()
+    poles += [1j * b.gamma for b in spec.baths]
+    poles += [1j * np.pi * (2.0 if b.statistics > 0 else 1.0) * b.temperature
+              for b in spec.baths if b.temperature > 0]
+    floor = 1e-12 * w_knee
+    edges = [0.0]
+    while edges[-1] < w_knee:
+        x = edges[-1]
+        edges.append(x + max(0.5 * min(abs(x - p) for p in poles), floor))
+    edges[-1] = w_knee
+    return np.array(edges)
 
 
 def _ladder(weight, edges, refine=4):
@@ -505,8 +504,8 @@ def integrate_static(weight, edges, refine=4):
 
     ``weight`` maps an array of nodes to values whose leading axis runs over
     the nodes; trailing axes are integrated independently.  Used for the
-    asymptotic (t -> infinity) integrals, where the integrand is smooth
-    apart from the resonance spike already covered by ``edges``.
+    asymptotic (t -> infinity) integrals on ``_static_edges``, which grade
+    toward the integrand's singularities.
     ``refine`` bisections give a convergence ladder; returns
     (value, err_est).
     """

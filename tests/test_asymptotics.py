@@ -151,3 +151,16 @@ def test_asymptote_approaches_resonance_occupation_linearly(eps):
     # omega -> Omega, whereas a gap stalling at a floor would grow it tenfold
     assert np.all(np.diff(gaps) < 0.0)
     assert np.all(gaps / alphas <= 1.5 * gaps[0] / alphas[0])
+
+
+@pytest.mark.parametrize("alpha", [1e-5, 1e-6, 1e-7])
+def test_weak_coupling_asymptote_sits_just_above_the_resonance_limit(alpha):
+    # the stationary integrals' weight collapses onto a resonance of width
+    # eta ~ alpha around nu; the graded panels must resolve it however narrow
+    # it is, so the asymptote keeps its O(alpha) gap above the closed-form
+    # narrow-resonance limit (+1.39 alpha here)
+    bath = BathSpec(statistics=+1, alpha=alpha, gamma=10.0, temperature=1.0)
+    spec = make_system(1.0, bath, bath)
+    n_ref = resonance_occupation(spec)
+    gap = (asymptotic_occupation(spec) - n_ref) / n_ref
+    assert 0.0 < gap <= 2.0 * alpha

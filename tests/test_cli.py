@@ -146,6 +146,21 @@ def test_write_csv_format(tmp_path):
     assert rows[1] == ["0.1", "1e-09"]
 
 
+def test_write_csv_matches_the_per_value_formatter(tmp_path):
+    # the row template must write what format(v, ".12g") wrote value by value
+    rng = np.random.default_rng(5)
+    magnitudes = 10.0 ** rng.uniform(-300.0, 300.0, 400)
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e16, -1e16]
+    cols = [np.concatenate([special, rng.choice([-1.0, 1.0], 400) * magnitudes]),
+            np.concatenate([special[::-1], rng.standard_normal(400)])]
+    path = tmp_path / "x.csv"
+    write_csv(path, ["a", "b"], cols)
+    expected = "a,b\n" + "".join(
+        f"{format(float(a), '.12g')},{format(float(b), '.12g')}\n"
+        for a, b in zip(*cols))
+    assert path.read_text() == expected
+
+
 def test_main_requires_config_for_runs(tmp_path, capsys):
     assert main(["--out", str(tmp_path), "coeffs"]) == 2
     assert "requires --config" in capsys.readouterr().err

@@ -10,7 +10,6 @@ from openosc.transport.asymptotics import asymptotic_bath_integral
 from openosc.transport.coefficients import _bath_components
 from openosc.transport.kernels import KernelEvaluator
 from openosc.transport.quadrature import MemoryIntegrator, integrate_static
-from openosc.transport.roots import oscillatory_pair
 
 #: gamma_1 = gamma_2 makes s = -gamma an exact root of the quartic, so a
 #: kernel pole sits on the Lorentzian pole
@@ -21,6 +20,10 @@ NEAR_ROOTS = ((+1, 1e-3, 10.0, 1.0), (+1, 1e-3, 12.0, 0.5))
 FIG1 = ((-1, 0.10, 10.0, 1.0), (+1, 0.05, 15.0, 0.1))
 #: all-fermionic, one bath at T = 0
 FERMIONIC_T0 = ((-1, 0.05, 10.0, 0.0), (-1, 0.05, 12.0, 1.0))
+#: a resonance of width eta ~ 1e-5 at nu ~ 1
+WEAK = ((+1, 1e-5, 10.0, 1.0), (+1, 1e-5, 12.0, 0.5))
+#: a resonance a hundred times narrower
+WEAKER = ((+1, 1e-7, 10.0, 1.0), (+1, 1e-7, 10.0, 1.0))
 
 
 def _integrator(baths, rtol=1e-7):
@@ -313,9 +316,8 @@ def _quadratic_static_parts(integ):
                 [s0[:, None], wn[:, None] * MM + wp[:, None] * NN], axis=1))
         return np.stack(out, axis=1)
 
-    eta, nu = oscillatory_pair(ev.s)
     body, _ = integrate_static(integrand,
-                               quadrature._static_edges(ev.spec, eta, nu))
+                               quadrature._static_edges(ev.spec, ev.s))
     tail, _ = quadrature.integrate_ray(integrand, integ.w_max)
     return body + tail
 
@@ -349,6 +351,45 @@ def test_static_error_covers_bisected_panels(baths, monkeypatch):
     fine_out = fine.integrate(t)
     for ci, name in enumerate(out):
         assert np.all(np.abs(np.array(out[name]) - fine_out[name]) <= budget[ci])
+
+
+def _nearest_singularity(spec, roots, x):
+    """Distance from each real x to the nearest pole or zero of the static
+    integrands: i s_k, +-i gamma_b and the first Matsubara poles."""
+    poles = [1j * roots, [1j * b.gamma for b in spec.baths],
+             [-1j * b.gamma for b in spec.baths]]
+    for b in spec.baths:
+        if b.temperature > 0:
+            m = (2.0 if b.statistics > 0 else 1.0) * np.pi * b.temperature
+            poles.append([1j * m, -1j * m])
+    return np.abs(x[:, None] - np.concatenate(poles)[None, :]).min(axis=1)
+
+
+@pytest.mark.parametrize("baths", [EQUAL_CUTOFFS, NEAR_ROOTS, FERMIONIC_T0,
+                                   FIG1, WEAK, WEAKER])
+def test_static_panels_span_half_the_distance_to_the_nearest_singularity(baths):
+    integ = _integrator(baths)
+    spec, W = integ.ev.spec, integ.w_max
+    edges = quadrature._static_edges(spec, integ.ev.s)
+    width = np.diff(edges)
+    assert edges[0] == 0.0 and edges[-1] == W
+    assert np.all(width > 0.0)
+    d = _nearest_singularity(spec, integ.ev.s, edges[:-1])
+    assert np.all(width <= 0.5 * d + 4.0 * np.spacing(W))
+    # the termination floor never binds: every step but the clipped last
+    # one is half the distance, which stays above 1e-12 W
+    assert np.all(width[:-1] > 1e-12 * W)
+
+
+@pytest.mark.parametrize("baths", [EQUAL_CUTOFFS, NEAR_ROOTS, FERMIONIC_T0,
+                                   FIG1, WEAK])
+def test_static_ladders_stop_at_their_second_rung(baths):
+    # a ladder that stops at its second rung evaluates its panels once and
+    # once bisected: 3 panels per base panel, on [0, W] and beyond W
+    integ = _integrator(baths)
+    body = quadrature._static_edges(integ.ev.spec, integ.ev.s).size - 1
+    tail = quadrature._RAY_EDGES.size - 1
+    assert integ._static_panels == 3 * (body + tail)
 
 
 #: ray-like nodes: on the real axis, at a shallow angle and near the
