@@ -42,7 +42,6 @@ from .model import (
 from .oracle import OracleResult, compare, evolve_exact, sample_bath
 from .scenarios import SCENARIOS, run_scenario
 from .transport import (
-    amplitudes_AB,
     asymptotic_bath_integral,
     asymptotic_occupation,
     characteristic_polynomial,
@@ -51,7 +50,6 @@ from .transport import (
     markovian_mixture,
     resonance_occupation,
     oscillatory_pair,
-    propagators_MN,
     stationarity_condition_residual,
 )
 
@@ -70,7 +68,6 @@ __all__ = [
     "SCENARIOS",
     "SystemSpec",
     "Trajectory",
-    "amplitudes_AB",
     "antiphase_metric",
     "asymptotic_bath_integral",
     "asymptotic_occupation",
@@ -91,7 +88,6 @@ __all__ = [
     "markovian_mixture",
     "mixing_fraction",
     "oscillatory_pair",
-    "propagators_MN",
     "resonance_occupation",
     "run_scenario",
     "sample_bath",

@@ -44,6 +44,7 @@ from .dynamics import (
 )
 from .errors import (
     ConfigError,
+    DomainError,
     InsufficientDataError,
     OpenOscError,
     UndefinedMetricError,
@@ -259,6 +260,9 @@ def _fmt(value) -> str:
 def write_csv(path: Path, names, cols):
     # one %-template per row formats exactly as _fmt does value by value
     cols = [np.asarray(c, dtype=float).tolist() for c in cols]
+    if len({len(c) for c in cols}) > 1:
+        raise DomainError(f"{path}: columns of unequal lengths "
+                          f"{[len(c) for c in cols]}")
     template = ",".join(["%.12g"] * len(cols)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(names) + "\n")

@@ -302,7 +302,8 @@ class DeltaDissipation:
 
     ``delta_energy[i]`` is E_i(beta) - E_i(0) on the shared grid;
     ``delta_rate[i]`` its time derivative, smoothed by a moving average
-    over 2 pi/Omega_i (the window in time units is recorded in ``window``).
+    over 2 pi/Omega_i, or over the whole grid if that is shorter (the
+    window used, in time units, is recorded in ``window``).
     That window spans several occupation periods pi/nu, not one: on the
     fig5 pair it covers about 3.1 and 3.6 of them (pi/nu = 1.995 and
     1.767).  Each delta_energy carries both oscillators' frequencies, so
@@ -337,6 +338,8 @@ def _dissipation_excess(coupled, uncoupled, specs) -> DeltaDissipation:
         d_energy.append(dE)
         rate = np.gradient(dE, t)
         w = max(3, int(round(2.0 * np.pi / spec.omega_renormalized / h)) | 1)
+        # "same" keeps the grid's length only for a window that fits on it
+        w = min(w, (t.size - 1) | 1)
         kernel = np.ones(w) / w
         d_rate.append(np.convolve(rate, kernel, mode="same"))
         windows.append(w * h)

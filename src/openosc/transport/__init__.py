@@ -9,12 +9,7 @@ from .asymptotics import (
     stationarity_condition_residual,
 )
 from .coefficients import RATIO_FLOOR, CoefficientSeries, coefficient_series
-from .kernels import (
-    AmplitudeSeries,
-    KernelEvaluator,
-    amplitudes_AB,
-    propagators_MN,
-)
+from .kernels import AmplitudeSeries, KernelEvaluator
 from .quadrature import DEFAULT_RTOL, ComponentSpec, MemoryIntegrator
 from .roots import (
     RootSet,
@@ -32,7 +27,6 @@ __all__ = [
     "MemoryIntegrator",
     "RATIO_FLOOR",
     "RootSet",
-    "amplitudes_AB",
     "asymptotic_bath_integral",
     "asymptotic_occupation",
     "characteristic_polynomial",
@@ -40,7 +34,6 @@ __all__ = [
     "coefficient_series",
     "markovian_mixture",
     "oscillatory_pair",
-    "propagators_MN",
     "resonance_occupation",
     "stationarity_condition_residual",
 ]

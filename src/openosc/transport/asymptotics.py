@@ -8,10 +8,12 @@ bath memory integral converges to a frequency integral over the resolvent:
                x [ (omega + w)^2 n_b(w) + (omega - w)^2 (1 + eps_b n_b(w)) ]
 
 with q the characteristic quartic and n_b the equilibrium occupation of
-bath b.  For same-statistics systems the stationary occupation is the sum
-of the two integrals; for mixed statistics the channels compete and the
-mismatch of their preferred stationary points is what sustains the
-persistent oscillations.
+bath b.  This is S_0, the time-independent part of the memory integrator's
+I_b(t) = S_0 + (terms that decay), so the program reads it from the same
+static-part builder, ``quadrature.integrate_static``.  For same-statistics
+systems the stationary occupation is the sum of the two integrals; for
+mixed statistics the channels compete and the mismatch of their preferred
+stationary points is what sustains the persistent oscillations.
 """
 
 from __future__ import annotations
@@ -26,7 +28,9 @@ from ..model import (
     mixing_fraction,
     spectral_density,
 )
-from .quadrature import _static_edges, integrate_ray, integrate_static
+from .coefficients import _bath_components
+from .kernels import KernelEvaluator
+from .quadrature import integrate_static
 from .roots import characteristic_roots
 
 
@@ -40,34 +44,17 @@ def _require_coupling(spec: SystemSpec) -> None:
 
 def _stationary_integrals(spec: SystemSpec) -> tuple:
     """Stationary values (I_1(inf), I_2(inf)) of both baths' memory
-    integrals, from one root solve.
+    integrals: S_0 of their static parts, 0.0 for an uncoupled bath.
 
     Raises DomainError if both couplings vanish.
     """
     _require_coupling(spec)
-    rootset = characteristic_roots(spec)
-    edges = _static_edges(spec, rootset.roots)
-    w = spec.omega
-    quartic = rootset.quartic_coefficients
-    out = []
-    for bath, partner in (spec.baths, spec.baths[::-1]):
-        if bath.alpha == 0.0:
-            out.append(0.0)
-            continue
-        a, g, T, eps = (bath.alpha, bath.gamma, bath.temperature,
-                        bath.statistics)
-
-        def integrand(wq):
-            qv = np.abs(np.polyval(quartic, -1j * wq)) ** 2
-            n = equilibrium_occupation(wq, T, eps)
-            bracket = (w + wq) ** 2 * n + (w - wq) ** 2 * (1.0 + eps * n)
-            return ((a * g * g / np.pi) * wq * (partner.gamma**2 + wq**2)
-                    / qv * bracket)
-
-        body, _err = integrate_static(integrand, edges)
-        tail, _err = integrate_ray(integrand, edges[-1])
-        out.append(float(body + tail))
-    return tuple(out)
+    ev = KernelEvaluator(characteristic_roots(spec), spec)
+    components = _bath_components(spec)
+    live = [c for c in components if c.bath.alpha > 0.0]
+    S = integrate_static(ev, live)[0]
+    S_0 = {c.name: float(row[0].real) for c, row in zip(live, S)}
+    return tuple(S_0.get(c.name, 0.0) for c in components)
 
 
 def asymptotic_bath_integral(spec: SystemSpec, bath_index: int) -> float:

@@ -162,12 +162,3 @@ class KernelEvaluator:
         dN = (cN0 * s0)[:, None] * E0 + (cNk * sk) @ Ek
         return M, N, dM, dN
 
-
-def amplitudes_AB(rootset: RootSet, spec: SystemSpec, t):
-    """A(t), B(t), B_1(t), B_2(t) with time derivatives (array-valued)."""
-    return KernelEvaluator(rootset, spec).amplitude_series(t)
-
-
-def propagators_MN(rootset: RootSet, spec: SystemSpec, w, t):
-    """M(w,t), N(w,t) with time derivatives on the (w, t) grid."""
-    return KernelEvaluator(rootset, spec).mn_block(w, t)

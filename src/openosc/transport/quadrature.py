@@ -25,12 +25,15 @@ cross terms.
 
   gives S_jk = [a^M_j a^M_k* (Gn_j + Gn_k*) + a^N_j a^N_k* (Gp_j + Gp_k*)]
   / (s_j + s_k*) with Gn_k = int Wn/(s_k + iw) dw (Gp alike), while
-  c_0 = -sum_k c_k (M(w, 0) = 0) gives S_0 = sum_jk S_jk.  The G are
-  integrated once per integrator on the real line: K15 panels on [0, W]
-  graded by the distance to the integrands' nearest singularity
+  c_0 = -sum_k c_k (M(w, 0) = 0) gives S_0 = sum_jk S_jk.  One builder,
+  ``integrate_static``, integrates the G on the real line: K15 panels on
+  [0, W] graded by the distance to the integrands' nearest singularity
   (``_static_edges``, W the model's cutoff rule) and the substitution
   u = W/w beyond W.  Their ladders' signed differences pass through the
-  same assembly to give the parts' error estimates.
+  same assembly to give the parts' error estimates.  Every other term of
+  I(t) decays, so S_0 is also the stationary integral I(inf): the
+  integrator and the stationary limits (``asymptotics``) share the
+  builder.
 * The cross terms are integrated on the ray w = r e^{i theta}, where e^{iwt}
   decays as e^{-r sin(theta) t}.  c_0* continues analytically as
   conj(c_0(conj w)), whose poles sit at w_j = -i s_j; those between the
@@ -195,23 +198,11 @@ class MemoryIntegrator:
                       if c.bath.alpha > 0.0]
         if not self._live:
             return
+        self._S, self._S_err, self._tail, self._static_panels = (
+            integrate_static(evaluator,
+                             [self.components[ci] for ci in self._live]))
         s = evaluator.s
-        rate = (s[:, None] + s[None, :].conj()).ravel()
-        self._rate = np.stack([np.ones(16), rate])  # (2, 16): I and dI
-
-        self._static_panels = 0  # counted by the integrand
-        body, body_diff = _ladder(self._resolvent_integrand,
-                                  _static_edges(spec, s))
-        tail, tail_diff = _ladder(_on_ray(self._resolvent_integrand,
-                                          self.w_max), _RAY_EDGES)
-        # the assembly is linear, so the ladders' signed differences
-        # propagate through it before their magnitude is taken
-        tail_err = np.abs(self._assemble(tail_diff))
-        self._S = self._assemble(body + tail)  # (n_live, 17)
-        self._S_err = np.abs(self._assemble(body_diff)) + tail_err
-        # |e^{(s_j + s_k*) t}| <= 1, so this bounds the tail's error at any t
-        self._tail = tail_err[:, 0] + (np.abs(self._rate)
-                                       * tail_err[:, None, 1:]).sum(-1).max(-1)
+        self._rate = _rates(s)  # (2, 16): I and dI
 
         # poles of conj(c_0(conj w)) at w_j = -i s_j; the ray bisects the
         # widest angular gap in the first quadrant
@@ -234,30 +225,6 @@ class MemoryIntegrator:
                                  evaluator.rootset.xi_prime[inside])
 
     # ---------------------------------------------------------------- parts
-
-    def _resolvent_integrand(self, w):
-        """(n_w, n_live, 2, 4): Wn and Wp of each live bath times 1/(s_k + iw)."""
-        self._static_panels += w.size // 15
-        W = np.stack([wt for ci in self._live
-                      for wt in self.components[ci].weights(w)], axis=1)
-        R = self.ev._resolvent(w)
-        return (W[:, :, None] * R[:, None, :]).reshape(w.size, -1, 2, 4)
-
-    def _assemble(self, G):
-        """S_0 and the S_jk, (n_live, 17), from the resolvent integrals G.
-
-        With c_k = a_k/(s_k + iw), partial fractions turn each product
-        c_j c_k* into [1/(s_j + iw) + 1/(s_k* - iw)] a_j a_k*/(s_j + s_k*),
-        and c_0 = -sum_k c_k makes S_0 the sum of the S_jk.
-        """
-        ev = self.ev
-        Gn, Gp = G[:, 0, :, None], G[:, 1, :, None]
-        AM = ev.aM[:, None] * ev.aM[None, :].conj()
-        AN = ev.aN[:, None] * ev.aN[None, :].conj()
-        S = ((AM * (Gn + Gn.swapaxes(1, 2).conj())
-              + AN * (Gp + Gp.swapaxes(1, 2).conj())).reshape(-1, 16)
-             / self._rate[1])
-        return np.concatenate([S.sum(axis=1, keepdims=True).real, S], axis=1)
 
     def _residues(self, wj, sj, xj):
         """2 pi i Res_{w_j} F_k for I and dI: (n_live, 2, 4, n_j).
@@ -458,8 +425,9 @@ def _static_edges(spec: SystemSpec, roots: np.ndarray) -> np.ndarray:
     q(-iw)), the Lorentzian poles +-i gamma_b and each bath's first
     Matsubara pole, i 2 pi T_b (bosonic) or i pi T_b (fermionic).  A
     resonance of width eta thus gets panels of width ~eta however narrow
-    it is.  W, the model's cutoff rule, is the last edge; ``integrate_ray``
-    covers the rest.  The step floor 1e-12 W only ensures termination.
+    it is.  W, the model's cutoff rule, is the last edge; beyond it
+    ``integrate_static`` substitutes u = W/w.  The step floor 1e-12 W only
+    ensures termination.
     """
     w_knee = _default_w_max(spec)
     poles = (1j * roots).tolist()
@@ -499,20 +467,6 @@ def _ladder(weight, edges, refine=4):
     return value_prev[()], (value_prev - g7)[()]
 
 
-def integrate_static(weight, edges, refine=4):
-    """Fixed-panel K15 integration of a time-independent integrand.
-
-    ``weight`` maps an array of nodes to values whose leading axis runs over
-    the nodes; trailing axes are integrated independently.  Used for the
-    asymptotic (t -> infinity) integrals on ``_static_edges``, which grade
-    toward the integrand's singularities.
-    ``refine`` bisections give a convergence ladder; returns
-    (value, err_est).
-    """
-    value, diff = _ladder(weight, edges, refine)
-    return value, np.abs(diff)
-
-
 def _on_ray(weight, w0):
     """``weight`` on [w0, inf) in the variable u = w0/w on (0, 1], with the
     Jacobian w0/u^2."""
@@ -524,11 +478,58 @@ def _on_ray(weight, w0):
     return mapped
 
 
-def integrate_ray(weight, w0):
-    """int_{w0}^inf of ``weight`` by the substitution u = w0/w.
+def _rates(s):
+    """(2, 16): the factors 1 and s_j + s_k* that the root-root terms of I
+    and dI carry."""
+    return np.stack([np.ones(16), (s[:, None] + s[None, :].conj()).ravel()])
 
-    The integrand must decay at least like 1/w^2; the mapped integrand is
-    then bounded on (0, 1], and ``integrate_static`` integrates it on
-    ``_RAY_EDGES``.  Returns (value, err_est) as ``integrate_static`` does.
+
+def _assemble(ev, rate, G):
+    """S_0 and the S_jk, (n, 17), from the resolvent integrals G.
+
+    With c_k = a_k/(s_k + iw), partial fractions turn each product
+    c_j c_k* into [1/(s_j + iw) + 1/(s_k* - iw)] a_j a_k*/(s_j + s_k*),
+    and c_0 = -sum_k c_k makes S_0 the sum of the S_jk.
     """
-    return integrate_static(_on_ray(weight, w0), _RAY_EDGES)
+    Gn, Gp = G[:, 0, :, None], G[:, 1, :, None]
+    AM = ev.aM[:, None] * ev.aM[None, :].conj()
+    AN = ev.aN[:, None] * ev.aN[None, :].conj()
+    S = ((AM * (Gn + Gn.swapaxes(1, 2).conj())
+          + AN * (Gp + Gp.swapaxes(1, 2).conj())).reshape(-1, 16) / rate[1])
+    return np.concatenate([S.sum(axis=1, keepdims=True).real, S], axis=1)
+
+
+def integrate_static(ev, components):
+    """The static parts of the memory integrals of coupled ``components``
+    of the system that the KernelEvaluator ``ev`` holds.
+
+    Integrates Wn and Wp of each component times 1/(s_k + iw), the 8
+    resolvent integrals G per component, on ``_static_edges`` up to W and
+    in u = W/w beyond it, and assembles S_0 and the S_jk from them.  S_0 is
+    the component's stationary integral I(inf).  Returns (S, S_err, tail,
+    n_panels): the parts (n, 17) with S_0 first, their error estimates, the
+    bound on the error of the parts beyond W at any time, value and
+    derivative (n,), and the K15 panels evaluated.
+    """
+    rate, n_panels = _rates(ev.s), 0
+
+    def resolvent_integrand(w):
+        """(n_w, n, 2, 4): Wn and Wp of each component times 1/(s_k + iw)."""
+        nonlocal n_panels
+        n_panels += w.size // 15
+        W = np.stack([wt for c in components for wt in c.weights(w)], axis=1)
+        R = ev._resolvent(w)
+        return (W[:, :, None] * R[:, None, :]).reshape(w.size, -1, 2, 4)
+
+    body, body_diff = _ladder(resolvent_integrand, _static_edges(ev.spec, ev.s))
+    tail, tail_diff = _ladder(_on_ray(resolvent_integrand,
+                                      _default_w_max(ev.spec)), _RAY_EDGES)
+    # the assembly is linear, so the ladders' signed differences propagate
+    # through it before their magnitude is taken
+    tail_err = np.abs(_assemble(ev, rate, tail_diff))
+    S = _assemble(ev, rate, body + tail)
+    S_err = np.abs(_assemble(ev, rate, body_diff)) + tail_err
+    # |e^{(s_j + s_k*) t}| <= 1, so this bounds the tail's error at any t
+    tail_bound = tail_err[:, 0] + (np.abs(rate)
+                                   * tail_err[:, None, 1:]).sum(-1).max(-1)
+    return S, S_err, tail_bound, n_panels

@@ -32,7 +32,6 @@ from openosc import (
     evolve_coupled,
     make_system,
     markovian_mixture,
-    propagators_MN,
     resonance_occupation,
 )
 from openosc.cli import main
@@ -83,8 +82,8 @@ def test_01_kernel_and_coefficient_zeros(fig1_case):
     spec, series, _ = fig1_case
     rs = _quiet(characteristic_roots, spec)
     nu = oscillatory_pair(rs.roots)[1]
-    M, N, _, _ = _quiet(propagators_MN, rs, spec,
-                        [0.5, nu, 3.0, 10.0], [0.0])
+    M, N, _, _ = KernelEvaluator(rs, spec).mn_block([0.5, nu, 3.0, 10.0],
+                                                   [0.0])
     values = {
         "lambda(0)": series.friction[0],
         "D(0)": series.diffusion[0],

@@ -146,6 +146,13 @@ def test_write_csv_format(tmp_path):
     assert rows[1] == ["0.1", "1e-09"]
 
 
+def test_write_csv_rejects_ragged_columns(tmp_path):
+    path = tmp_path / "x.csv"
+    with pytest.raises(DomainError, match="unequal lengths"):
+        write_csv(path, ["a", "b"], [np.zeros(3), np.zeros(5)])
+    assert not path.exists()
+
+
 def test_write_csv_matches_the_per_value_formatter(tmp_path):
     # the row template must write what format(v, ".12g") wrote value by value
     rng = np.random.default_rng(5)
@@ -242,8 +249,8 @@ def test_asymptotics_end_to_end(tmp_path):
 
 def test_asymptotics_integrates_each_bath_once(tmp_path, monkeypatch):
     # a mixed-statistics system has every row: the bath integrals, their
-    # sum and the stationarity residual.  Each bath costs two static
-    # integrals, one up to the cutoff and one on the ray beyond it
+    # sum and the stationarity residual.  All of them come from one build
+    # of the static parts, which covers both baths
     from openosc.transport import asymptotics, quadrature
 
     calls = []
@@ -261,7 +268,7 @@ def test_asymptotics_integrates_each_bath_once(tmp_path, monkeypatch):
     assert main(["--config", str(cfg), "--out", str(out), "asymptotics"]) == 0
     _, rows = _read_csv(out / "observables.csv")
     assert "system1_stationarity_residual" in [r[0] for r in rows]
-    assert len(calls) == 4
+    assert len(calls) == 1
 
 
 def test_scenario_runs_with_overrides(tmp_path):

@@ -372,6 +372,36 @@ def test_coupled_scenarios_match_per_coupling_calls(name):
                    for got, want in zip(tables[stem][1], cols, strict=True))
 
 
+def _fig8(**overrides):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return run_scenario("fig8", **overrides)
+
+
+def test_short_fig8_grid_smooths_over_the_whole_grid():
+    # 2 pi/Omega at dt 0.01 is 629 points, more than the 201 of t <= 2: the
+    # window shrinks to the grid, and every column keeps the grid's length
+    result = _fig8(t_max=2.0)
+    for names, cols in result.tables.values():
+        assert [len(c) for c in cols] == [201] * len(names)
+    h = _uniform_step(cols[0])
+    assert result.metadata["smoothing_window"] == [201 * h, 201 * h]
+
+
+def test_preset_fig8_rates_are_the_full_period_moving_average():
+    # on the preset grid the window fits: 629 points, as the moving average
+    # over 2 pi/Omega has always taken them
+    result = _fig8()
+    for names, (t, dE1, dE2, rate1, rate2) in result.tables.values():
+        assert t.size == 2001
+        h = _uniform_step(t)
+        kernel = np.ones(629) / 629
+        for dE, rate in ((dE1, rate1), (dE2, rate2)):
+            assert np.array_equal(
+                rate, np.convolve(np.gradient(dE, t), kernel, mode="same"))
+    assert result.metadata["smoothing_window"] == [629 * h, 629 * h]
+
+
 def test_estimate_period_on_a_sine():
     t = np.arange(0.0, 20.0, 0.01)
     est = estimate_period(t, np.sin(2.0 * np.pi * t / 3.7))

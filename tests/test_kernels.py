@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from openosc import BathSpec, amplitudes_AB, characteristic_roots, make_system, propagators_MN
+from openosc import BathSpec, characteristic_roots, make_system
 from openosc.errors import DomainError
 from openosc.scenarios import fig1_system
 from openosc.transport.kernels import KernelEvaluator
@@ -18,7 +18,7 @@ def _strong():
 
 def test_amplitude_initial_values():
     spec, rs = _strong()
-    amp = amplitudes_AB(rs, spec, [0.0])
+    amp = KernelEvaluator(rs, spec).amplitude_series([0.0])
     assert amp.A[0] == pytest.approx(1.0, abs=1e-10)
     assert abs(amp.B[0]) < 1e-10
     assert abs(amp.B1[0]) < 1e-10
@@ -29,7 +29,7 @@ def test_amplitude_initial_values():
 def test_amplitude_split_is_consistent():
     spec, rs = _strong()
     t = np.linspace(0.0, 10.0, 201)
-    amp = amplitudes_AB(rs, spec, t)
+    amp = KernelEvaluator(rs, spec).amplitude_series(t)
     assert np.allclose(amp.B, amp.B1 + amp.B2, rtol=0, atol=1e-12)
     assert np.allclose(amp.dB, amp.dB1 + amp.dB2, rtol=0, atol=1e-12)
 
@@ -50,7 +50,7 @@ def test_amplitude_derivatives_match_finite_differences():
 
 def test_amplitudes_decay():
     spec, rs = _strong()
-    amp = amplitudes_AB(rs, spec, [20.0])
+    amp = KernelEvaluator(rs, spec).amplitude_series([20.0])
     # the least damped root pair decays like e^{-0.7415 t}
     assert abs(amp.A[0]) < 1e-5
     assert abs(amp.B[0]) < 1e-5
@@ -59,7 +59,7 @@ def test_amplitudes_decay():
 def test_propagator_initial_values():
     spec, rs = _strong()
     w = np.array([0.5, 2.152887549937039, 3.0, 10.0, 80.0])
-    M, N, dM, dN = propagators_MN(rs, spec, w, [0.0])
+    M, N, dM, dN = KernelEvaluator(rs, spec).mn_block(w, [0.0])
     assert np.abs(M).max() < 1e-10
     assert np.abs(N).max() < 1e-10
     assert np.allclose(dM[:, 0], -1j, rtol=0, atol=1e-8)
@@ -82,7 +82,7 @@ def test_propagator_derivatives_match_finite_differences():
 def test_negative_time_rejected():
     spec, rs = _strong()
     with pytest.raises(DomainError):
-        amplitudes_AB(rs, spec, [-0.1])
+        KernelEvaluator(rs, spec).amplitude_series([-0.1])
 
 
 def test_zero_coupling_kernels_are_free():
@@ -95,10 +95,10 @@ def test_zero_coupling_kernels_are_free():
         )
     rs = characteristic_roots(spec)
     t = np.linspace(0.0, 5.0, 101)
-    amp = amplitudes_AB(rs, spec, t)
+    amp = KernelEvaluator(rs, spec).amplitude_series(t)
     assert np.allclose(amp.A, np.exp(-1.5j * t), rtol=0, atol=1e-12)
     assert np.abs(amp.B).max() == 0.0
-    M, N, dM, dN = propagators_MN(rs, spec, [1.0, 3.0], t)
+    M, N, dM, dN = KernelEvaluator(rs, spec).mn_block([1.0, 3.0], t)
     assert np.abs(M).max() == 0.0
     assert np.abs(dN).max() == 0.0
 

@@ -3,13 +3,14 @@ import warnings
 import numpy as np
 import pytest
 
-from openosc import BathSpec, characteristic_roots, make_system
+from openosc import BathSpec, characteristic_roots, equilibrium_occupation, make_system
 from openosc.errors import QuadratureError
+from openosc.scenarios import fig3_pair, fig5_pair
 from openosc.transport import quadrature
 from openosc.transport.asymptotics import asymptotic_bath_integral
 from openosc.transport.coefficients import _bath_components
 from openosc.transport.kernels import KernelEvaluator
-from openosc.transport.quadrature import MemoryIntegrator, integrate_static
+from openosc.transport.quadrature import MemoryIntegrator
 
 #: gamma_1 = gamma_2 makes s = -gamma an exact root of the quartic, so a
 #: kernel pole sits on the Lorentzian pole
@@ -26,12 +27,19 @@ WEAK = ((+1, 1e-5, 10.0, 1.0), (+1, 1e-5, 12.0, 0.5))
 WEAKER = ((+1, 1e-7, 10.0, 1.0), (+1, 1e-7, 10.0, 1.0))
 
 
-def _integrator(baths, rtol=1e-7):
+def _spec(baths):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # fig1's fast-bath warning
-        spec = make_system(1.0, *(BathSpec(*b) for b in baths))
+        return make_system(1.0, *(BathSpec(*b) for b in baths))
+
+
+def _spec_integrator(spec, rtol=1e-7):
     ev = KernelEvaluator(characteristic_roots(spec), spec)
     return MemoryIntegrator(ev, _bath_components(spec), rtol=rtol)
+
+
+def _integrator(baths, rtol=1e-7):
+    return _spec_integrator(_spec(baths), rtol)
 
 
 def _weak_integrator(rtol=1e-7):
@@ -40,17 +48,18 @@ def _weak_integrator(rtol=1e-7):
 
 def test_static_panels_exact_on_polynomials():
     edges = np.array([0.0, 0.7, 1.3, 2.0])
-    value, err = integrate_static(lambda w: 5.0 * w**4 - w + 2.0, edges)
+    value, diff = quadrature._ladder(lambda w: 5.0 * w**4 - w + 2.0, edges)
     exact = 2.0**5 - 0.5 * 2.0**2 + 2.0 * 2.0
     assert value == pytest.approx(exact, rel=1e-14)
-    assert err <= 1e-10 * abs(exact)
+    assert abs(diff) <= 1e-10 * abs(exact)
 
 
 def test_static_panels_on_lorentzian():
     # int_0^W dw 1/(1+w^2) = arctan(W); edges deliberately coarse far out
     edges = np.concatenate([np.linspace(0.0, 10.0, 41),
                             np.geomspace(10.0, 1000.0, 20)])
-    value, _ = integrate_static(lambda w: 1.0 / (1.0 + w * w), np.unique(edges))
+    value, _ = quadrature._ladder(lambda w: 1.0 / (1.0 + w * w),
+                                  np.unique(edges))
     assert value == pytest.approx(np.arctan(1000.0), rel=1e-12)
 
 
@@ -225,7 +234,8 @@ def test_matches_brute_force_real_axis_panels(baths):
             out.append([wn * parts[0][d] + wp * parts[1][d] for d in (0, 1)])
         return np.moveaxis(np.array(out), -1, 0)  # (n_w, n_c, 2)
 
-    truncation, _ = quadrature.integrate_ray(magnitude, w_top)
+    truncation, _ = quadrature._ladder(quadrature._on_ray(magnitude, w_top),
+                                       quadrature._RAY_EDGES)
     out = integ.integrate(t)
     for ci, comp in enumerate(integ.components):
         wn, wp = comp.weights(nodes)
@@ -252,13 +262,75 @@ def test_ray_self_converges_under_bisection(baths, monkeypatch):
         assert np.all(np.abs(np.array(out[name]) - fine[name]) <= budget[ci])
 
 
+def _static_integral(integrand, spec, roots):
+    """int_0^inf of ``integrand`` on the integrator's static panels up to W
+    and in u = W/w beyond it."""
+    edges = quadrature._static_edges(spec, roots)
+    body, _ = quadrature._ladder(integrand, edges)
+    tail, _ = quadrature._ladder(quadrature._on_ray(integrand, edges[-1]),
+                                 quadrature._RAY_EDGES)
+    return body + tail
+
+
+def _quartic_stationary_integral(spec, bath_index):
+    """I_b(inf) from the characteristic quartic q, node by node:
+
+        (alpha_b gamma_b^2/pi) int_0^inf dw w (gamma_partner^2 + w^2)
+        / |q(-iw)|^2 [(omega + w)^2 n_b(w) + (omega - w)^2 (1 + eps_b n_b(w))]
+
+    the resolvent form of the stationary integral, independent of the
+    kernels' partial fractions that the static parts are assembled from.
+    q taken from its coefficients loses digits near a narrow resonance
+    (3.4e-10 relative at alpha 1e-6, against 8e-14 with q in factored
+    form), which the fixtures here, at alpha >= 1e-3, stay clear of.
+    """
+    bath, partner = spec.baths[bath_index], spec.baths[1 - bath_index]
+    rootset = characteristic_roots(spec)
+    a, g, w = bath.alpha, bath.gamma, spec.omega
+
+    def integrand(wq):
+        qv = np.abs(np.polyval(rootset.quartic_coefficients, -1j * wq)) ** 2
+        n = equilibrium_occupation(wq, bath.temperature, bath.statistics)
+        bracket = (w + wq) ** 2 * n + (w - wq) ** 2 * (1.0 + bath.statistics * n)
+        return (a * g * g / np.pi) * wq * (partner.gamma**2 + wq**2) / qv * bracket
+
+    return float(_static_integral(integrand, spec, rootset.roots))
+
+
+#: the fig3 and fig5 pairs' systems, as (pair builder, system index)
+PAIR_SYSTEMS = [(fig3_pair, 0), (fig3_pair, 1), (fig5_pair, 0), (fig5_pair, 1)]
+
+
+def _stationary_spec(baths):
+    """The system of a bath fixture or of a ``PAIR_SYSTEMS`` entry."""
+    if not callable(baths[0]):
+        return _spec(baths)
+    builder, index = baths
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return builder().systems[index]
+
+
 @pytest.mark.parametrize("baths", [EQUAL_CUTOFFS, NEAR_ROOTS, FERMIONIC_T0,
-                                   FIG1])
+                                   FIG1, *PAIR_SYSTEMS])
 def test_static_part_is_the_stationary_integral(baths):
-    integ = _integrator(baths)
+    # every other term of I(t) decays, so S_0 is I(inf); the integrator and
+    # the stationary limits both read it from the static-part builder
+    spec = _stationary_spec(baths)
+    integ = _spec_integrator(spec)
     for ci in range(2):
-        stationary = asymptotic_bath_integral(integ.ev.spec, ci)
-        assert integ._S[ci, 0].real == pytest.approx(stationary, rel=1e-12)
+        reference = _quartic_stationary_integral(spec, ci)
+        assert integ._S[ci, 0].real == pytest.approx(reference, rel=1e-12)
+        assert asymptotic_bath_integral(spec, ci) == pytest.approx(
+            reference, rel=1e-12)
+
+
+def test_uncoupled_bath_has_exact_zero_stationary_integral():
+    # mixed systems are ordered fermionic first, so bath 1 is the uncoupled one
+    spec = _spec(((-1, 0.0, 10.0, 1.0), (+1, 0.01, 12.0, 0.5)))
+    assert asymptotic_bath_integral(spec, 0) == 0.0
+    assert asymptotic_bath_integral(spec, 1) == pytest.approx(
+        _quartic_stationary_integral(spec, 1), rel=1e-12)
 
 
 def test_uncoupled_bath_gives_exact_zero():
@@ -316,10 +388,7 @@ def _quadratic_static_parts(integ):
                 [s0[:, None], wn[:, None] * MM + wp[:, None] * NN], axis=1))
         return np.stack(out, axis=1)
 
-    body, _ = integrate_static(integrand,
-                               quadrature._static_edges(ev.spec, ev.s))
-    tail, _ = quadrature.integrate_ray(integrand, integ.w_max)
-    return body + tail
+    return _static_integral(integrand, ev.spec, ev.s)
 
 
 @pytest.mark.parametrize("baths", [EQUAL_CUTOFFS, NEAR_ROOTS, FERMIONIC_T0,
