@@ -35,6 +35,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import (
+    STATIONARITY_TOL,
     _local_cubic,
     antiphase_metric,
     detect_stationarity,
@@ -79,13 +80,16 @@ _SCHEMA = {
     "coupling": ("beta",),
     "run": ("t_max", "dt", "n0", "scenario"),
     "quadrature": ("rtol",),
-    "kernel": ("abs_A_power",),
     "sweep": None,  # keys are parameter paths, validated separately
 }
 _SECTION_ORDER = tuple(_SCHEMA)
 
 _DEFAULTS = {"t_max": 20.0, "dt": 0.005, "n0": (0.0,), "rtol": DEFAULT_RTOL,
-             "abs_A_power": 2, "beta": 0.0}
+             "beta": 0.0}
+
+#: the sections a sweep point reads: ``_single_run`` runs the first system
+#: alone, uncoupled
+_SWEPT = ("oscillator", "bath.1", "bath.2", "quadrature")
 
 _UNITS_NOTE = (
     "frequencies and temperatures in units of Omega_1 (hbar = k_B = 1); "
@@ -205,25 +209,20 @@ def config_run(raw) -> dict:
             raise ConfigError(f"[run] n0 = {run['n0']!r} is not a number list")
     else:
         out["n0"] = _DEFAULTS["n0"]
+    if len(out["n0"]) > 2:
+        raise ConfigError(f"[run] n0 = {run['n0']!r} lists more than two "
+                          "values (one per oscillator)")
     if out["t_max"] <= 0 or out["dt"] <= 0:
         raise ConfigError("[run] t_max and dt must be positive")
     return out
 
 
 def config_numerics(raw, rtol_override=None) -> dict:
-    kern = raw.get("kernel", {})
     rtol = (rtol_override if rtol_override is not None
             else _get_float(raw, "quadrature", "rtol", _DEFAULTS["rtol"]))
-    power_txt = kern.get("abs_A_power", str(_DEFAULTS["abs_A_power"]))
-    try:
-        power = int(power_txt)
-    except ValueError:
-        raise ConfigError(f"[kernel] abs_A_power = {power_txt!r} is not an integer")
-    if power not in (1, 2):
-        raise ConfigError("[kernel] abs_A_power must be 1 or 2")
     if rtol <= 0:
         raise ConfigError("[quadrature] rtol must be positive")
-    return {"rtol": rtol, "abs_A_power": power}
+    return {"rtol": rtol}
 
 
 def config_sweep(raw) -> list:
@@ -234,13 +233,13 @@ def config_sweep(raw) -> list:
     entries = []
     for path, text in sweep.items():
         section, _, key = path.rpartition(".")
-        allowed = _SCHEMA.get(section)
-        if section in ("sweep",) or section not in _SCHEMA or (
-            allowed is not None and key not in allowed
-        ):
+        if section not in _SCHEMA or key not in (_SCHEMA[section] or ()):
             raise ConfigError(f"[sweep] {path!r} does not name a config key")
-        if key == "statistics" or section == "run":
-            raise ConfigError(f"[sweep] cannot sweep {path!r}")
+        if key == "statistics" or section not in _SWEPT:
+            raise ConfigError(
+                f"[sweep] cannot sweep {path!r}: a sweep point's single-system "
+                "run reads only the numeric keys of "
+                + ", ".join(f"[{s}]" for s in _SWEPT))
         try:
             values = [float(v) for v in text.split(",") if v.strip()]
         except ValueError:
@@ -344,7 +343,7 @@ def _series_observables(series, traj):
     finite = tail & np.isfinite(series.ratio)
     if finite.sum() >= 2:
         stationary, variation = detect_stationarity(series.ratio[finite])
-        rows.append(("ratio_variation", variation, lo, t_max, 0.01,
+        rows.append(("ratio_variation", variation, lo, t_max, STATIONARITY_TOL,
                      "stationary" if stationary else "oscillating"))
     rows.append(("envelope_exceeded",
                  float(traj.metadata["envelope_exceeded"]), 0.0, t_max,
@@ -474,6 +473,9 @@ def cmd_sweep(raw, out, numerics, workers, rtol_override):
     entries = config_sweep(raw)
     base = {s: dict(b) for s, b in raw.items() if s != "sweep"}
     paths = [p for p, _ in entries]
+    if rtol_override is not None and "quadrature.rtol" in paths:
+        raise ConfigError("[sweep] cannot sweep 'quadrature.rtol' under "
+                          "--rtol, which overrides it at every point")
     grids = [v for _, v in entries]
     points = []
     shape = [len(g) for g in grids]
@@ -519,15 +521,14 @@ def cmd_sweep(raw, out, numerics, workers, rtol_override):
 
 # -------------------------------------------------------------------- validate
 
-def _closed_form(series, spec, n0, power):
+def _closed_form(series, spec, n0):
     """Occupation from the response amplitudes directly (no stepping)."""
     amp = series.amplitudes
     A2 = np.abs(amp.A) ** 2
     B2 = np.abs(amp.B) ** 2
     eps = spec.baths[0].statistics
-    absA = A2 if power == 2 else np.sqrt(A2)
     I_total = series.memory_integrals[0] + series.memory_integrals[1]
-    return (absA + eps * B2) * n0 + B2 + I_total
+    return (A2 + eps * B2) * n0 + B2 + I_total
 
 
 def _second_order_resolve(series, base, start_index):
@@ -589,7 +590,7 @@ def cmd_validate(raw, out, numerics):
     # t = 0+ (see the dynamics module), so RK4's fourth order is lost in the
     # first steps
     traj = evolve(series, spec, n0)
-    closed = _closed_form(series, spec, n0, numerics["abs_A_power"])
+    closed = _closed_form(series, spec, n0)
     dev_closed = float(np.max(np.abs(traj.occupations[0] - closed)))
     check("closed_form_vs_ode", dev_closed, 2e-4, dev_closed <= 2e-4)
 

@@ -48,6 +48,10 @@ BLOWUP = 1e12
 #: in fact the signature of the persistently oscillating regimes
 ENVELOPE_FACTOR = 10.0
 
+#: a series whose relative variation (max - min)/|mean| stays below this
+#: counts as stationary
+STATIONARITY_TOL = 0.01
+
 #: RK4 half-steps whose maps are built and scanned together; the state is
 #: carried from block to block
 BLOCK = 512
@@ -411,14 +415,15 @@ def estimate_period(t, x, window=None) -> PeriodEstimate:
                           low_confidence=low)
 
 
-def detect_stationarity(x, *, tol: float = 0.01):
-    """(is_stationary, variation) with variation = (max-min)/|mean|."""
+def detect_stationarity(x):
+    """(is_stationary, variation) with variation = (max-min)/|mean|,
+    stationary below ``STATIONARITY_TOL``."""
     x = np.asarray(x, dtype=float)
     if x.size < 2:
         raise InsufficientDataError("stationarity check needs at least 2 samples")
     denom = max(abs(float(x.mean())), 1e-300)
     variation = float((x.max() - x.min()) / denom)
-    return variation < tol, variation
+    return variation < STATIONARITY_TOL, variation
 
 
 def antiphase_metric(x1, x2) -> float:

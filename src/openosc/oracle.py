@@ -274,8 +274,9 @@ def _evolve_rwa(w, w_bath, a_bath, occ_bath, t, n0):
     return n_out
 
 
-def compare(t_a, n_a, t_b, n_b, *, n_points: int | None = None) -> ComparisonReport:
-    """Pointwise deviation of two trajectories on their common time window."""
+def compare(t_a, n_a, t_b, n_b) -> ComparisonReport:
+    """Pointwise deviation of two trajectories on their common time window,
+    sampled at as many uniform times as the shorter trajectory has."""
     t_a = np.asarray(t_a, dtype=float)
     t_b = np.asarray(t_b, dtype=float)
     lo = max(t_a.min(), t_b.min())
@@ -285,9 +286,7 @@ def compare(t_a, n_a, t_b, n_b, *, n_points: int | None = None) -> ComparisonRep
             f"trajectories do not overlap in time ([{t_a.min():g}, {t_a.max():g}] "
             f"vs [{t_b.min():g}, {t_b.max():g}])"
         )
-    if n_points is None:
-        n_points = int(min(t_a.size, t_b.size))
-    grid = np.linspace(lo, hi, n_points)
+    grid = np.linspace(lo, hi, min(t_a.size, t_b.size))
     dev = np.abs(np.interp(grid, t_a, np.asarray(n_a, dtype=float))
                  - np.interp(grid, t_b, np.asarray(n_b, dtype=float)))
     k = int(np.argmax(dev))

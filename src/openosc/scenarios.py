@@ -163,8 +163,8 @@ def _energies_table(traj):
             [traj.t, traj.dissipation[0], traj.dissipation[1]])
 
 
-def run_scenario(name: str, *, t_max=None, dt=None, n0=None,
-                 rtol=DEFAULT_RTOL, abs_A_power: int = 2) -> ScenarioResult:
+def run_scenario(name: str, *, t_max=None, dt=None,
+                 rtol=DEFAULT_RTOL) -> ScenarioResult:
     """Run one preset scenario and return its tables."""
     if name not in SCENARIOS:
         raise ConfigError(
@@ -173,43 +173,40 @@ def run_scenario(name: str, *, t_max=None, dt=None, n0=None,
     d = SCENARIOS[name]
     t_max = float(t_max if t_max is not None else d.t_max)
     dt = float(dt if dt is not None else d.dt)
-    n0 = tuple(np.atleast_1d(n0)) if n0 is not None else d.n0
     t = np.arange(0.0, t_max + 0.5 * dt, dt)
-    kw = dict(rtol=rtol, abs_A_power=abs_A_power)
 
     meta = {"scenario": name, "description": d.description, "t_max": t_max,
-            "dt": dt, "rtol": rtol, "abs_A_power": abs_A_power}
+            "dt": dt, "rtol": rtol}
     tables = {}
 
     if d.product in ("coefficients", "trajectory"):
         spec = fig1_system()
-        series = coefficient_series(spec, t, **kw)
+        series = coefficient_series(spec, t, rtol=rtol)
         if d.product == "coefficients":
             names, cols = _coefficient_table(series)
             tables["coefficients"] = (names, cols)
         else:
-            traj = evolve(series, spec, n0[0])
+            traj = evolve(series, spec, d.n0[0])
             tables["trajectory"] = _trajectory_table(traj)
             meta["envelope_exceeded"] = traj.metadata["envelope_exceeded"]
         return ScenarioResult(name=name, tables=tables, metadata=meta)
 
     pair = _PAIR_BUILDERS[name]()
     s1, s2 = pair.systems
-    series1 = coefficient_series(s1, t, **kw)
-    series2 = coefficient_series(s2, t, **kw)
+    series1 = coefficient_series(s1, t, rtol=rtol)
+    series2 = coefficient_series(s2, t, rtol=rtol)
 
     if d.product == "coupled-coefficients":
         for label, series in (("system1", series1), ("system2", series2)):
             tables[f"coefficients_{label}"] = _coefficient_table(series)
         return ScenarioResult(name=name, tables=tables, metadata=meta)
 
-    n0 = n0 if len(n0) == 2 else (n0[0], n0[0])
     meta["betas"] = list(d.betas)
     # every coupling of the scenario is stepped in one pass
     pair_series = (series1, series2)
     if d.product == "delta-dissipation":
         uncoupled, *coupled = _evolve(pair_series, pair.systems,
-                                      (0.0,) + d.betas, n0)
+                                      (0.0,) + d.betas, d.n0)
         for beta, traj in zip(d.betas, coupled):
             dd = _dissipation_excess(traj, uncoupled, pair.systems)
             tables[f"delta_beta{beta:g}"] = (
@@ -223,6 +220,6 @@ def run_scenario(name: str, *, t_max=None, dt=None, n0=None,
                    if d.product == "coupled-trajectory"
                    else ("energies", _energies_table))
     for beta, traj in zip(d.betas, _evolve(pair_series, pair.systems,
-                                           d.betas, n0)):
+                                           d.betas, d.n0)):
         tables[f"{stem}_beta{beta:g}"] = table(traj)
     return ScenarioResult(name=name, tables=tables, metadata=meta)

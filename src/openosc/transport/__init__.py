@@ -10,7 +10,7 @@ from .asymptotics import (
 )
 from .coefficients import RATIO_FLOOR, CoefficientSeries, coefficient_series
 from .kernels import AmplitudeSeries, KernelEvaluator
-from .quadrature import DEFAULT_RTOL, ComponentSpec, MemoryIntegrator
+from .quadrature import DEFAULT_RTOL, MemoryIntegrator
 from .roots import (
     RootSet,
     characteristic_polynomial,
@@ -21,7 +21,6 @@ from .roots import (
 __all__ = [
     "AmplitudeSeries",
     "CoefficientSeries",
-    "ComponentSpec",
     "DEFAULT_RTOL",
     "KernelEvaluator",
     "MemoryIntegrator",

@@ -28,9 +28,8 @@ from ..model import (
     mixing_fraction,
     spectral_density,
 )
-from .coefficients import _bath_components
 from .kernels import KernelEvaluator
-from .quadrature import integrate_static
+from .quadrature import _coupled, integrate_static
 from .roots import characteristic_roots
 
 
@@ -49,12 +48,11 @@ def _stationary_integrals(spec: SystemSpec) -> tuple:
     Raises DomainError if both couplings vanish.
     """
     _require_coupling(spec)
-    ev = KernelEvaluator(characteristic_roots(spec), spec)
-    components = _bath_components(spec)
-    live = [c for c in components if c.bath.alpha > 0.0]
-    S = integrate_static(ev, live)[0]
-    S_0 = {c.name: float(row[0].real) for c, row in zip(live, S)}
-    return tuple(S_0.get(c.name, 0.0) for c in components)
+    S = integrate_static(KernelEvaluator(characteristic_roots(spec), spec))[0]
+    S_0 = [0.0, 0.0]
+    for i, row in zip(_coupled(spec), S):
+        S_0[i] = float(row[0].real)
+    return tuple(S_0)
 
 
 def asymptotic_bath_integral(spec: SystemSpec, bath_index: int) -> float:

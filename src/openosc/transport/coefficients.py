@@ -2,8 +2,9 @@
 
 The reduced occupation dynamics is driven by two coefficient series built
 from the response amplitudes A(t), B(t) and the bath memory integrals
-I(t).  With X = |A|^p + eps |B|^2 (p the modulus power, eps the bath
-statistics sign):
+I(t).  The oscillator is linearly coupled to its baths, so its occupation
+is quadratic in the amplitudes, n = X n0 + |B|^2 + I with
+X = |A|^2 + eps |B|^2 (eps the bath statistics sign), and
 
     friction   lambda(t) = -(1/2) dX/dt / X
     diffusion  D(t)      = sum_b [ lambda (J_b + I_b) + (dJ_b + dI_b)/2 ]
@@ -36,7 +37,7 @@ from ..model import (
     mixing_fraction,
 )
 from .kernels import KernelEvaluator
-from .quadrature import DEFAULT_RTOL, ComponentSpec, MemoryIntegrator
+from .quadrature import DEFAULT_RTOL, MemoryIntegrator
 from .roots import characteristic_roots
 
 #: friction magnitudes below this fraction of the series maximum make the
@@ -76,22 +77,14 @@ class CoefficientSeries:
     quadrature_reports: list
 
 
-def _friction_from(A, dA, B, dB, eps, power, t):
-    """-(1/2) dX/X for X = |A|^power + eps |B|^2, with cancellation guard."""
+def _friction_from(A, dA, B, dB, eps, t):
+    """-(1/2) dX/X for X = |A|^2 + eps |B|^2, with cancellation guard."""
     A2 = A.real**2 + A.imag**2
     B2 = B.real**2 + B.imag**2
     re_AdA = A.real * dA.real + A.imag * dA.imag
     re_BdB = B.real * dB.real + B.imag * dB.imag
-    if power == 2:
-        X = A2 + eps * B2
-        dX = 2.0 * re_AdA + 2.0 * eps * re_BdB
-    elif power == 1:
-        absA = np.sqrt(A2)
-        X = absA + eps * B2
-        dX = np.where(absA > 0, re_AdA / np.where(absA > 0, absA, 1.0), 0.0)
-        dX = dX + 2.0 * eps * re_BdB
-    else:
-        raise DomainError(f"modulus power must be 1 or 2, got {power}")
+    X = A2 + eps * B2
+    dX = 2.0 * re_AdA + 2.0 * eps * re_BdB
     healthy = A2 + B2  # both decay as e^{-2 eta t}; X must not be small
     bad = np.abs(X) <= _CANCEL_TOL * healthy  # relative to that envelope
     if bad.any():
@@ -102,16 +95,6 @@ def _friction_from(A, dA, B, dB, eps, power, t):
             time=float(np.atleast_1d(t)[k]),
         )
     return -0.5 * dX / X
-
-
-def _bath_components(spec: SystemSpec):
-    """Quadrature components for the memory integrals of each bath.
-
-    Each bath enters with its own statistics: for mixed systems bath 1
-    through the fermionic variant and bath 2 through the bosonic one.
-    """
-    return [ComponentSpec(name=f"bath{idx}", bath=bath)
-            for idx, bath in enumerate(spec.baths, start=1)]
 
 
 def _j_parts(series):
@@ -126,7 +109,7 @@ def _j_parts(series):
     return (J1, J2), (dJ1, dJ2)
 
 
-def coefficient_series(spec: SystemSpec, t, *, abs_A_power: int = 2,
+def coefficient_series(spec: SystemSpec, t, *,
                        rtol: float = DEFAULT_RTOL) -> CoefficientSeries:
     """Compute lambda(t) and D(t) for one system on the given time grid.
 
@@ -135,8 +118,6 @@ def coefficient_series(spec: SystemSpec, t, *, abs_A_power: int = 2,
     spec : SystemSpec
     t : array_like
         Nonnegative, strictly increasing times.
-    abs_A_power : {1, 2}
-        Power of |A| in the friction denominator X = |A|^p + eps |B|^2.
     rtol : float
         Accuracy contract of the memory integrals (see ``MemoryIntegrator``).
     """
@@ -150,7 +131,7 @@ def coefficient_series(spec: SystemSpec, t, *, abs_A_power: int = 2,
     ev = KernelEvaluator(rootset, spec)
     amp = ev.amplitude_series(t)
 
-    integ = MemoryIntegrator(ev, _bath_components(spec), rtol=rtol)
+    integ = MemoryIntegrator(ev, rtol=rtol)
     out = integ.integrate(t)
     I1, dI1 = out["bath1"]
     I2, dI2 = out["bath2"]
@@ -158,10 +139,8 @@ def coefficient_series(spec: SystemSpec, t, *, abs_A_power: int = 2,
     (J1, J2), (dJ1, dJ2) = _j_parts(amp)
 
     if spec.statistics_mode == MIXED:
-        lam_f = _friction_from(amp.A, amp.dA, amp.B, amp.dB, FERMIONIC,
-                               abs_A_power, t)
-        lam_b = _friction_from(amp.A, amp.dA, amp.B, amp.dB, BOSONIC,
-                               abs_A_power, t)
+        lam_f = _friction_from(amp.A, amp.dA, amp.B, amp.dB, FERMIONIC, t)
+        lam_b = _friction_from(amp.A, amp.dA, amp.B, amp.dB, BOSONIC, t)
         D_f = lam_f * (J1 + I1) + 0.5 * (dJ1 + dI1)
         D_b = lam_b * (J2 + I2) + 0.5 * (dJ2 + dI2)
         p = mixing_fraction(*spec.baths)
@@ -169,7 +148,7 @@ def coefficient_series(spec: SystemSpec, t, *, abs_A_power: int = 2,
         parts = (D_f, D_b)
     else:
         eps = spec.baths[0].statistics
-        lam = _friction_from(amp.A, amp.dA, amp.B, amp.dB, eps, abs_A_power, t)
+        lam = _friction_from(amp.A, amp.dA, amp.B, amp.dB, eps, t)
         D_1 = lam * (J1 + I1) + 0.5 * (dJ1 + dI1)
         D_2 = lam * (J2 + I2) + 0.5 * (dJ2 + dI2)
         parts = (D_1, D_2)

@@ -5,9 +5,12 @@ The integrals have the form
     I(t)     = int_0^inf dw [ Wn(w) |M(w,t)|^2 + Wp(w) |N(w,t)|^2 ]
     dI/dt(t) = int_0^inf dw [ Wn(w) d|M|^2/dt + Wp(w) d|N|^2/dt ]
 
-with weights Wn, Wp (spectral density times occupation factors) and the
-five-node propagator kernels M, N.  Both kernels are exponential sums,
-M = c_0 e^{-iwt} + sum_k c_k e^{s_k t} (N alike), so
+with weights Wn, Wp (``_weights``: a bath's spectral density times its
+occupation factors) and the five-node propagator kernels M, N.  The
+integrator reads both baths from the system; an uncoupled bath's weights
+vanish, so its integrals are exactly 0 and are not computed (``_coupled``).
+Both kernels are exponential sums, M = c_0 e^{-iwt} + sum_k c_k e^{s_k t}
+(N alike), so
 
     I(t) = S_0 + sum_jk S_jk e^{(s_j + s_k*) t} + 2 Re sum_k e^{s_k t} C_k(t)
 
@@ -108,6 +111,9 @@ DEFAULT_RTOL = 1e-7
 #: Rounding allowance, relative to the summed magnitudes of the parts.
 _ROUNDING = 64 * np.finfo(float).eps
 
+#: Bisections of the static panels in ``_ladder``'s convergence ladder.
+_REFINE = 4
+
 #: K15 panels in u = W/w on (0, 1] for integrals over the real ray [W, inf).
 _RAY_EDGES = np.array([0.0, 0.25, 0.5, 1.0])
 
@@ -124,29 +130,28 @@ _PHASE_STEP = round(_TIME_BLOCK ** 0.5)
 _UNIFORM_ULPS = 4
 
 
-@dataclass(frozen=True)
-class ComponentSpec:
-    """One bath's memory integral: its weights on |M|^2 and |N|^2.
+def _weights(bath: BathSpec, w):
+    """(occupied, vacant) weights of ``bath`` at frequencies w, Re w > 0.
 
-    Both weights are the Lorentzian spectral weight
+    Both are the Lorentzian spectral weight
     g(w) = (alpha gamma^2/pi) w/(gamma^2 + w^2) times the bath's occupation
-    factors: n(w) on |M|^2 and 1 + eps n(w) on |N|^2.
+    factors: n(w) on |M|^2 and 1 + eps n(w) on |N|^2.  Real w serves the
+    real line, complex w the rotated ray: both factors continue
+    analytically off the real axis.
     """
+    a, g = bath.alpha, bath.gamma
+    pref = (a * g * g / np.pi) * w / (g * g + w * w)
+    n = equilibrium_occupation(w, bath.temperature, bath.statistics)
+    return pref * n, pref * (1.0 + bath.statistics * n)
 
-    name: str
-    bath: BathSpec
 
-    def weights(self, w):
-        """(occupied, vacant) weights at frequencies w with Re w > 0.
+def _coupled(spec: SystemSpec) -> list:
+    """Indices of the coupled baths of ``spec``.
 
-        Real w serves the real line, complex w the rotated ray: both
-        factors continue analytically off the real axis.
-        """
-        a, g = self.bath.alpha, self.bath.gamma
-        pref = (a * g * g / np.pi) * w / (g * g + w * w)
-        n = equilibrium_occupation(w, self.bath.temperature,
-                                   self.bath.statistics)
-        return pref * n, pref * (1.0 + self.bath.statistics * n)
+    An uncoupled bath's weights vanish identically, and so do its
+    integrals, so only the coupled ones are integrated.
+    """
+    return [i for i, b in enumerate(spec.baths) if b.alpha > 0.0]
 
 
 @dataclass
@@ -157,9 +162,9 @@ class QuadratureReport:
     rung of their ladders, on the real line and beyond W) plus the ray's
     (both levels).  ``w_max`` is the real-line split point W.
     ``max_rel_error`` is the largest error budget relative to the
-    per-component error scales.  ``tail_bound`` maps component name to the
-    absolute error estimate of the static parts beyond W, bounded over every
-    time and over value and derivative.
+    per-bath error scales.  ``tail_bound`` maps each bath's name ("bath1",
+    "bath2") to the absolute error estimate of the static parts beyond W,
+    bounded over every time and over value and derivative.
     """
 
     n_panels: int
@@ -169,7 +174,7 @@ class QuadratureReport:
 
 
 class MemoryIntegrator:
-    """Integrates a set of memory-integral components on a time grid.
+    """Integrates both baths' memory integrals on a time grid.
 
     The static parts are integrated on construction; ``integrate`` adds the
     cross terms for the requested times.
@@ -177,30 +182,26 @@ class MemoryIntegrator:
     Parameters
     ----------
     evaluator : KernelEvaluator
-        Supplies the roots and the per-node coefficients of M and N.
-    components : sequence of ComponentSpec
+        Supplies the roots and the per-node coefficients of M and N, and
+        the system, whose baths are integrated.
     rtol : float
         Accuracy contract: ``integrate`` raises QuadratureError if the error
         budget exceeds rtol times the error scale at any time.
     """
 
-    def __init__(self, evaluator, components, *, rtol=DEFAULT_RTOL):
+    def __init__(self, evaluator, *, rtol=DEFAULT_RTOL):
         self.ev = evaluator
-        self.components = list(components)
         self.rtol = float(rtol)
         spec = evaluator.spec
         self.w_max = _default_w_max(spec)
         self._Omega = spec.omega_renormalized
         self.last_report = None
-        # an uncoupled bath's weights vanish identically, and so do its
-        # integrals; only the coupled ones are integrated
-        self._live = [ci for ci, c in enumerate(self.components)
-                      if c.bath.alpha > 0.0]
+        self._live = _coupled(spec)
+        self._baths = [spec.baths[i] for i in self._live]
         if not self._live:
             return
         self._S, self._S_err, self._tail, self._static_panels = (
-            integrate_static(evaluator,
-                             [self.components[ci] for ci in self._live]))
+            integrate_static(evaluator))
         s = evaluator.s
         self._rate = _rates(s)  # (2, 16): I and dI
 
@@ -238,8 +239,8 @@ class MemoryIntegrator:
         poles = -1j * xj * (ev.g1 + sj) * (ev.g2 + sj)
         _, _, _, cMk, cNk = ev._mn_coefficients(wj)  # (n_j, 4)
         out = []
-        for ci in self._live:
-            wn, wp = self.components[ci].weights(wj)
+        for bath in self._baths:
+            wn, wp = _weights(bath, wj)
             res = 2j * np.pi * (
                 (-wn * (wj + ev.w) * poles)[:, None] * cMk
                 + (wp * (wj - ev.w) * poles)[:, None] * cNk)  # (n_j, 4)
@@ -258,15 +259,15 @@ class MemoryIntegrator:
         _, _, _, cMk, cNk = self.ev._mn_coefficients(w)
         rate = self.ev.s[None, :] + 1j * w[:, None]
         f = []
-        for ci in self._live:
-            wn, wp = self.components[ci].weights(w)
+        for bath in self._baths:
+            wn, wp = _weights(bath, w)
             F = ((wn * cM0.conj() * jac)[:, None] * cMk
                  + (wp * cN0.conj() * jac)[:, None] * cNk)  # (n_v, 4)
             f.append(np.stack([F, F * rate], axis=1))
         return w, np.stack(f, axis=1).reshape(w.size, -1)
 
     def _block(self, t, rays):
-        """I and dI of the coupled components at times t > 0, with budgets.
+        """I and dI of the coupled baths at times t > 0, with budgets.
 
         ``rays`` holds the ray's nodes at the base level and one bisection
         finer; the finer gives the value, their difference its error.
@@ -301,7 +302,7 @@ class MemoryIntegrator:
         return value, budget
 
     def _error_scales(self, totals: np.ndarray) -> np.ndarray:
-        """Per-(component, derivative, time) denominators for error control.
+        """Per-(bath, derivative, time) denominators for error control.
 
         The value integrals are sign-definite, so their own magnitude is the
         right yardstick, floored at 1e-6 of the larger of the grid maximum
@@ -324,18 +325,20 @@ class MemoryIntegrator:
     # -------------------------------------------------------------- main entry
 
     def integrate(self, t):
-        """Integrate all components at the times ``t``.
+        """Integrate both baths' memory integrals at the times ``t``.
 
-        Returns a dict name -> (I, dI) and stores a QuadratureReport in
+        Returns {"bath1": (I, dI), "bath2": (I, dI)}, exactly 0.0 for an
+        uncoupled bath, and stores a QuadratureReport in
         ``last_report``.  I(0) = dI(0) = 0 exactly, because every kernel
         vanishes at t = 0.  Raises QuadratureError if the error budget
         exceeds rtol.
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        totals = np.zeros((len(self.components), 2, t.size))
+        names = ("bath1", "bath2")
+        totals = np.zeros((2, 2, t.size))
         pos = t > 0.0
         n_panels, worst = 0, 0.0
-        tail = {c.name: 0.0 for c in self.components}
+        tail = dict.fromkeys(names, 0.0)
         if self._live and pos.any():
             tp = t[pos]
             # e^{iwt} decays over r ~ 1/t_max and reaches out to 1/t_min
@@ -356,14 +359,14 @@ class MemoryIntegrator:
                 )
             for li, ci in enumerate(self._live):
                 totals[ci][:, pos] = value[li]
-                tail[self.components[ci].name] = float(self._tail[li])
+                tail[names[ci]] = float(self._tail[li])
             n_panels = self._static_panels + sum(w.size // 15 for w, _ in rays)
         self.last_report = QuadratureReport(
             n_panels=n_panels, w_max=self.w_max, max_rel_error=worst,
             tail_bound=tail,
         )
-        return {comp.name: (totals[ci, 0], totals[ci, 1])
-                for ci, comp in enumerate(self.components)}
+        return {name: (totals[ci, 0], totals[ci, 1])
+                for ci, name in enumerate(names)}
 
 
 def _phase_table(w, t):
@@ -443,16 +446,16 @@ def _static_edges(spec: SystemSpec, roots: np.ndarray) -> np.ndarray:
     return np.array(edges)
 
 
-def _ladder(weight, edges, refine=4):
+def _ladder(weight, edges):
     """Fixed-panel K15 integration with a signed error estimate.
 
-    ``refine`` bisections of ``edges`` give a convergence ladder, stopped
+    ``_REFINE`` bisections of ``edges`` give a convergence ladder, stopped
     once two rungs agree to 1e-12 of the largest value, else closed with the
     embedded G7 rule.  Returns (value, value minus the coarser estimate).
     """
     edges = np.asarray(edges, dtype=float)
     value_prev = None
-    for level in range(refine + 1):
+    for level in range(_REFINE + 1):
         nodes, half = _k15_nodes(edges)
         f = np.asarray(weight(nodes))
         f = f.reshape((half.size, 15) + f.shape[1:])
@@ -461,7 +464,7 @@ def _ladder(weight, edges, refine=4):
                                        <= 1e-12 * np.abs(value).max()):
             return value[()], (value - value_prev)[()]
         value_prev = value
-        if level < refine:
+        if level < _REFINE:
             edges = _bisect(edges)
     g7 = np.einsum("pk...,k,p->...", f, WG, half)
     return value_prev[()], (value_prev - g7)[()]
@@ -499,25 +502,26 @@ def _assemble(ev, rate, G):
     return np.concatenate([S.sum(axis=1, keepdims=True).real, S], axis=1)
 
 
-def integrate_static(ev, components):
-    """The static parts of the memory integrals of coupled ``components``
-    of the system that the KernelEvaluator ``ev`` holds.
+def integrate_static(ev):
+    """The static parts of the memory integrals of the coupled baths
+    (``_coupled``) of the system that the KernelEvaluator ``ev`` holds.
 
-    Integrates Wn and Wp of each component times 1/(s_k + iw), the 8
-    resolvent integrals G per component, on ``_static_edges`` up to W and
-    in u = W/w beyond it, and assembles S_0 and the S_jk from them.  S_0 is
-    the component's stationary integral I(inf).  Returns (S, S_err, tail,
+    Integrates Wn and Wp of each bath times 1/(s_k + iw), the 8 resolvent
+    integrals G per bath, on ``_static_edges`` up to W and in u = W/w
+    beyond it, and assembles S_0 and the S_jk from them.  S_0 is the
+    bath's stationary integral I(inf).  Returns (S, S_err, tail,
     n_panels): the parts (n, 17) with S_0 first, their error estimates, the
     bound on the error of the parts beyond W at any time, value and
     derivative (n,), and the K15 panels evaluated.
     """
     rate, n_panels = _rates(ev.s), 0
+    baths = [ev.spec.baths[i] for i in _coupled(ev.spec)]
 
     def resolvent_integrand(w):
-        """(n_w, n, 2, 4): Wn and Wp of each component times 1/(s_k + iw)."""
+        """(n_w, n, 2, 4): Wn and Wp of each bath times 1/(s_k + iw)."""
         nonlocal n_panels
         n_panels += w.size // 15
-        W = np.stack([wt for c in components for wt in c.weights(w)], axis=1)
+        W = np.stack([wt for b in baths for wt in _weights(b, w)], axis=1)
         R = ev._resolvent(w)
         return (W[:, :, None] * R[:, None, :]).reshape(w.size, -1, 2, 4)
 

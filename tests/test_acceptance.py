@@ -37,7 +37,7 @@ from openosc import (
 from openosc.cli import main
 from openosc.scenarios import BETA_FAMILY, fig1_system, fig3_pair, fig5_pair
 from openosc.transport import quadrature
-from openosc.transport.coefficients import CoefficientSeries, _bath_components
+from openosc.transport.coefficients import CoefficientSeries
 from openosc.transport.kernels import KernelEvaluator
 from openosc.transport.quadrature import MemoryIntegrator
 from openosc.transport.roots import oscillatory_pair
@@ -428,7 +428,7 @@ def test_11_numerical_hygiene(tmp_path):
                               lambda *a: bisect(ray(*a)))
                 patch.setattr(quadrature, "_RAY_EDGES",
                               bisect(quadrature._RAY_EDGES))
-            integ = MemoryIntegrator(ev, _bath_components(spec))
+            integ = MemoryIntegrator(ev)
             runs.append((integ.integrate(t), integ.last_report))
     (out_c, rep_c), (out_f, rep_f) = runs
     worst_cover = 0.0

@@ -116,9 +116,10 @@ def test_second_system_must_be_complete():
 
 
 def test_numerics_validation():
-    assert config_numerics(parse_config_text(WEAK_SINGLE))["abs_A_power"] == 2
-    with pytest.raises(ConfigError):
-        config_numerics(parse_config_text("[kernel]\nabs_A_power = 3\n"))
+    assert config_numerics(parse_config_text(WEAK_SINGLE)) == {"rtol": 1e-7}
+    # the friction normalization |A|^2 is fixed: no [kernel] section
+    with pytest.raises(ConfigError, match="unknown config section"):
+        parse_config_text("[kernel]\nabs_A_power = 2\n")
     with pytest.raises(ConfigError):
         config_numerics(parse_config_text("[quadrature]\nrtol = -1e-7\n"))
     over = config_numerics(parse_config_text(WEAK_SINGLE), rtol_override=1e-5)
@@ -132,9 +133,28 @@ def test_sweep_paths():
     assert [p for p, _ in entries] == ["bath.1.alpha", "oscillator.Omega"]
     assert entries[0][1] == [1e-3, 2e-3]
     for bad in ("run.t_max = 1, 2", "bath.1.statistics = 1, -1",
-                "nosuch.key = 1", "bath.1.alpha = a, b"):
+                "nosuch.key = 1", "bath.1.alpha = a, b", "sweep.x = 1"):
         with pytest.raises(ConfigError):
             config_sweep(parse_config_text(f"[sweep]\n{bad}\n"))
+    # a sweep point runs the first system alone, so these would give rows
+    # that differ only in the swept column
+    for path in ("coupling.beta", "oscillator2.Omega", "bath2.1.alpha"):
+        with pytest.raises(ConfigError, match=repr(path)):
+            config_sweep(parse_config_text(f"[sweep]\n{path} = 1, 2\n"))
+
+
+def test_sweep_exits_2_on_a_path_no_point_reads(tmp_path, capsys):
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text(WEAK_PAIR + "\n[sweep]\ncoupling.beta = 0.1, 0.5\n")
+    out = tmp_path / "run"
+    assert main(["--config", str(cfg), "--out", str(out), "sweep"]) == 2
+    assert "'coupling.beta'" in capsys.readouterr().err
+    assert not (out / "sweep_index.csv").exists()
+    # --rtol overrides quadrature.rtol at every point
+    cfg.write_text(WEAK_SINGLE + "\n[sweep]\nquadrature.rtol = 1e-7, 1e-6\n")
+    args = ["--config", str(cfg), "--out", str(out), "--rtol", "1e-5"]
+    assert main(args + ["sweep"]) == 2
+    assert "'quadrature.rtol'" in capsys.readouterr().err
 
 
 def test_write_csv_format(tmp_path):
@@ -199,7 +219,7 @@ def test_evolve_end_to_end(tmp_path):
     meta = json.loads((out / "run_metadata.json").read_text())
     assert meta["command"] == "evolve"
     assert meta["resolved_config"]["oscillator"]["Omega"] == "1.0"
-    assert meta["numerics"]["abs_A_power"] == 2
+    assert meta["numerics"] == {"rtol": 1e-7}
     assert "timestamp" not in meta
     quad = meta["quadrature"]
     for key in ("n_panels_total", "max_rel_error", "remainder_error_max"):
@@ -223,6 +243,16 @@ def test_coupled_end_to_end(tmp_path):
     assert rows == []
     meta = json.loads((out / "run_metadata.json").read_text())
     assert meta["beta"] == 0.2
+
+
+def test_coupled_rejects_more_than_two_initial_occupations(tmp_path, capsys):
+    cfg = tmp_path / "pair.ini"
+    cfg.write_text(WEAK_PAIR.replace("dt = 0.05\n",
+                                     "dt = 0.05\nn0 = 0.1, 0.2, 0.3\n"))
+    out = tmp_path / "run"
+    assert main(["--config", str(cfg), "--out", str(out), "coupled"]) == 2
+    assert "n0 = '0.1, 0.2, 0.3'" in capsys.readouterr().err
+    assert not (out / "trajectory.csv").exists()
 
 
 def test_asymptotics_end_to_end(tmp_path):

@@ -5,6 +5,8 @@ import pytest
 
 from openosc import BathSpec, coefficient_series, make_system
 from openosc.errors import DomainError
+from openosc.transport import coefficients
+from openosc.transport.asymptotics import asymptotic_bath_integral
 
 
 def test_grid_validation():
@@ -46,16 +48,31 @@ def test_memory_integrals_fill_from_zero(weak_case):
     assert 0.0 < I1[-1] < 1.0
 
 
-def test_modulus_power_switch_changes_friction(weak_case):
-    spec, series, _, _ = weak_case
-    t = np.linspace(0.0, 4.0, 81)
+def test_uncoupled_bath_integrates_to_exact_zero(monkeypatch):
+    # fig1's baths with the fermionic one uncoupled: the integrator skips
+    # bath 1 and must still place bath 2's integral under its own name
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        s1 = coefficient_series(spec, t, abs_A_power=1)
-        s2 = coefficient_series(spec, t, abs_A_power=2)
-    assert np.abs(s1.friction - s2.friction).max() > 1e-4
-    with pytest.raises(DomainError):
-        coefficient_series(spec, t, abs_A_power=3)
+        spec = make_system(
+            1.0,
+            BathSpec(statistics=-1, alpha=0.0, gamma=10.0, temperature=1.0),
+            BathSpec(statistics=+1, alpha=0.05, gamma=15.0, temperature=0.1),
+        )
+    outputs = []
+
+    class Recording(coefficients.MemoryIntegrator):
+        def integrate(self, t):
+            outputs.append(super().integrate(t))
+            return outputs[-1]
+
+    monkeypatch.setattr(coefficients, "MemoryIntegrator", Recording)
+    series = coefficient_series(spec, np.arange(0.0, 60.0 + 0.01, 0.02))
+    (out,) = outputs
+    I1, dI1 = out["bath1"]
+    assert np.all(I1 == 0.0) and np.all(dI1 == 0.0)
+    assert series.quadrature_reports[0].tail_bound["bath1"] == 0.0
+    I2 = series.memory_integrals[1]
+    assert I2[-1] == pytest.approx(asymptotic_bath_integral(spec, 1), rel=1e-6)
 
 
 def test_weak_friction_beats_at_the_root_pair_frequency(weak_case):

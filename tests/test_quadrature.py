@@ -8,7 +8,6 @@ from openosc.errors import QuadratureError
 from openosc.scenarios import fig3_pair, fig5_pair
 from openosc.transport import quadrature
 from openosc.transport.asymptotics import asymptotic_bath_integral
-from openosc.transport.coefficients import _bath_components
 from openosc.transport.kernels import KernelEvaluator
 from openosc.transport.quadrature import MemoryIntegrator
 
@@ -35,7 +34,7 @@ def _spec(baths):
 
 def _spec_integrator(spec, rtol=1e-7):
     ev = KernelEvaluator(characteristic_roots(spec), spec)
-    return MemoryIntegrator(ev, _bath_components(spec), rtol=rtol)
+    return MemoryIntegrator(ev, rtol=rtol)
 
 
 def _integrator(baths, rtol=1e-7):
@@ -120,7 +119,7 @@ def test_strong_system_chunk_converges():
             BathSpec(statistics=+1, alpha=0.05, gamma=15.0, temperature=0.1),
         )
     ev = KernelEvaluator(characteristic_roots(spec), spec)
-    integ = MemoryIntegrator(ev, _bath_components(spec), rtol=1e-7)
+    integ = MemoryIntegrator(ev, rtol=1e-7)
     t = np.linspace(0.0, 3.0, 31)
     out = integ.integrate(t)
     rep = integ.last_report
@@ -144,7 +143,7 @@ def test_memory_integrals_finite_to_late_times():
 
 def _error_scales(integ, out):
     """The integrator's error scales for its own output (every bath coupled)."""
-    return integ._error_scales(np.array([out[c.name] for c in integ.components]))
+    return integ._error_scales(np.array(list(out.values())))
 
 
 FROZEN_T = np.array([0.05, 0.5, 2.0, 5.0])
@@ -224,8 +223,8 @@ def test_matches_brute_force_real_axis_panels(baths):
     def magnitude(w):
         _, cM0, cN0, cMk, cNk = ev._mn_coefficients(w)
         out = []
-        for comp in integ.components:
-            wn, wp = comp.weights(w)
+        for bath in ev.spec.baths:
+            wn, wp = quadrature._weights(bath, w)
             parts = []
             for c0, ck in ((cM0, cMk), (cN0, cNk)):
                 size = np.abs(c0) + np.abs(ck).sum(axis=1)
@@ -237,14 +236,14 @@ def test_matches_brute_force_real_axis_panels(baths):
     truncation, _ = quadrature._ladder(quadrature._on_ray(magnitude, w_top),
                                        quadrature._RAY_EDGES)
     out = integ.integrate(t)
-    for ci, comp in enumerate(integ.components):
-        wn, wp = comp.weights(nodes)
+    for ci, (name, bath) in enumerate(zip(out, ev.spec.baths)):
+        wn, wp = quadrature._weights(bath, nodes)
         for d in (0, 1):
             ref = weights @ (wn[:, None] * sq[d][0] + wp[:, None] * sq[d][1])
-            dev = np.abs(out[comp.name][d] - ref)
+            dev = np.abs(out[name][d] - ref)
             assert np.all(dev <= truncation[ci, d])
         # the check has teeth: the bound is small against the integral
-        assert truncation[ci, 0] <= 1e-4 * np.abs(out[comp.name][0]).max()
+        assert truncation[ci, 0] <= 1e-4 * np.abs(out[name][0]).max()
 
 
 @pytest.mark.parametrize("baths", [EQUAL_CUTOFFS, NEAR_ROOTS])
@@ -381,8 +380,8 @@ def _quadratic_static_parts(integ):
         MM = (cMk[:, :, None] * cMk[:, None, :].conj()).reshape(-1, 16)
         NN = (cNk[:, :, None] * cNk[:, None, :].conj()).reshape(-1, 16)
         out = []
-        for comp in integ.components:
-            wn, wp = comp.weights(w)
+        for bath in ev.spec.baths:
+            wn, wp = quadrature._weights(bath, w)
             s0 = wn * np.abs(cM0) ** 2 + wp * np.abs(cN0) ** 2
             out.append(np.concatenate(
                 [s0[:, None], wn[:, None] * MM + wp[:, None] * NN], axis=1))
