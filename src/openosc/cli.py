@@ -352,10 +352,19 @@ def _series_observables(series, traj):
     return rows
 
 
+def _single_run_settings(raw) -> dict:
+    """[run] of a single-system run, which steps one oscillator from one n0."""
+    run = config_run(raw)
+    if len(run["n0"]) > 1:
+        raise ConfigError(f"[run] n0 = {raw['run']['n0']!r} lists two values; "
+                          "a single-system run takes one")
+    return run
+
+
 def _single_run(raw, numerics):
     """The configured single-system run: series, trajectory, observables."""
     spec = config_system(raw)
-    run = config_run(raw)
+    run = _single_run_settings(raw)
     series = coefficient_series(spec, _time_grid(run), **numerics)
     traj = evolve(series, spec, run["n0"][0])
     return series, traj, _series_observables(series, traj)
@@ -472,6 +481,7 @@ def _sweep_point(args):
 def cmd_sweep(raw, out, numerics, workers, rtol_override):
     entries = config_sweep(raw)
     base = {s: dict(b) for s, b in raw.items() if s != "sweep"}
+    _single_run_settings(base)  # [run] is not swept: check it once, up front
     paths = [p for p, _ in entries]
     if rtol_override is not None and "quadrature.rtol" in paths:
         raise ConfigError("[sweep] cannot sweep 'quadrature.rtol' under "

@@ -5,6 +5,11 @@ spectral density (midpoint rule).  The resulting closed quadratic model is
 diagonalized once; occupations then follow from the exact normal-mode
 propagator, with no time stepping and no reference to the response-kernel
 machinery being checked -- errors cannot be shared between the two routes.
+The oscillator couples to every mode and the modes not to one another, so
+the matrix is an arrowhead, a diagonal plus one border row and column.  Its
+eigenpairs come from a scalar secular equation in O(n^2) (``_arrowhead_eigh``)
+rather than a dense O(n^3) eigensolver; modes with zero coupling are
+deflated and keep their own frequency.
 
 Two conventions worth spelling out:
 
@@ -43,7 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionCapError, DomainError, StabilityError
+from .errors import (DimensionCapError, DomainError, NumericalError,
+                     StabilityError)
 from .model import (
     FERMIONIC,
     MIXED,
@@ -55,10 +61,15 @@ from .model import (
 )
 
 #: bath modes sampled in one oracle run, summed over both baths (the merged
-#: comb then diagonalizes half of them plus the oscillator)
+#: comb then solves the secular equation of half of them plus the oscillator)
 MODE_CAP = 2000
 
 _TIME_BLOCK = 256
+
+_EPS = np.finfo(float).eps
+
+#: Newton-bisection steps a secular-equation root may take
+_SECULAR_MAX_ITER = 64
 
 
 @dataclass
@@ -194,17 +205,121 @@ def evolve_exact(spec: SystemSpec, t, n0: float, *, n_modes: int = 400,
 def _mode_system(w, w_bath, a_bath):
     """Diagonalize the coupled quadratic form in scaled coordinates."""
     wm = np.concatenate([[w], w_bath])
-    n_tot = wm.size
-    M = np.zeros((n_tot, n_tot))
-    M[np.diag_indices(n_tot)] = wm**2
-    M[0, 1:] = M[1:, 0] = 2.0 * a_bath * np.sqrt(w * w_bath)
-    nu2, O = np.linalg.eigh(M)
+    nu2, O = _arrowhead_eigh(w**2, 2.0 * a_bath * np.sqrt(w * w_bath),
+                             w_bath**2)
     if nu2.min() <= 0:
         raise StabilityError(
             f"discretized model is unstable (min eigenvalue {nu2.min():.3g}); "
             "the continuum counterpart would have a runaway root"
         )
     return wm, np.sqrt(nu2), O
+
+
+def _arrowhead_eigh(a, z, d):
+    """Eigenpairs of the symmetric arrowhead [[a, z^T], [z, diag(d)]].
+
+    Returns ascending eigenvalues and the orthonormal eigenvectors as
+    columns, as ``np.linalg.eigh`` does.  The poles d must be strictly
+    ascending.  A mode with z_i = 0 (to rounding of the matrix norm) is
+    deflated: it keeps eigenvalue d_i and the unit eigenvector e_i.  The
+    others follow from the secular equation (``_secular_roots``).
+    """
+    if not (np.diff(d) > 0).all():
+        raise DomainError("arrowhead poles must be strictly ascending")
+    scale = max(abs(a), np.abs(d).max(initial=0.0), np.linalg.norm(z))
+    live = np.abs(z) > _EPS * scale
+    if live.all():
+        return _secular_roots(a, z, d)
+    lam_live, O_live = _secular_roots(a, z[live], d[live])
+    n_live = lam_live.size
+    lam = np.concatenate([lam_live, d[~live]])
+    O = np.zeros((d.size + 1, d.size + 1))
+    rows = np.concatenate([[0], 1 + np.flatnonzero(live)])
+    O[rows[:, None], np.arange(n_live)] = O_live
+    O[1 + np.flatnonzero(~live), np.arange(n_live, d.size + 1)] = 1.0
+    order = np.argsort(lam, kind="stable")
+    return lam[order], O[:, order]
+
+
+def _secular_roots(a, z, d):
+    """Eigenpairs of an arrowhead with every z_i != 0 and ascending d.
+
+    The eigenvalues are the roots of psi(lam) = a - lam + sum z_i^2/(lam - d_i),
+    one below d_1, one between each pair of neighbouring poles and one above
+    d_n.  Each root is held as its offset tau from the nearer pole d_o, so
+    every lam_k - d_i = (d_o - d_i) + tau keeps full relative accuracy, and
+    is found by Newton's method on g(tau) = tau psi(d_o + tau), which has no
+    pole at tau = 0, safeguarded by bisection inside the root's bracket.
+    Starting from tau = 0 makes the first step tau = -z_o^2 / r(d_o), with r
+    the rest of psi.  The eigenvector of lam_k is (1, z_i/(lam_k - d_i)),
+    normalized by a sum of positive terms.
+    """
+    m = d.size
+    if m == 0:
+        return np.array([a], dtype=float), np.ones((1, 1))
+    z2 = z * z
+    idx = np.arange(m + 1)
+    buf = np.empty((m + 1, m))
+    tmp = np.empty((m + 1, m))
+    # psi decreases between poles: its sign at the midpoint picks the nearer
+    # pole of each inner root
+    mid = 0.5 * (d[:-1] + d[1:])
+    inv = np.subtract.outer(mid, d, out=buf[:m - 1])
+    psi_mid = a - mid + np.reciprocal(inv, out=inv) @ z2
+    o = np.concatenate([[0], np.where(psi_mid < 0, idx[:-2], idx[1:-1]),
+                        [m - 1]])
+    # g > 0 at tau = 0 and g <= 0 at the other bracket end: the midpoint for
+    # inner roots, and for the outer ones a bound on the spectrum by Weyl's
+    # inequality, widened by the coupling norm once more
+    spread = 2.0 * np.sqrt(z2.sum())
+    far = np.concatenate([[min(a, d[0]) - spread - d[0]], mid - d[o[1:-1]],
+                          [max(a, d[-1]) + spread - d[-1]]])
+    D = np.subtract.outer(d[o], d)
+    a_o = a - d[o]
+    zo2 = z2[o]
+    tau = np.zeros(m + 1)
+    near = np.zeros(m + 1)
+    act = idx
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_SECULAR_MAX_ITER):
+            k = act.size
+            t = tau[act]
+            inv = np.add(D if k == m + 1 else D[act], t[:, None], out=buf[:k])
+            np.reciprocal(inv, out=inv)
+            inv[np.arange(k), o[act]] = 0.0
+            r = a_o[act] - t + inv @ z2
+            g = zo2[act] + t * r
+            dg = r - t * (1.0 + np.square(inv, out=tmp[:k]) @ z2)
+            noise = 8.0 * _EPS * (zo2[act] + np.abs(t) * (
+                np.abs(a_o[act]) + np.abs(t) + np.abs(inv, out=tmp[:k]) @ z2))
+            pos = g > 0
+            near[act[pos]] = t[pos]
+            far[act[~pos]] = t[~pos]
+            step = g / dg
+            new = t - step
+            lo = np.minimum(near[act], far[act])
+            hi = np.maximum(near[act], far[act])
+            inside = (new > lo) & (new < hi)
+            new = np.where(inside, new, 0.5 * (lo + hi))
+            small = np.abs(g) <= noise
+            done = small | (inside & (np.abs(step) <= _EPS * np.abs(t)))
+            tau[act] = np.where(small, t, new)
+            act = act[~done]
+            if act.size == 0:
+                break
+        else:
+            raise NumericalError(
+                f"secular equation: {act.size} of {m + 1} roots did not "
+                f"converge in {_SECULAR_MAX_ITER} iterations"
+            )
+    # eigenvectors as columns: O[1 + i, k] = z_i / (lam_k - d_i), scaled
+    O = np.empty((m + 1, m + 1))
+    V = np.subtract.outer(d, d[o], out=O[1:])
+    np.subtract(tau, V, out=V)
+    np.divide(z[:, None], V, out=V)
+    O[0] = 1.0 / np.sqrt(1.0 + np.einsum("ik,ik->k", V, V))
+    V *= O[0]
+    return d[o] + tau, O
 
 
 def propagator_blocks(spec: SystemSpec, t_point: float, *, n_modes: int = 25,
@@ -256,12 +371,7 @@ def _evolve_full(w, w_bath, a_bath, occ_bath, t, n0):
 
 def _evolve_rwa(w, w_bath, a_bath, occ_bath, t, n0):
     """Excitation-conserving variant: single-quantum hopping matrix."""
-    wm = np.concatenate([[w], w_bath])
-    n_tot = wm.size
-    h = np.zeros((n_tot, n_tot))
-    h[np.diag_indices(n_tot)] = wm
-    h[0, 1:] = h[1:, 0] = a_bath
-    eps_k, V = np.linalg.eigh(h)
+    eps_k, V = _arrowhead_eigh(w, a_bath, w_bath)
     occ0 = np.concatenate([[n0], occ_bath])
     u = V[0, :]
 

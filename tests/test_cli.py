@@ -255,6 +255,31 @@ def test_coupled_rejects_more_than_two_initial_occupations(tmp_path, capsys):
     assert not (out / "trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["evolve", "sweep"])
+def test_single_system_runs_reject_two_initial_occupations(tmp_path, capsys,
+                                                           command):
+    # one oscillator steps from one n0; coupled takes one per oscillator
+    text = WEAK_SINGLE.replace("dt = 0.05\n", "dt = 0.05\nn0 = 0.5, 0.9\n")
+    if command == "sweep":
+        text += "\n[sweep]\nbath.1.alpha = 1e-3, 2e-3\n"
+    cfg = tmp_path / "weak.ini"
+    cfg.write_text(text)
+    out = tmp_path / "run"
+    assert main(["--config", str(cfg), "--out", str(out), command]) == 2
+    assert "n0 = '0.5, 0.9'" in capsys.readouterr().err
+    assert not (out / "trajectory.csv").exists()
+    assert not (out / "sweep_index.csv").exists()
+
+
+def test_coupled_steps_from_both_initial_occupations(tmp_path):
+    cfg = tmp_path / "pair.ini"
+    cfg.write_text(WEAK_PAIR.replace("dt = 0.05\n", "dt = 0.05\nn0 = 0.5, 0.9\n"))
+    out = tmp_path / "run"
+    assert main(["--config", str(cfg), "--out", str(out), "coupled"]) == 0
+    _, rows = _read_csv(out / "trajectory.csv")
+    assert (float(rows[0][1]), float(rows[0][2])) == (0.5, 0.9)
+
+
 def test_asymptotics_end_to_end(tmp_path):
     cfg = tmp_path / "weak.ini"
     cfg.write_text(WEAK_SINGLE)

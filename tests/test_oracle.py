@@ -4,36 +4,64 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from openosc import BathSpec, compare, evolve_exact, make_system, sample_bath
-from openosc.errors import DimensionCapError, DomainError
+from openosc import (BathSpec, compare, evolve_exact, make_system, oracle,
+                     sample_bath)
+from openosc.errors import (DimensionCapError, DomainError, NumericalError,
+                            StabilityError)
 from openosc.model import _default_w_max, equilibrium_occupation
-from openosc.oracle import _comb, _evolve_full, _evolve_rwa, propagator_blocks
+from openosc.oracle import _arrowhead_eigh, _comb, _mode_system, propagator_blocks
 from openosc.scenarios import fig1_system
 
 
-def _weak(eps=+1, T=1.0):
+def _weak(eps=+1, T=1.0, alpha=0.01):
+    """validate's reference system at the defaults."""
     return make_system(
         1.0,
-        BathSpec(statistics=eps, alpha=0.01, gamma=10.0, temperature=T),
-        BathSpec(statistics=eps, alpha=0.01, gamma=10.0, temperature=T),
+        BathSpec(statistics=eps, alpha=alpha, gamma=10.0, temperature=T),
+        BathSpec(statistics=eps, alpha=alpha, gamma=10.0, temperature=T),
     )
 
 
 def _per_bath_reference(spec, t, n0, n_modes, rwa):
     """Occupation from the unmerged model: one mode per bath and frequency.
 
-    The two baths' combs are concatenated and diagonalized together, with
-    2 n_modes + 1 modes, through the same propagators as the oracle.
+    The two baths' combs are concatenated, 2 n_modes + 1 modes in which
+    every frequency appears twice, and diagonalized by a dense
+    ``np.linalg.eigh`` built here, independent of the oracle's solver.
     """
     combs = [sample_bath(b, n_modes, _default_w_max(spec)) for b in spec.baths]
     w_bath = np.concatenate([w for w, _ in combs])
     a_bath = np.concatenate([a for _, a in combs])
-    occ_bath = np.concatenate([
+    occ0 = np.concatenate([[n0], *(
         equilibrium_occupation(w, b.temperature, b.statistics)
-        for (w, _), b in zip(combs, spec.baths)
-    ])
-    evolve = _evolve_rwa if rwa else _evolve_full
-    return evolve(spec.omega, w_bath, a_bath, occ_bath, t, n0)
+        for (w, _), b in zip(combs, spec.baths))])
+    w = spec.omega
+    wm = np.concatenate([[w], w_bath])
+    if rwa:
+        # |U_0m(t)|^2 of U = exp(-iht), h the single-quantum hopping matrix
+        eps, V = np.linalg.eigh(_arrow(w, a_bath, w_bath))
+        U = V @ (np.exp(-1j * np.outer(eps, t)) * V[0][:, None])
+        return (np.abs(U) ** 2).T @ occ0
+    # the oscillator rows of the (X, P) propagator blocks, as in
+    # propagator_blocks, from the dense normal modes
+    nu2, O = np.linalg.eigh(_arrow(w**2, 2.0 * a_bath * np.sqrt(w * w_bath),
+                                   w_bath**2))
+    nu = np.sqrt(nu2)[:, None]
+    u = O[0][:, None]
+    c = O @ (u * np.cos(nu * t))
+    s_over = O @ (u * np.sin(nu * t) / nu)
+    s_times = O @ (u * np.sin(nu * t) * nu)
+    r = np.sqrt(wm / w)[:, None]
+    rows = (c / r) ** 2 + (s_over * r * w) ** 2 + (s_times / (r * w)) ** 2 \
+        + (c * r) ** 2
+    return 0.5 * (rows.T @ (occ0 + 0.5) - 1.0)
+
+
+def _arrow(a, z, d):
+    """The dense arrowhead [[a, z^T], [z, diag(d)]]."""
+    M = np.diag(np.concatenate([[a], d]))
+    M[0, 1:] = M[1:, 0] = z
+    return M
 
 
 def _propagator_reference(spec, t, n0, n_modes, w_max, rwa):
@@ -98,6 +126,62 @@ def test_fully_decoupled_comb_keeps_its_occupation(rwa):
                        rwa=rwa)
     assert np.isfinite(res.n).all()
     assert np.abs(res.n - 0.25).max() <= 1e-12
+
+
+def _full_arrowhead(spec, n_modes):
+    w = spec.omega
+    w_bath, a_bath, _ = _comb(spec, n_modes, _default_w_max(spec))
+    return w**2, 2.0 * a_bath * np.sqrt(w * w_bath), w_bath**2
+
+
+def _rwa_arrowhead(spec, n_modes):
+    w_bath, a_bath, _ = _comb(spec, n_modes, _default_w_max(spec))
+    return spec.omega, a_bath, w_bath
+
+
+def _some_decoupled(spec, n_modes):
+    a, z, d = _full_arrowhead(spec, n_modes)
+    return a, np.where(np.arange(z.size) % 3 == 1, 0.0, z), d
+
+
+_ARROWHEADS = {
+    "validate, 400 modes": lambda: _full_arrowhead(_weak(), 400),
+    "validate, 800 modes": lambda: _full_arrowhead(_weak(), 800),
+    "alpha 1e-7": lambda: _full_arrowhead(_weak(alpha=1e-7), 400),
+    "alpha 0.3": lambda: _full_arrowhead(_weak(alpha=0.3), 400),
+    "fermionic": lambda: _full_arrowhead(_weak(eps=-1), 400),
+    "rwa": lambda: _rwa_arrowhead(_weak(), 400),
+    "every third mode decoupled": lambda: _some_decoupled(_weak(), 400),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ARROWHEADS))
+def test_secular_solver_matches_a_dense_eigh(case):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # alpha 0.3 leaves the fast-bath regime
+        a, z, d = _ARROWHEADS[case]()
+    lam, O = _arrowhead_eigh(a, z, d)
+    lam_ref, V = np.linalg.eigh(_arrow(a, z, d))
+    assert np.abs(lam - lam_ref).max() <= 1e-13 * np.abs(lam_ref).max()
+    sign = np.sign(np.einsum("ik,ik->k", O, V))
+    assert np.abs(O - V * sign).max() <= 1e-10
+    assert np.abs(O.T @ O - np.eye(d.size + 1)).max() <= 1e-13
+
+
+def test_secular_solver_guards():
+    with pytest.raises(StabilityError):
+        # sum z_i^2 / d_i = 3.84 exceeds a = 1: a negative normal-mode nu^2
+        _mode_system(1.0, np.array([0.5, 1.5]), np.array([0.6, 0.6]))
+    for d in ([1.0, 2.0, 2.0], [3.0, 2.0, 1.0]):
+        with pytest.raises(DomainError, match="strictly ascending"):
+            _arrowhead_eigh(1.0, np.array([0.1, 0.2, 0.3]), np.array(d))
+
+
+def test_secular_solver_raises_rather_than_return_unconverged_roots(
+        monkeypatch):
+    monkeypatch.setattr(oracle, "_SECULAR_MAX_ITER", 2)
+    with pytest.raises(NumericalError, match="did not converge"):
+        _arrowhead_eigh(*_full_arrowhead(_weak(), 50))
 
 
 def test_sample_bath_reproduces_the_truncated_coupling_sum():
