@@ -214,7 +214,7 @@ def test_matches_brute_force_real_axis_panels(baths):
     ev, t = integ.ev, np.array([0.05, 0.5, 2.0])
     w_top = 10.0 * integ.w_max
     edges = np.linspace(0.0, w_top, int(np.ceil(w_top * 8.0 * t.max() / np.pi)) + 1)
-    nodes, half = quadrature._k15_nodes(edges)
+    nodes, half = quadrature._k15_nodes(edges[:-1], edges[1:])
     weights = (half[:, None] * quadrature.WK).ravel()
     M, N, dM, dN = ev.mn_block(nodes, t)
     sq = [(np.abs(M) ** 2, np.abs(N) ** 2),
@@ -246,19 +246,76 @@ def test_matches_brute_force_real_axis_panels(baths):
         assert truncation[ci, 0] <= 1e-4 * np.abs(out[name][0]).max()
 
 
-@pytest.mark.parametrize("baths", [EQUAL_CUTOFFS, NEAR_ROOTS])
-def test_ray_self_converges_under_bisection(baths, monkeypatch):
-    t = np.array([1e-4, 0.003, 0.1, 1.0, 5.0, 20.0, 50.0])
-    base = _integrator(baths)
+#: fig1's fermionic bath at alpha 0.2 and T 20, its bosonic bath kept: the
+#: first Matsubara pole at 20 pi puts weight far out on the ray
+HOT_FERMIONIC = ((-1, 0.2, 10.0, 20.0), (+1, 0.05, 15.0, 0.1))
+#: the times the fixtures' ray is checked on, from t_min 1e-4 to 50
+RAY_T = np.array([1e-4, 0.003, 0.1, 1.0, 5.0, 20.0, 50.0])
+#: (baths, times, rtol): the fixtures, validate's system and grid, fig1 at
+#: dt 1e-3 and the hot fermionic bath, the smallest ray angle theta (23
+#: degrees) of the systems probed, on fig1's benchmark grid.  FIG1's budget
+#: on RAY_T reads 1.03e-7, so that case alone runs at rtol 1e-6.
+RAY_CASES = {
+    "equal-cutoffs": (EQUAL_CUTOFFS, RAY_T, 1e-7),
+    "near-roots": (NEAR_ROOTS, RAY_T, 1e-7),
+    "fig1": (FIG1, RAY_T, 1e-6),
+    "fermionic-t0": (FERMIONIC_T0, RAY_T, 1e-7),
+    "validate": (EQUAL_CUTOFFS, np.arange(0.0, 10.0 + 0.01, 0.02), 1e-7),
+    "fig1-dt1e-3": (FIG1, np.arange(0.0, 5.0 + 5e-4, 1e-3), 1e-7),
+    "hot-fermionic": (HOT_FERMIONIC, np.arange(0.0, 5.0 + 0.01, 0.02), 1e-7),
+}
+
+
+def _every_panel(edges, *args):
+    """A ``_bisected`` that bisects every ray panel."""
+    return np.ones(edges.size - 1, dtype=bool)
+
+
+@pytest.mark.parametrize("baths, t, rtol", list(RAY_CASES.values()),
+                         ids=list(RAY_CASES))
+def test_ray_self_converges_under_bisection(baths, t, rtol, monkeypatch):
+    # the budget covers a run with every ray panel bisected and a run on
+    # panels bisected once more, again every one of them bisected
+    base = _integrator(baths, rtol=rtol)
     out = base.integrate(t)
     budget = base.last_report.max_rel_error * _error_scales(base, out)
+    monkeypatch.setattr(quadrature, "_bisected", _every_panel)
+    once = _integrator(baths, rtol=rtol).integrate(t)
     edges = quadrature._ray_edges
     monkeypatch.setattr(quadrature, "_ray_edges",
                         lambda *args: quadrature._bisect(edges(*args)))
-    fine = _integrator(baths).integrate(t)
+    twice = _integrator(baths, rtol=rtol).integrate(t)
     for ci, name in enumerate(out):
         assert np.all(np.isfinite(out[name]))
-        assert np.all(np.abs(np.array(out[name]) - fine[name]) <= budget[ci])
+        for finer in (once, twice):
+            assert np.all(np.abs(np.array(out[name]) - finer[name])
+                          <= budget[ci])
+
+
+@pytest.mark.parametrize("baths, t, rtol", list(RAY_CASES.values()),
+                         ids=list(RAY_CASES))
+def test_unbisected_ray_panels_do_not_move_under_bisection(baths, t, rtol):
+    # the panels the estimate leaves out, one at a time: bisecting one
+    # moves I and dI by at most 1e-3 of the budget
+    integ = _integrator(baths, rtol=rtol)
+    out = integ.integrate(t)
+    pos = t > 0.0
+    budget = (integ.last_report.max_rel_error
+              * _error_scales(integ, out)[..., pos])
+    tp = t[pos]
+    edges = quadrature._ray_edges(integ._R, min(integ._r_min, 1.0 / tp.max()),
+                                  1.0 / tp.min())
+    kept = ~quadrature._bisected(edges, integ._R, integ._band)
+    assert kept.any()
+    E = np.exp(np.multiply.outer(integ.ev.s, tp))
+    for lo, hi in zip(edges[:-1][kept], edges[1:][kept]):
+        mid = 0.5 * (lo + hi)
+        # the panel, then its halves
+        w, f = integ._ray_nodes(np.array([lo, lo, mid]), np.array([hi, mid, hi]))
+        X = quadrature._phase_table(w, tp)
+        dC = (f[15:].T @ X[15:] - f[:15].T @ X[:15]).reshape(2, 2, 4, tp.size)
+        change = 2.0 * (dC * E).sum(axis=2).real
+        assert np.all(np.abs(change) <= 1e-3 * budget)
 
 
 def _static_integral(integrand, spec, roots):
