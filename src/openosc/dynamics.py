@@ -20,8 +20,14 @@ with lambda and D interpolated to the quarter points by local cubics, each
 through the four grid points nearest its interval; the result is reported
 on the coefficient grid itself.  The pair is linear in (n, y), and lambda,
 D and beta are known in advance, so every RK4 half-step is an affine map
-of the state; the maps are built from the stage arithmetic and composed by
-a prefix scan, with no Python loop over steps.
+of the state, fixed by the coefficients and beta and not by the initial
+occupation.  Stepping is therefore two parts.  The builder
+(``_build_maps``) runs the stage arithmetic once for a batch of runs, each
+with its own series and beta, and composes the maps by a prefix scan, with
+no Python loop over steps.  The application (``_trajectories``) carries
+any number of start states through those maps, checks the blow-up guard
+and assembles the trajectories, so runs that share series and beta share
+one build.
 """
 
 from __future__ import annotations
@@ -150,13 +156,14 @@ def _compose(outer, inner):
 
     Each oscillator reads ``inner``'s rows in its own frame: own n, partner
     n, own y, partner y, the partner's rows with own and partner columns
-    swapped.  The four products are summed in that order, and the constant
-    column adds ``outer``'s own constant last.
+    swapped.  The four products are summed in that order, in place, and
+    the constant column adds ``outer``'s own constant last.
     """
     n, y = inner
-    rows = (n, np.take(n[::-1], _SWAP, axis=1), y, np.take(y[::-1], _SWAP, axis=1))
-    out = (outer[:, :, 0:1] * rows[0] + outer[:, :, 1:2] * rows[1]
-           + outer[:, :, 2:3] * rows[2] + outer[:, :, 3:4] * rows[3])
+    out = outer[:, :, 0:1] * n
+    out += outer[:, :, 1:2] * np.take(n[::-1], _SWAP, axis=1)
+    out += outer[:, :, 2:3] * y
+    out += outer[:, :, 3:4] * np.take(y[::-1], _SWAP, axis=1)
     out[:, :, 4] += outer[:, :, 4]
     return out
 
@@ -168,47 +175,75 @@ def _apply(maps, s):
             + maps[:, :, 2] * s[1] + maps[:, :, 3] * s[1, ::-1] + maps[:, :, 4])
 
 
-def _evolve(series, specs, betas, n0) -> list:
-    """RK4 runs of one or two oscillators, one run per coupling in ``betas``.
+def _checked(name, values, count) -> np.ndarray:
+    """``values`` as floats: exactly ``count`` of them, finite and nonnegative."""
+    v = np.asarray(values, dtype=float)
+    if v.shape != (count,):
+        raise DomainError(f"{name} needs exactly {count} value(s); "
+                          f"got {values!r}")
+    if not np.isfinite(v).all():
+        raise DomainError(f"{name} must be finite; got {values!r}")
+    if (v < 0).any():
+        raise DomainError(f"{name} must be nonnegative; got {values!r}")
+    return v
 
-    ``series``, ``specs`` and ``n0`` hold one entry per oscillator; every
-    run starts from ``n0`` with dn/dt(0) = 0.  The state (n, y) has shape
-    (2, oscillators, runs).  The equation is linear in it, so each RK4
-    half-step m is an affine map s -> R_m s + r_m fixed by the quarter-grid
-    coefficients and beta alone.  The RK4 stage arithmetic runs once, on
-    all half-steps of a block together, over the unit states e_n and e_y
-    (D off) and the zero state (D on); their images are the columns of the
-    maps.  A Hillis-Steele scan then forms the prefix maps R_m ... R_0 in
-    log2(BLOCK) rounds of batched composition, and each half-step's state
-    is the block's start state under its prefix map.  Every state is
-    checked against the blow-up guard.
 
-    Each oscillator stores its maps on (own n, partner n, own y, partner y,
-    1), and every application and composition sums those five terms in that
-    order.  Swapping the two oscillators therefore permutes the results bit
-    for bit, which a dense 4x4 product, whose summation order depends on
-    which oscillator comes first, would not.  A single oscillator has zero
-    partner coefficients.  Returns one Trajectory per run.
+@dataclass
+class _MapSet:
+    """The RK4 prefix maps of a batch of runs (see ``_build_maps``)."""
+
+    t: np.ndarray
+    series: tuple  # per run, one CoefficientSeries per oscillator
+    specs: tuple  # per run, one SystemSpec per oscillator
+    betas: tuple  # per run
+    blocks: list  # per block, maps (n|y, osc, 5, runs, half-steps)
+
+
+def _build_maps(series, specs, betas) -> _MapSet:
+    """Every RK4 half-step map of a batch of runs of one or two oscillators.
+
+    ``series`` and ``specs`` hold one tuple per run, with one entry per
+    oscillator, and ``betas`` one coupling per run.  The state (n, y) of a
+    run has shape (2, oscillators).  The equation is linear in it, so each
+    RK4 half-step m is an affine map s -> R_m s + r_m fixed by the
+    quarter-grid coefficients and beta alone, never by the start state:
+    one build serves any number of start states.  The RK4 stage
+    arithmetic runs once, on all half-steps of a block and all runs
+    together, over the unit states e_n and e_y (D off) and the zero state
+    (D on); their images are the columns of the maps.  A Hillis-Steele
+    scan then forms the prefix maps R_m ... R_0 of each block in
+    log2(BLOCK) rounds of batched composition.
+
+    Each oscillator stores its maps on (own n, partner n, own y, partner
+    y, 1), and every application and composition sums those five terms in
+    that order.  Swapping the two oscillators therefore permutes the
+    results bit for bit, which a dense 4x4 product, whose summation order
+    depends on which oscillator comes first, would not.  A single
+    oscillator has zero partner coefficients.  A run that blows up
+    overflows its maps to inf and nan silently; ``_trajectories`` reports
+    it.
     """
-    if any(b < 0 for b in betas):
-        raise DomainError("coupling strength must be nonnegative")
-    if any(v < 0 for v in n0):
-        raise DomainError("initial occupations must be nonnegative")
-    t = series[0].t
-    for other in series[1:]:
+    betas = tuple(betas)
+    neg_beta = -_checked("beta", betas, len(series))[:, None]
+    flat = [s for run in series for s in run]
+    t = flat[0].t
+    for other in flat[1:]:
         if other.t.shape != t.shape or not np.allclose(
             other.t, t, rtol=1e-12, atol=0.0
         ):
-            raise DomainError("coupled evolution requires a shared time grid")
+            raise DomainError("runs stepped together require a shared time grid")
     h2 = _uniform_step(t) / 2.0
     half, sixth = 0.5 * h2, h2 / 6.0
-    n_osc = len(series)
-    # row 5k + j: 2 lambda and 2 D at t_k + j h2 / 2 on interval k's cubic
-    coef2 = 2.0 * _local_cubic(
-        [s.friction for s in series] + [s.diffusion for s in series], 4)
-    coef2 = coef2.reshape(2 * n_osc, 1, 1, -1)
-    lam2, dif2 = coef2[:n_osc], coef2[n_osc:]
-    neg_beta = -np.asarray(betas, dtype=float)[:, None]
+    n_osc = len(series[0])
+    # row 5k + j: 2 lambda and 2 D at t_k + j h2 / 2 on interval k's cubic,
+    # on the axes (oscillator, map column, run, row); each distinct array
+    # is interpolated once, since runs often share their series
+    arrays = [s.friction for s in flat] + [s.diffusion for s in flat]
+    unique = {id(a): a for a in arrays}
+    row = {key: i for i, key in enumerate(unique)}
+    coef2 = 2.0 * _local_cubic(list(unique.values()), 4)
+    lam2, dif2 = coef2[[row[id(a)] for a in arrays]].reshape(
+        2, len(series), n_osc, 1, -1).transpose(0, 2, 3, 1, 4)
     # columns: e_n and e_y of each oscillator, zero in place of a missing
     # partner, and the zero state that D drives
     unit = np.eye(4, 5).reshape(2, 2, 5, 1, 1)[:, :n_osc]
@@ -224,14 +259,11 @@ def _evolve(series, specs, betas, n0) -> list:
         d[1] *= neg_beta
         return d
 
-    s = np.zeros((2, n_osc, neg_beta.size))
-    s[0] = np.asarray(n0, dtype=float)[:, None]
-    k_out = t.size - 1
-    out = np.empty(s.shape + (k_out + 1,))
-    out[..., 0] = s
+    blocks = []
+    n_half = 2 * (t.size - 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        for m0 in range(0, 2 * k_out, BLOCK):
-            m = np.arange(m0, min(m0 + BLOCK, 2 * k_out))
+        for m0 in range(0, n_half, BLOCK):
+            m = np.arange(m0, min(m0 + BLOCK, n_half))
             q = 5 * (m // 2) + 2 * (m % 2)
             # the stage arithmetic of one RK4 half-step, on the map columns
             u = np.broadcast_to(unit, unit.shape[:3] + (neg_beta.size, m.size))
@@ -245,20 +277,43 @@ def _evolve(series, specs, betas, n0) -> list:
             while step < m.size:
                 maps[..., step:] = _compose(maps[..., step:], maps[..., :-step])
                 step *= 2
-            states = _apply(maps, s)
+            blocks.append(maps)
+    return _MapSet(t=t, series=tuple(series), specs=tuple(specs), betas=betas,
+                   blocks=blocks)
+
+
+def _trajectories(maps: _MapSet, runs, n0) -> list:
+    """One Trajectory per start: run ``runs[i]`` of ``maps`` from ``n0[i]``.
+
+    ``n0[i]`` holds one occupation per oscillator, and dn/dt(0) = 0.  The
+    start states, shape (n|y, oscillators, starts), are carried through
+    the blocks together: each half-step's state is its block's start
+    state under its prefix map, and every state is checked against the
+    blow-up guard.
+    """
+    t = maps.t
+    n_osc = len(maps.series[0])
+    s = np.zeros((2, n_osc, len(runs)))
+    s[0] = np.transpose([_checked("n0", v, n_osc) for v in n0])
+    out = np.empty(s.shape + (t.size,))
+    out[..., 0] = s
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m0, block in zip(range(0, 2 * (t.size - 1), BLOCK), maps.blocks):
+            states = _apply(np.take(block, runs, axis=3), s)
             bad = ~np.all(np.abs(states[0]) <= BLOWUP, axis=(0, 1))
             if bad.any():
-                first = int(m[np.argmax(bad)])
+                first = m0 + int(np.argmax(bad))
                 raise MomentBlowupError(
                     "occupation exceeded the blow-up guard",
                     time=float(t[(first + 1) // 2]))
-            out[..., m0 // 2 + 1:(m0 + m.size) // 2 + 1] = states[..., 1::2]
+            out[..., m0 // 2 + 1:(m0 + bad.size) // 2 + 1] = states[..., 1::2]
             s = states[..., -1]
-    out = np.ascontiguousarray(out.transpose(2, 0, 1, 3))  # (run, n|y, osc, t)
+    out = np.ascontiguousarray(out.transpose(2, 0, 1, 3))  # (start, n|y, osc, t)
 
-    envelopes = tuple(_envelope(spec) for spec in specs)
     trajectories = []
-    for beta, (occ_out, y_out) in zip(betas, out):
+    for r, start, (occ_out, y_out) in zip(runs, n0, out):
+        series, specs = maps.series[r], maps.specs[r]
+        envelopes = tuple(_envelope(spec) for spec in specs)
         occ, rates, diss = [], [], []
         for n, y, ser, spec in zip(occ_out, y_out, series, specs):
             occ.append(n)
@@ -273,15 +328,24 @@ def _evolve(series, specs, betas, n0) -> list:
             warnings.warn(
                 f"occupation left the equilibrium envelope{detail}; expected "
                 "for persistently oscillating regimes, suspicious otherwise",
-                stacklevel=3,
+                stacklevel=4,  # past _evolve, at the public call's caller
             )
         trajectories.append(Trajectory(
             t=t, occupations=tuple(occ), rates=tuple(rates),
             dissipation=tuple(diss),
-            metadata={"beta": beta, "n0": tuple(n0), "envelope": envelopes,
-                      "envelope_exceeded": exceeded},
+            metadata={"beta": maps.betas[r], "n0": tuple(start),
+                      "envelope": envelopes, "envelope_exceeded": exceeded},
         ))
     return trajectories
+
+
+def _evolve(series, specs, betas, n0) -> list:
+    """Runs of one tuple of series and specs (one entry per oscillator), one
+    run per coupling in ``betas``, all from ``n0``: one build and one
+    application."""
+    k = len(betas)
+    return _trajectories(_build_maps((series,) * k, (specs,) * k, betas),
+                         range(k), (n0,) * k)
 
 
 def evolve(series: CoefficientSeries, spec: SystemSpec, n0: float) -> Trajectory:

@@ -66,6 +66,10 @@ MODE_CAP = 2000
 
 _TIME_BLOCK = 256
 
+#: How far, in ulp of the largest time, each time may sit from t_0 + k h
+#: for ``_cos_sin`` to rebuild the grid from t_0 and h
+_UNIFORM_ULPS = 4
+
 _EPS = np.finfo(float).eps
 
 #: Newton-bisection steps a secular-equation root may take
@@ -205,14 +209,18 @@ def evolve_exact(spec: SystemSpec, t, n0: float, *, n_modes: int = 400,
 def _mode_system(w, w_bath, a_bath):
     """Diagonalize the coupled quadratic form in scaled coordinates."""
     wm = np.concatenate([[w], w_bath])
-    nu2, O = _arrowhead_eigh(w**2, 2.0 * a_bath * np.sqrt(w * w_bath),
-                             w_bath**2)
+    nu2, O = _arrowhead_eigh(w**2, _coupling(w, w_bath, a_bath), w_bath**2)
     if nu2.min() <= 0:
         raise StabilityError(
             f"discretized model is unstable (min eigenvalue {nu2.min():.3g}); "
             "the continuum counterpart would have a runaway root"
         )
     return wm, np.sqrt(nu2), O
+
+
+def _coupling(w, w_bath, a_bath):
+    """Border z_j = 2 a_j sqrt(w w_j) of the scaled coordinates' arrowhead."""
+    return 2.0 * a_bath * np.sqrt(w * w_bath)
 
 
 def _arrowhead_eigh(a, z, d):
@@ -349,10 +357,16 @@ def _evolve_full(w, w_bath, a_bath, occ_bath, t, n0):
     """Full position-position coupling via the normal-mode propagator.
 
     The oscillator row of each propagator block is a scaled row of
-    O cos(nu t) O^T, O sin(nu t)/nu O^T or O sin(nu t) nu O^T, so
-    <X^2> + <P^2> is three weighted sums of their squares.
+    C = O cos(nu t) O^T, S1 = O sin(nu t)/nu O^T or S2 = O sin(nu t) nu O^T,
+    so <X^2> + <P^2> is three weighted sums of their squares.  Only C and
+    S1 take a matrix product.  With u = O[0] and the arrowhead's bath rows
+    O[j, k] = z_j u_k / (nu_k^2 - d_j) (see ``_secular_roots``), the row
+    S2_j = d_j S1_j + z_j S1_0 exactly, and the oscillator's own entry
+    S2_0 = sum_k u_k^2 nu_k sin(nu_k t).  A deflated mode, |z_j| at
+    rounding, gets z_j S1_0 in place of its exact 0.
     """
     wm, nu, O = _mode_system(w, w_bath, a_bath)
+    z, d = _coupling(w, w_bath, a_bath), w_bath**2
     occ0 = np.concatenate([[n0], occ_bath]) + 0.5
     u = O[0, :]
     weights = np.stack([occ0 * (wm / w + w / wm), occ0 * w * wm,
@@ -360,13 +374,42 @@ def _evolve_full(w, w_bath, a_bath, occ_bath, t, n0):
 
     n_out = np.empty(t.size)
     for i in range(0, t.size, _TIME_BLOCK):
-        ts = t[i:i + _TIME_BLOCK]
-        cos_t = np.cos(np.outer(nu, ts)) * u[:, None]
-        sin_t = np.sin(np.outer(nu, ts)) * u[:, None]
-        rows = (O @ cos_t, O @ (sin_t / nu[:, None]), O @ (sin_t * nu[:, None]))
+        cos_t, sin_t = _cos_sin(nu, t[i:i + _TIME_BLOCK])
+        s1 = O @ (sin_t * (u / nu)[:, None])
+        s2 = np.empty_like(s1)
+        s2[0] = (u * u * nu) @ sin_t
+        np.multiply(d[:, None], s1[1:], out=s2[1:])
+        s2[1:] += z[:, None] * s1[0]
+        rows = (O @ (cos_t * u[:, None]), s1, s2)
         X2P2 = sum((r**2).T @ wt for r, wt in zip(rows, weights))
         n_out[i:i + _TIME_BLOCK] = 0.5 * (X2P2 - 1.0)
     return n_out
+
+
+def _cos_sin(nu, t):
+    """cos(nu t) and sin(nu t), each (n_nu, n_t).
+
+    On a uniform grid t_k = t_0 + k h, write k = a m + j with 0 <= j < m:
+    e^{i nu t_k} = e^{i nu (t_0 + a m h)} e^{i nu j h} by angle addition, so
+    the table is an outer product of n_t/m coarse and m fine factors per
+    frequency, with one complex multiply per entry in place of a cosine and
+    a sine.  Any other grid takes np.cos and np.sin.  The memory integrals'
+    ``_phase_table`` does the same for e^{iwt}; the oracle keeps its own
+    copy so that it shares no code with the route it checks.
+    """
+    n = t.size
+    if n > 1:
+        h = (t[-1] - t[0]) / (n - 1)
+        drift = np.abs(t[0] + h * np.arange(n) - t).max()
+        if drift <= _UNIFORM_ULPS * np.spacing(np.abs(t).max()):
+            m = round(n ** 0.5)
+            coarse = np.exp(1j * np.multiply.outer(
+                nu, t[0] + (m * h) * np.arange(-(-n // m))))
+            fine = np.exp(1j * np.multiply.outer(nu, h * np.arange(m)))
+            table = (coarse[:, :, None] * fine[:, None, :]).reshape(nu.size, -1)
+            return table.real[:, :n], table.imag[:, :n]
+    phase = np.multiply.outer(nu, t)
+    return np.cos(phase), np.sin(phase)
 
 
 def _evolve_rwa(w, w_bath, a_bath, occ_bath, t, n0):

@@ -14,7 +14,8 @@ from openosc import (
     evolve_coupled,
     make_system,
 )
-from openosc.dynamics import _local_cubic, _uniform_step
+from openosc.dynamics import (_build_maps, _local_cubic, _trajectories,
+                               _uniform_step)
 from openosc.errors import (
     DomainError,
     InsufficientDataError,
@@ -129,9 +130,14 @@ def test_blowup_time_matches_per_step_rk4(lam):
     grow = _toy_series(t, lam, 0.0)
     calm = _toy_series(t, 0.5, 0.1)
     spec = _toy_spec()
+    # the last input: one build of three single runs, of which only the
+    # middle one blows up
+    batch = _build_maps(((calm,), (grow,), (calm,)), ((spec,),) * 3, (0.0,) * 3)
     for series, run in (((grow,), lambda: evolve(grow, spec, 1.0)),
                         ((calm, grow), lambda: evolve_coupled(
-                            calm, grow, spec, spec, 0.3, (0.5, 1.0)))):
+                            calm, grow, spec, spec, 0.3, (0.5, 1.0))),
+                        ((grow,), lambda: _trajectories(
+                            batch, (0, 1, 2), ((0.5,), (1.0,), (0.5,))))):
         with pytest.raises(MomentBlowupError) as want:
             _rk4_reference(series, (0.3,), (0.5, 1.0)[-len(series):])
         with warnings.catch_warnings():
@@ -260,6 +266,30 @@ def test_coupled_validation():
         evolve_coupled(s1, s3, spec, spec, 0.1, (0.0, 0.0))
 
 
+_BAD_INPUTS = {
+    # (oscillators, n0, beta, what the DomainError names)
+    "one n0 for a pair": (2, (0.5,), 0.1, "n0"),
+    "three n0 for a pair": (2, (0.5, 0.2, 0.1), 0.1, "n0"),
+    "scalar n0 for a pair": (2, 0.5, 0.1, "n0"),
+    "nan n0 for a pair": (2, (0.5, np.nan), 0.1, "n0"),
+    "nan beta": (2, (0.5, 0.2), np.nan, "beta"),
+    "nan n0 for one oscillator": (1, np.nan, None, "n0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
+def test_stepping_inputs_are_checked(case):
+    n_osc, n0, beta, name = _BAD_INPUTS[case]
+    t = np.linspace(0.0, 1.0, 11)
+    s1 = _toy_series(t, 0.5, 0.1)
+    spec = _toy_spec()
+    with pytest.raises(DomainError, match=name):
+        if n_osc == 1:
+            evolve(s1, spec, n0)
+        else:
+            evolve_coupled(s1, _toy_series(t, 0.3, 0.2), spec, spec, beta, n0)
+
+
 def test_zero_coupling_reduces_to_independent_runs():
     dt = 0.01
     t = np.arange(0.0, 4.0 + 0.5 * dt, dt)
@@ -285,8 +315,16 @@ def test_coupled_swap_symmetry():
         warnings.simplefilter("ignore")
         ab = evolve_coupled(s1, s2, spec, spec, 0.3, (1.0, 0.5))
         ba = evolve_coupled(s2, s1, spec, spec, 0.3, (0.5, 1.0))
-    assert np.array_equal(ab.occupations[0], ba.occupations[1])
-    assert np.array_equal(ab.occupations[1], ba.occupations[0])
+        # and with ab and ba from one build: as two runs, and as one run of
+        # an identical pair applied to swapped start states
+        shared = _trajectories(
+            _build_maps(((s1, s2), (s2, s1)), ((spec, spec),) * 2, (0.3, 0.3)),
+            (0, 1), ((1.0, 0.5), (0.5, 1.0)))
+        same = _trajectories(_build_maps(((s1, s1),), ((spec, spec),), (0.3,)),
+                             (0, 0), ((1.0, 0.5), (0.5, 1.0)))
+    for ab, ba in ((ab, ba), shared, same):
+        assert np.array_equal(ab.occupations[0], ba.occupations[1])
+        assert np.array_equal(ab.occupations[1], ba.occupations[0])
 
 
 def test_coupling_transfers_occupation():
@@ -331,9 +369,28 @@ def test_delta_dissipation_runs_match_separate_coupled_runs():
         dd = delta_dissipation(s1, s2, spec, spec, 0.3, (1.0, 0.5))
         at_beta = evolve_coupled(s1, s2, spec, spec, 0.3, (1.0, 0.5))
         at_zero = evolve_coupled(s1, s2, spec, spec, 0.0, (1.0, 0.5))
-    for run, ref in ((dd.coupled, at_beta), (dd.uncoupled, at_zero)):
+        # one build over several series pairs and couplings, applied to
+        # several start states, and one build of single runs likewise
+        pairs = (((s1, s2), 0.3), ((s2, s1), 0.0), ((s1, s1), 1.5))
+        starts = ((0, (1.0, 0.5)), (2, (0.2, 0.0)), (0, (0.0, 2.0)),
+                  (1, (1.0, 0.5)))
+        batch = _trajectories(
+            _build_maps([p for p, _ in pairs], ((spec, spec),) * 3,
+                        [b for _, b in pairs]),
+            [r for r, _ in starts], [n0 for _, n0 in starts])
+        separate = [evolve_coupled(*pairs[r][0], spec, spec, pairs[r][1], n0)
+                    for r, n0 in starts]
+        singles = _trajectories(
+            _build_maps(((s1,), (s2,)), ((spec,),) * 2, (0.0, 0.0)),
+            (1, 0, 1), ((0.4,), (1.0,), (0.0,)))
+        separate += [evolve(s2, spec, 0.4), evolve(s1, spec, 1.0),
+                     evolve(s2, spec, 0.0)]
+    runs = [(dd.coupled, at_beta), (dd.uncoupled, at_zero),
+            *zip(batch + singles, separate, strict=True)]
+    for run, ref in runs:
         for field in ("occupations", "rates", "dissipation"):
-            for got, want in zip(getattr(run, field), getattr(ref, field)):
+            for got, want in zip(getattr(run, field), getattr(ref, field),
+                                 strict=True):
                 assert np.array_equal(got, want)
     assert dd.coupled.metadata["beta"] == 0.3
     assert dd.uncoupled.metadata["beta"] == 0.0

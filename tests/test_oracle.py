@@ -168,6 +168,50 @@ def test_secular_solver_matches_a_dense_eigh(case):
     assert np.abs(O.T @ O - np.eye(d.size + 1)).max() <= 1e-13
 
 
+def _three_products(w, w_bath, a_bath, occ_bath, t, n0):
+    """The oscillator's occupation with every propagator row a full product.
+
+    C, S1 and S2 each take O times the scaled sine or cosine table per time
+    block, with np.cos and np.sin on every grid.
+    """
+    wm, nu, O = _mode_system(w, w_bath, a_bath)
+    occ0 = np.concatenate([[n0], occ_bath]) + 0.5
+    u = O[0, :]
+    weights = np.stack([occ0 * (wm / w + w / wm), occ0 * w * wm,
+                        occ0 / (w * wm)])
+    n_out = np.empty(t.size)
+    for i in range(0, t.size, 256):
+        ts = t[i:i + 256]
+        cos_t = np.cos(np.outer(nu, ts)) * u[:, None]
+        sin_t = np.sin(np.outer(nu, ts)) * u[:, None]
+        rows = (O @ cos_t, O @ (sin_t / nu[:, None]), O @ (sin_t * nu[:, None]))
+        X2P2 = sum((r**2).T @ wt for r, wt in zip(rows, weights))
+        n_out[i:i + 256] = 0.5 * (X2P2 - 1.0)
+    return n_out
+
+
+_VALIDATE_TIMES = np.arange(0.0, 10.0 + 1e-9, 0.02)
+
+_PROPAGATIONS = {
+    "validate": (_weak(), _VALIDATE_TIMES),
+    "alpha 0.3": (_weak(alpha=0.3), _VALIDATE_TIMES),
+    "alpha 1e-7": (_weak(alpha=1e-7), _VALIDATE_TIMES),
+    "fermionic": (_weak(eps=-1), _VALIDATE_TIMES),
+    "non-uniform grid": (_weak(), 10.0 * np.linspace(0.0, 1.0, 301) ** 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PROPAGATIONS))
+def test_propagation_matches_three_full_products(case):
+    # S2 from the arrowhead's rows and cos/sin by angle addition on uniform
+    # grids, against three full products and np.cos/np.sin
+    spec, t = _PROPAGATIONS[case]
+    comb = _comb(spec, 400, _default_w_max(spec))
+    got = oracle._evolve_full(spec.omega, *comb, t, 0.3)
+    want = _three_products(spec.omega, *comb, t, 0.3)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_secular_solver_guards():
     with pytest.raises(StabilityError):
         # sum z_i^2 / d_i = 3.84 exceeds a = 1: a negative normal-mode nu^2
