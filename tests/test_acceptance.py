@@ -286,7 +286,7 @@ def test_08_discretized_bath_cross_check(weak_case):
     report = compare(series.t, traj.occupations[0], oracle.t, oracle.n)
     _verdict("08 cross-check", [
         ("max |dev|", report.max_abs_dev <= 0.03,
-         f"{report.max_abs_dev:.4f} (400 modes per bath)"),
+         f"{report.max_abs_dev:.4f} (400 modes per bath, merged into 401)"),
     ])
 
 

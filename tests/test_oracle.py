@@ -9,7 +9,9 @@ from openosc import (BathSpec, compare, evolve_exact, make_system, oracle,
 from openosc.errors import (DimensionCapError, DomainError, NumericalError,
                             StabilityError)
 from openosc.model import _default_w_max, equilibrium_occupation
-from openosc.oracle import _arrowhead_eigh, _comb, _mode_system, propagator_blocks
+from openosc.cli import _closed_form
+from openosc.oracle import (_arrowhead_eigh, _comb, _mode_system,
+                            _tail_corner, propagator_blocks)
 from openosc.scenarios import fig1_system
 
 
@@ -27,9 +29,13 @@ def _per_bath_reference(spec, t, n0, n_modes, rwa):
 
     The two baths' combs are concatenated, 2 n_modes + 1 modes in which
     every frequency appears twice, and diagonalized by a dense
-    ``np.linalg.eigh`` built here, independent of the oracle's solver.
+    ``np.linalg.eigh`` built here, independent of the oracle's solver.  Full
+    coupling puts the bath above the cutoff W into the corner, written out
+    here as omega^2 - 4 omega sum_b (alpha_b gamma_b / pi)
+    (pi/2 - arctan(W / gamma_b)).
     """
-    combs = [sample_bath(b, n_modes, _default_w_max(spec)) for b in spec.baths]
+    w_max = _default_w_max(spec)
+    combs = [sample_bath(b, n_modes, w_max) for b in spec.baths]
     w_bath = np.concatenate([w for w, _ in combs])
     a_bath = np.concatenate([a for _, a in combs])
     occ0 = np.concatenate([[n0], *(
@@ -44,7 +50,10 @@ def _per_bath_reference(spec, t, n0, n_modes, rwa):
         return (np.abs(U) ** 2).T @ occ0
     # the oscillator rows of the (X, P) propagator blocks, as in
     # propagator_blocks, from the dense normal modes
-    nu2, O = np.linalg.eigh(_arrow(w**2, 2.0 * a_bath * np.sqrt(w * w_bath),
+    tail = sum(b.alpha * b.gamma / np.pi
+               * (np.pi / 2 - np.arctan(w_max / b.gamma)) for b in spec.baths)
+    nu2, O = np.linalg.eigh(_arrow(w**2 - 4.0 * w * tail,
+                                   2.0 * a_bath * np.sqrt(w * w_bath),
                                    w_bath**2))
     nu = np.sqrt(nu2)[:, None]
     u = O[0][:, None]
@@ -168,13 +177,13 @@ def test_secular_solver_matches_a_dense_eigh(case):
     assert np.abs(O.T @ O - np.eye(d.size + 1)).max() <= 1e-13
 
 
-def _three_products(w, w_bath, a_bath, occ_bath, t, n0):
+def _three_products(w, corner, w_bath, a_bath, occ_bath, t, n0):
     """The oscillator's occupation with every propagator row a full product.
 
     C, S1 and S2 each take O times the scaled sine or cosine table per time
     block, with np.cos and np.sin on every grid.
     """
-    wm, nu, O = _mode_system(w, w_bath, a_bath)
+    wm, nu, O = _mode_system(w, corner, w_bath, a_bath)
     occ0 = np.concatenate([[n0], occ_bath]) + 0.5
     u = O[0, :]
     weights = np.stack([occ0 * (wm / w + w / wm), occ0 * w * wm,
@@ -206,16 +215,18 @@ def test_propagation_matches_three_full_products(case):
     # S2 from the arrowhead's rows and cos/sin by angle addition on uniform
     # grids, against three full products and np.cos/np.sin
     spec, t = _PROPAGATIONS[case]
-    comb = _comb(spec, 400, _default_w_max(spec))
-    got = oracle._evolve_full(spec.omega, *comb, t, 0.3)
-    want = _three_products(spec.omega, *comb, t, 0.3)
+    w_max = _default_w_max(spec)
+    comb = _comb(spec, 400, w_max)
+    corner = _tail_corner(spec, w_max)
+    got = oracle._evolve_full(spec.omega, corner, *comb, t, 0.3)
+    want = _three_products(spec.omega, corner, *comb, t, 0.3)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_secular_solver_guards():
     with pytest.raises(StabilityError):
         # sum z_i^2 / d_i = 3.84 exceeds a = 1: a negative normal-mode nu^2
-        _mode_system(1.0, np.array([0.5, 1.5]), np.array([0.6, 0.6]))
+        _mode_system(1.0, 1.0, np.array([0.5, 1.5]), np.array([0.6, 0.6]))
     for d in ([1.0, 2.0, 2.0], [3.0, 2.0, 1.0]):
         with pytest.raises(DomainError, match="strictly ascending"):
             _arrowhead_eigh(1.0, np.array([0.1, 0.2, 0.3]), np.array(d))
@@ -242,6 +253,23 @@ def test_sample_bath_reproduces_the_truncated_coupling_sum():
         sample_bath(bath, 10, -1.0)
 
 
+def test_tail_corner_restores_the_renormalized_static_frequency():
+    # the corner minus the comb's static coupling sum z^2/d is omega Omega,
+    # the oscillator's static stiffness with the whole continuum attached,
+    # to the midpoint rule's O(dw^2): omega - Omega = 2 sum_b alpha_b gamma_b.
+    # The plain corner omega^2 misses it by 7.0% on W 40 and 1.4% on W 200
+    spec = make_system(1.0, BathSpec(+1, 0.02, 8.0, 2.0),
+                       BathSpec(+1, 0.005, 14.0, 0.3))
+    w = spec.omega
+    target = w * spec.omega_renormalized
+    for n_modes, w_max in ((100, 40.0), (400, 200.0)):
+        w_bath, a_bath, _ = _comb(spec, n_modes, w_max)
+        comb = 4.0 * w * np.sum(a_bath**2 / w_bath)
+        assert _tail_corner(spec, w_max) - comb == pytest.approx(target,
+                                                                 rel=1e-6)
+        assert w * w - comb > 1.01 * target
+
+
 def test_oracle_input_validation():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -256,6 +284,24 @@ def test_oracle_input_validation():
         evolve_exact(_weak(), [-1.0, 1.0], 0.0)
     with pytest.raises(DomainError):
         evolve_exact(_weak(), [0.0, 1.0], -0.2)
+
+
+@pytest.mark.parametrize("n0", [np.nan, np.inf])
+def test_oracle_rejects_a_non_finite_n0(n0):
+    with pytest.raises(DomainError, match=f"got {n0}"):
+        evolve_exact(_weak(), [0.0, 1.0], n0, n_modes=20)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_oracle_rejects_non_finite_times(bad):
+    with pytest.raises(DomainError, match=f"got {bad}"):
+        evolve_exact(_weak(), [0.0, bad, 1.0], 0.0, n_modes=20)
+
+
+def test_oracle_rejects_a_fractional_mode_count():
+    # 50.5 would build 51 midpoints spaced W/50.5, the last one at W
+    with pytest.raises(DomainError, match="got 50.5"):
+        evolve_exact(_weak(), [0.0, 1.0], 0.0, n_modes=50.5)
 
 
 def test_fermionic_comb_behind_the_flag():
@@ -321,6 +367,35 @@ def test_comb_self_convergence(weak_case):
     assert np.abs(oracle400.n - oracle800.n).max() < 1e-6
     rep = compare(traj.t, traj.occupations[0], oracle800.t, oracle800.n)
     assert rep.max_abs_dev < 0.03
+
+
+def test_remainder_falls_as_the_inverse_square_of_the_cutoff(weak_case):
+    # validate's system: the comb's deviation from the closed form on
+    # (400 modes, W 200) and (200 modes, W 100) reads 1.93e-5 and 9.61e-5,
+    # a ratio of 4.98; without the counterterm 4.52e-3 and 8.82e-3, a
+    # ratio of 1.95 (the O(1/W) error of the missing bath above W)
+    spec, series, _, oracle200 = weak_case
+    closed = _closed_form(series, spec, 0.0)
+    oracle100 = evolve_exact(spec, series.t, 0.0, n_modes=200, w_max=100.0)
+    dev200 = compare(series.t, closed, oracle200.t, oracle200.n).max_abs_dev
+    dev100 = compare(series.t, closed, oracle100.t, oracle100.n).max_abs_dev
+    assert dev100 <= 1e-4
+    assert dev100 / dev200 >= 3.0
+
+
+def test_strong_bosonic_pair_member_matches_the_oracle(pair5_case):
+    # fig5's system 2 (alpha 0.05/0.03, gamma 12/15) on t <= 8, inside the
+    # recurrence time 16.8 of 800 modes on its default W 300: the closed form
+    # is 7.7e-5 off the oracle, and 4.1e-2 off the comb without the
+    # counterterm.  On a 2-core VM the test takes about 60 ms, 51-54 ms of
+    # it in the oracle
+    (_, spec), (_, series) = pair5_case
+    k = int(np.searchsorted(series.t, 8.0 + 1e-9))
+    t = series.t[:k]
+    closed = _closed_form(series, spec, 0.0)[:k]
+    res = evolve_exact(spec, t, 0.0, n_modes=800)
+    assert res.w_max == 300.0 and res.recurrence_time > t[-1]
+    assert compare(t, closed, res.t, res.n).max_abs_dev <= 1e-3
 
 
 def test_compare_reports_the_overlap():
