@@ -214,8 +214,10 @@ def config_run(raw) -> dict:
     if len(out["n0"]) > 2:
         raise ConfigError(f"[run] n0 = {run['n0']!r} lists more than two "
                           "values (one per oscillator)")
-    if out["t_max"] <= 0 or out["dt"] <= 0:
-        raise ConfigError("[run] t_max and dt must be positive")
+    for key in ("t_max", "dt"):
+        if not (np.isfinite(out[key]) and out[key] > 0):
+            raise ConfigError(f"[run] {key} = {out[key]!r} must be a positive "
+                              "finite number")
     return out
 
 
@@ -282,7 +284,12 @@ def write_observables(path: Path, rows):
 def _quad_summary(reports):
     if not reports:
         return {}
+    entries = sum(r.ray_entries for r in reports)
     return {
+        # the share of the ray's (node, time) entries its tables held; 1.0
+        # when there is no ray
+        "ray_kept_fraction": (sum(r.ray_entries_kept for r in reports)
+                              / entries if entries else 1.0),
         "n_panels_max": max(r.n_panels for r in reports),
         "n_panels_total": sum(r.n_panels for r in reports),
         "w_max_final": max(r.w_max for r in reports),

@@ -77,7 +77,9 @@ from .model import (
 #: comb then solves the secular equation of half of them plus the oscillator)
 MODE_CAP = 2000
 
-_TIME_BLOCK = 256
+#: times per block of the propagation: each block holds a few
+#: (n_modes, _TIME_BLOCK) tables, the oracle's working set
+_TIME_BLOCK = 128
 
 #: How far, in ulp of the largest time, each time may sit from t_0 + k h
 #: for ``_cos_sin`` to rebuild the grid from t_0 and h
@@ -433,7 +435,7 @@ def _cos_sin(nu, t):
     the table is an outer product of n_t/m coarse and m fine factors per
     frequency, with one complex multiply per entry in place of a cosine and
     a sine.  Any other grid takes np.cos and np.sin.  The memory integrals'
-    ``_phase_table`` does the same for e^{iwt}; the oracle keeps its own
+    ``_exp_table`` does the same for e^{iwt}; the oracle keeps its own
     copy so that it shares no code with the route it checks.
     """
     n = t.size

@@ -173,6 +173,10 @@ def run_scenario(name: str, *, t_max=None, dt=None,
     d = SCENARIOS[name]
     t_max = float(t_max if t_max is not None else d.t_max)
     dt = float(dt if dt is not None else d.dt)
+    for key, value in (("t_max", t_max), ("dt", dt)):
+        if not (np.isfinite(value) and value > 0):
+            raise ConfigError(f"{key} = {value!r} must be a positive finite "
+                              "number")
     t = np.arange(0.0, t_max + 0.5 * dt, dt)
 
     meta = {"scenario": name, "description": d.description, "t_max": t_max,

@@ -117,13 +117,16 @@ def coefficient_series(spec: SystemSpec, t, *,
     ----------
     spec : SystemSpec
     t : array_like
-        Nonnegative, strictly increasing times.
+        Finite, nonnegative, strictly increasing times.
     rtol : float
         Accuracy contract of the memory integrals (see ``MemoryIntegrator``).
     """
     t = np.asarray(t, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise DomainError("time grid must be a nonempty 1-D array")
+    if not np.isfinite(t).all():
+        raise DomainError(
+            f"time grid must be finite; got {float(t[~np.isfinite(t)][0])!r}")
     if (t < 0).any() or (np.diff(t) <= 0).any():
         raise DomainError("time grid must be nonnegative and strictly increasing")
 

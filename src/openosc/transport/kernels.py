@@ -130,14 +130,19 @@ class KernelEvaluator:
             )
         return 1.0 / d
 
-    def _mn_coefficients(self, wq):
-        """Per-node coefficients of M and N for probe frequencies wq (array)."""
-        R = self._resolvent(wq)
+    def _c0_coefficients(self, wq):
+        """s0 = -i wq and the node coefficients c_0 of M and N there."""
         s0 = -1j * wq
         xi0 = 1.0 / np.polyval(self.rootset.quartic_coefficients, s0)
         poles = (s0 + self.g1) * (s0 + self.g2)
         cN0 = (1j * s0 - self.w) * poles * xi0
         cM0 = -(1j * s0 + self.w) * poles * xi0
+        return s0, cM0, cN0
+
+    def _mn_coefficients(self, wq):
+        """Per-node coefficients of M and N for probe frequencies wq (array)."""
+        R = self._resolvent(wq)
+        s0, cM0, cN0 = self._c0_coefficients(wq)
         return s0, cM0, cN0, self.aM * R, self.aN * R
 
     def mn_block(self, wq, t):

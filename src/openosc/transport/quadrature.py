@@ -45,16 +45,24 @@ cross terms.
   roots) lie on the imaginary axis, and those of c_k in the lower
   half-plane.  theta bisects the widest angular gap between the real axis,
   the first-quadrant poles and the imaginary axis.  The ray's nodes do not
-  depend on t, so each time costs one column of an e^{iwt} product.  On a
-  uniform grid t_k = t_0 + k h the table e^{iwt} is itself an outer
-  product, e^{iw(t_0 + a m h)} e^{iwjh} with k = a m + j (``_phase_table``):
-  one complex multiply per entry, and exponentials only for the coarse and
-  fine factors.  Other grids take one exponential per entry.
+  depend on t, so each time costs one column of an e^{iwt} product.  The
+  nodes come in three groups (``_ray_groups``), each sorted by Im w, and
+  the times in equal slices whose tables hold at most ``_TABLE_ENTRIES``
+  entries; one table, of one group on one slice, exists at a time, in one
+  block allocated per call.  A slice's table leaves out the nodes whose
+  e^{iwt} has underflowed against the rest of the group by the slice's
+  smallest time (``_contract``), and the budget carries a bound on what
+  they would add.  On a uniform grid t_k = t_0 + k h the table is itself
+  an outer product, e^{iw(t_0 + a m h)} e^{iwjh} with k = a m + j
+  (``_exp_table``): one complex multiply per entry, exponentials only for
+  the coarse factors, and the fine ones built once per group for every
+  slice.  Other grids take one exponential per entry.
 
 Nothing is adaptive: the node count follows from the spec and grows only as
 log2(t_max/t_min).  The error budget adds the static parts' ladder
-estimates, the ray's difference to one bisection, and a rounding allowance
-on the parts' magnitudes, which cancel as t -> 0.  The ray bisects only
+estimates, the ray's difference to one bisection, the bound on the ray's
+left-out nodes, and a rounding allowance on the parts' magnitudes, which
+cancel as t -> 0.  The ray bisects only
 its two end panels and the panels that overlap [m_lo/2, 2 m_hi], m_lo and
 m_hi the smallest and largest modulus of a singularity (``_bisected``),
 and takes its value from the halves there; on the other panels one K15
@@ -64,11 +72,12 @@ runs are bit-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import QuadratureError
+from ..errors import DomainError, QuadratureError
 from ..model import BathSpec, SystemSpec, _default_w_max, equilibrium_occupation
 
 # 15-point Kronrod abscissae (ascending) with embedded 7-point Gauss rule.
@@ -121,15 +130,20 @@ _REFINE = 4
 #: K15 panels in u = W/w on (0, 1] for integrals over the real ray [W, inf).
 _RAY_EDGES = np.array([0.0, 0.25, 0.5, 1.0])
 
-#: Times per block of the ray's e^{iwt} product, bounding its memory.
-_TIME_BLOCK = 512
+#: (node, time) entries of one e^{iwt} table of the ray, the working set of
+#: its contraction (16 bytes each, and 8 more for their moduli): the times
+#: are cut into the fewest equal slices whose tables over the largest node
+#: group hold at most this many (``_slices``).  fig1's benchmark grid (250
+#: times, 300 nodes) takes one slice, validate's (500 times) two.
+_TABLE_ENTRIES = 2**17
 
-#: Fine phase factors per coarse one in ``_phase_table``: about the square
-#: root of ``_TIME_BLOCK``, which minimizes the exponentials per block.
-_PHASE_STEP = round(_TIME_BLOCK ** 0.5)
+#: A ray node leaves a time slice's table when its weighted factor
+#: max_c |f_jc| e^{-Im(w_j) t_min} is below this fraction of the sum over
+#: its group (``_contract``).
+_DROP = 1e-17
 
 #: How far, in ulp of the largest time, each time may sit from t_0 + k h
-#: for ``_phase_table`` to rebuild the grid from t_0 and h.  np.arange and
+#: for ``_fine_factors`` to rebuild the grid from t_0 and h.  np.arange and
 #: np.linspace grids sit within 2.
 _UNIFORM_ULPS = 4
 
@@ -170,12 +184,16 @@ class QuadratureReport:
     per-bath error scales.  ``tail_bound`` maps each bath's name ("bath1",
     "bath2") to the absolute error estimate of the static parts beyond W,
     bounded over every time and over value and derivative.
+    ``ray_entries`` counts the (node, time) pairs of the ray's groups and
+    ``ray_entries_kept`` those its e^{iwt} tables held (``_contract``).
     """
 
     n_panels: int
     w_max: float
     max_rel_error: float
     tail_bound: dict
+    ray_entries: int
+    ray_entries_kept: int
 
 
 class MemoryIntegrator:
@@ -261,8 +279,11 @@ class MemoryIntegrator:
         phase = np.exp(1j * self._theta)
         w = self._R * v / (1.0 - v) * phase
         jac = (half[:, None] * WK).ravel() * phase * self._R / (1.0 - v) ** 2
-        _, cM0, cN0, _, _ = self.ev._mn_coefficients(w.conj())
-        _, _, _, cMk, cNk = self.ev._mn_coefficients(w)
+        # c_0 at conj(w) and the root coefficients at w, each evaluated
+        # only where it is used
+        _, cM0, cN0 = self.ev._c0_coefficients(w.conj())
+        R = self.ev._resolvent(w)
+        cMk, cNk = self.ev.aM * R, self.ev.aN * R
         rate = self.ev.s[None, :] + 1j * w[:, None]
         f = []
         for bath in self._baths:
@@ -272,17 +293,39 @@ class MemoryIntegrator:
             f.append(np.stack([F, F * rate], axis=1))
         return w, np.stack(f, axis=1).reshape(w.size, -1)
 
-    def _block(self, t, w, f, split):
-        """I and dI of the coupled baths at times t > 0, with budgets.
+    def _ray_groups(self, t):
+        """The ray's nodes for the times t > 0 in three groups: the panels
+        taken once, the halves of the bisected panels (``_bisected``), and
+        those panels at the base level.
 
-        ``w`` and ``f`` hold the ray's nodes in three runs, split at
-        ``split`` = (n_shared, n_value): the panels taken once, the halves
-        of the bisected panels, and those panels at the base level.  The
-        value takes the first two runs; the estimate is the halves' part
-        minus the base level's, on the bisected panels alone.
-        Returns (value, budget), each of shape (n_live, 2, n_t).
+        Each group is sorted by Im w, so that the nodes a time slice keeps
+        form a prefix (``_contract``).  Returns [(w, f, |f|)] per group.
         """
-        n_l, s = len(self._live), self.ev.s
+        # e^{iwt} decays over r ~ 1/t_max and reaches out to 1/t_min
+        edges = _ray_edges(self._R, min(self._r_min, 1.0 / t.max()),
+                           1.0 / t.min())
+        bis = _bisected(edges, self._R, self._band)
+        lo, hi = edges[:-1], edges[1:]
+        mid = 0.5 * (lo + hi)
+        w, f = self._ray_nodes(
+            np.concatenate([lo[~bis], lo[bis], mid[bis], lo[bis]]),
+            np.concatenate([hi[~bis], mid[bis], hi[bis], hi[bis]]))
+        n_bis = bis.sum()
+        ends = np.cumsum([0, 15 * (len(bis) - n_bis), 30 * n_bis, 15 * n_bis])
+        groups = []
+        for a, b in zip(ends[:-1], ends[1:]):
+            order = a + np.argsort(w[a:b].imag, kind="stable")
+            groups.append((w[order], f[order], np.abs(f[order])))
+        return groups
+
+    def _static(self, t):
+        """The static parts and the residues' cross terms of the coupled
+        baths at the times t > 0, with their budgets, and e^{s t}.
+
+        Returns (value, budget, E): value and budget of shape
+        (n_live, 2, n_t) and E, (4, n_t).
+        """
+        s = self.ev.s
         E = np.exp(np.multiply.outer(s, t))  # (4, n_t)
         EE = (E[:, None, :] * E[None, :, :].conj()).reshape(16, t.size)
         S, eS = self._S, self._S_err
@@ -296,21 +339,55 @@ class MemoryIntegrator:
         budget[:, 0] += eS[:, 0, None]
 
         Ej = E[self._inside]
-        res = self._P @ Ej  # (n_l, 2, 4, n_t)
-        res_size = np.abs(self._P) @ np.abs(Ej)
-        X = _phase_table(w, t)  # (n_v, n_t)
-        shared, value_end = split
-        C_shared, C_halves, C_base = (
-            (f[a:b].T @ X[a:b]).reshape(n_l, 2, 4, t.size)
-            for a, b in ((0, shared), (shared, value_end), (value_end, None)))
-        C = C_shared + C_halves + res
-        value += 2.0 * (C * E).sum(axis=2).real
-        diff = 2.0 * ((C_halves - C_base) * E).sum(axis=2).real
-        C_size = (np.abs(f[:value_end]).T @ np.abs(X[:value_end])).reshape(
-            n_l, 2, 4, t.size) + res_size
-        size += 2.0 * (C_size * np.abs(E)).sum(axis=2)
-        budget += np.abs(diff) + _ROUNDING * size
-        return value, budget
+        value += 2.0 * ((self._P @ Ej) * E).sum(axis=2).real
+        size += 2.0 * ((np.abs(self._P) @ np.abs(Ej)) * np.abs(E)).sum(axis=2)
+        budget += _ROUNDING * size
+        return value, budget, E
+
+    def _ray(self, t, groups, bounds):
+        """The ray's part of C_k(t) in the value and in its error estimate,
+        at the times t > 0, one node group and one time slice at a time.
+
+        ``groups`` comes from ``_ray_groups`` and ``bounds`` from
+        ``_slices``.  The value takes the first two groups; the estimate is
+        the halves' part minus the base level's, on the bisected panels
+        alone.  Returns (C_value, C_diff, bound, kept): the first three
+        (n_live * 2 * 4, n_t), bound the rounding allowance on the value's
+        magnitudes plus the bound on every group's left-out nodes, and kept
+        the entries of the tables built.
+        """
+        n_c = groups[0][1].shape[1]
+        C_value = np.zeros((n_c, t.size), dtype=complex)
+        C_diff = np.zeros_like(C_value)
+        bound = np.zeros((n_c, t.size))
+        kept = 0
+        longest = max(np.diff(bounds))
+        m = math.isqrt(longest)
+        # one block holds each table (up to m - 1 rows longer than its
+        # slice) and its moduli in turn, so that the contraction allocates
+        # its working set once per call
+        n = -(-longest // m) * m * max(len(w) for w, _, _ in groups)
+        work = np.empty(3 * n)
+        tables, moduli = work[:2 * n].view(complex), work[2 * n:]
+        for g, (w, f, f_abs) in enumerate(groups):
+            # the fine factors of the phases and of their moduli, shared by
+            # every slice
+            fine = _fine_factors(1j * w, t, m)
+            fine_abs = None if fine is None else (fine[0], np.abs(fine[1]))
+            for a, b, C, X, drop in _contract(w, f, f_abs, t, bounds, fine,
+                                              tables):
+                k = X.shape[1]
+                if g < 2:  # the value's groups
+                    C_value[:, a:b] += C.T
+                    X_abs = _exp_table(-w[:k].imag, t[a:b], fine_abs, moduli)
+                    bound[:, a:b] += _ROUNDING * (X_abs @ f_abs[:k]).T
+                if g == 1:
+                    C_diff[:, a:b] += C.T
+                elif g == 2:
+                    C_diff[:, a:b] -= C.T
+                bound[:, a:b] += drop[:, None]
+                kept += X.size
+        return C_value, C_diff, bound, kept
 
     def _error_scales(self, totals: np.ndarray) -> np.ndarray:
         """Per-(bath, derivative, time) denominators for error control.
@@ -342,34 +419,30 @@ class MemoryIntegrator:
         uncoupled bath, and stores a QuadratureReport in
         ``last_report``.  I(0) = dI(0) = 0 exactly, because every kernel
         vanishes at t = 0.  Raises QuadratureError if the error budget
-        exceeds rtol.
+        exceeds rtol, and DomainError for a time that is not finite.
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))
+        if not np.isfinite(t).all():
+            raise DomainError(
+                f"times must be finite; got {float(t[~np.isfinite(t)][0])!r}")
         names = ("bath1", "bath2")
         totals = np.zeros((2, 2, t.size))
         pos = t > 0.0
-        n_panels, worst = 0, 0.0
+        n_panels, worst, entries, kept = 0, 0.0, 0, 0
         tail = dict.fromkeys(names, 0.0)
         if self._live and pos.any():
             tp = t[pos]
-            # e^{iwt} decays over r ~ 1/t_max and reaches out to 1/t_min
-            edges = _ray_edges(self._R, min(self._r_min, 1.0 / tp.max()),
-                               1.0 / tp.min())
-            bis = _bisected(edges, self._R, self._band)
-            lo, hi = edges[:-1], edges[1:]
-            mid = 0.5 * (lo + hi)
-            # [shared panels | bisected halves | base level of the bisected]
-            w, f = self._ray_nodes(
-                np.concatenate([lo[~bis], lo[bis], mid[bis], lo[bis]]),
-                np.concatenate([hi[~bis], mid[bis], hi[bis], hi[bis]]))
-            shared = 15 * (~bis).sum()
-            split = (shared, shared + 30 * bis.sum())
-            value = np.empty((len(self._live), 2, tp.size))
-            budget = np.empty_like(value)
-            for start in range(0, tp.size, _TIME_BLOCK):
-                sl = slice(start, start + _TIME_BLOCK)
-                value[..., sl], budget[..., sl] = self._block(tp[sl], w, f,
-                                                              split)
+            groups = self._ray_groups(tp)
+            n_nodes = [len(w) for w, _, _ in groups]
+            value, budget, E = self._static(tp)
+            C_value, C_diff, bound, kept = self._ray(
+                tp, groups, _slices(tp.size, max(n_nodes)))
+            shape = (len(self._live), 2, 4, tp.size)
+            value += 2.0 * (C_value.reshape(shape) * E).sum(axis=2).real
+            diff = 2.0 * (C_diff.reshape(shape) * E).sum(axis=2).real
+            budget += np.abs(diff) + 2.0 * (bound.reshape(shape)
+                                            * np.abs(E)).sum(axis=2)
+            entries = tp.size * sum(n_nodes)
             worst = float((budget / self._error_scales(value)).max())
             if worst > self.rtol:
                 raise QuadratureError(
@@ -380,37 +453,89 @@ class MemoryIntegrator:
             for li, ci in enumerate(self._live):
                 totals[ci][:, pos] = value[li]
                 tail[names[ci]] = float(self._tail[li])
-            n_panels = self._static_panels + w.size // 15
+            n_panels = self._static_panels + sum(n_nodes) // 15
         self.last_report = QuadratureReport(
             n_panels=n_panels, w_max=self.w_max, max_rel_error=worst,
-            tail_bound=tail,
+            tail_bound=tail, ray_entries=entries, ray_entries_kept=kept,
         )
         return {name: (totals[ci, 0], totals[ci, 1])
                 for ci, name in enumerate(names)}
 
 
-def _phase_table(w, t):
-    """The table e^{iwt}, (n_w, n_t), for Im w >= 0 and t >= 0.
+def _slices(n_t, n_nodes):
+    """Bounds of the time slices of an n_t-time grid: the fewest equal
+    slices whose tables over ``n_nodes`` nodes hold at most
+    ``_TABLE_ENTRIES`` entries."""
+    count = -(-n_t // max(1, _TABLE_ENTRIES // n_nodes))
+    length = -(-n_t // count)
+    return list(range(0, n_t, length)) + [n_t]
 
-    On a uniform grid t_k = t_0 + k h, write k = a m + j with 0 <= j < m:
-    e^{i w t_k} = e^{i w (t_0 + a m h)} e^{i w j h}, so the table is an
-    outer product of n_t/m coarse and m fine factors per node, with one
-    complex multiply per entry in place of one exponential.  With h >= 0
-    neither factor exceeds 1 in magnitude, so their product cannot be
-    0 * inf.  Any other grid takes one exponential per entry.
-    """
+
+def _fine_factors(z, t, m):
+    """(h, e^{z j h} for 0 <= j < m), the latter (m, n_z), if t_k = t_0 + k h
+    with h >= 0 for every k, to within ``_UNIFORM_ULPS`` of the largest
+    time; else None."""
     n = t.size
     if n > 1:
         h = (t[-1] - t[0]) / (n - 1)
         drift = np.abs(t[0] + h * np.arange(n) - t).max()
         if h >= 0.0 and drift <= _UNIFORM_ULPS * np.spacing(np.abs(t).max()):
-            m = min(n, _PHASE_STEP)
-            coarse = np.exp(1j * np.multiply.outer(
-                w, t[0] + (m * h) * np.arange(-(-n // m))))
-            fine = np.exp(1j * np.multiply.outer(w, h * np.arange(m)))
-            table = coarse[:, :, None] * fine[:, None, :]
-            return table.reshape(w.size, -1)[:, :n]
-    return np.exp(1j * np.multiply.outer(w, t))
+            return h, np.exp(np.multiply.outer(h * np.arange(m), z))
+    return None
+
+
+def _exp_table(z, t, fine, out=None):
+    """The table e^{zt}, (n_t, n_z), for Re z <= 0 and t >= 0, held in the
+    flat array ``out`` if one is given: the ray's phases e^{iwt} with
+    z = iw, and their moduli e^{-Im(w) t} with z = -Im w.
+
+    ``fine`` is None, and the table takes one exponential per entry, unless
+    t is a run of a uniform grid t_k = t_0 + k h.  Then it is
+    ``_fine_factors`` of that grid and of exponents whose first columns are
+    z; write k = a m + j: e^{z t_k} = e^{z (t_0 + a m h)} e^{z j h}, so the
+    table is an outer product of n_t/m coarse and the m fine factors per
+    exponent, with one multiply per entry in place of one exponential.
+    With h >= 0 neither factor exceeds 1 in magnitude, so their product
+    cannot be 0 * inf.
+    """
+    if fine is None:
+        if out is not None:
+            out = out[:t.size * z.size].reshape(t.size, z.size)
+        return np.exp(np.multiply.outer(t, z, out=out), out=out)
+    h, steps = fine
+    m = len(steps)
+    coarse = np.exp(np.multiply.outer(
+        t[0] + (m * h) * np.arange(-(-t.size // m)), z))
+    if out is not None:
+        out = out[:coarse.size * m].reshape(len(coarse), m, z.size)
+    table = np.multiply(coarse[:, None, :], steps[None, :, :z.size], out=out)
+    return table.reshape(len(coarse) * m, z.size)[:t.size]
+
+
+def _contract(w, f, f_abs, t, bounds, fine, out=None):
+    """One group's share of the cross terms, C_c(t) = sum_j f_jc e^{i w_j t},
+    one time slice [a, b) of ``bounds`` at a time; the nodes w are sorted
+    by Im w.
+
+    In a slice, node j is left out where its weighted factor
+    max_c |f_jc| e^{-Im(w_j) t_min}, with t_min the slice's smallest time,
+    is below ``_DROP`` of the group's sum; the table keeps the prefix up to
+    the last node that is not.  |e^{i w_j t}| <= e^{-Im(w_j) t_min} at every
+    time of the slice, which bounds the part left out.  Yields (a, b, C, X,
+    drop) per slice: C (b - a, n_c), the table X = e^{iwt} of the kept
+    nodes (``_exp_table`` with ``fine`` of iw; held in ``out`` if given,
+    which the next slice overwrites) and that bound per component, (n_c,).
+    """
+    t_min = np.minimum.reduceat(t, bounds[:-1])
+    decay = np.exp(-np.multiply.outer(w.imag, t_min))  # (n_w, n_slices)
+    weight = f_abs.max(axis=1, initial=0.0)[:, None] * decay
+    rank = np.arange(1, len(w) + 1)[:, None]
+    keep = np.max(rank * (weight >= _DROP * weight.sum(axis=0)), axis=0,
+                  initial=0)
+    drop = f_abs.T @ (decay * (rank > keep))
+    for s, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+        X = _exp_table(1j * w[:keep[s]], t[a:b], fine, out)
+        yield a, b, X @ f[:keep[s]], X, drop[:, s]
 
 
 def _bisect(edges):

@@ -13,6 +13,7 @@ import pytest
 
 import openosc
 from openosc.cli import (
+    _quad_summary,
     _second_order_resolve,
     config_numerics,
     config_sweep,
@@ -225,6 +226,32 @@ def test_evolve_end_to_end(tmp_path):
     for key in ("n_panels_total", "max_rel_error", "remainder_error_max"):
         assert math.isfinite(quad[key])
     assert quad["n_panels_total"] >= quad["n_panels_max"] > 0
+    assert 0.0 < quad["ray_kept_fraction"] <= 1.0
+
+
+def test_summary_reports_the_rays_kept_fraction(fig1_case):
+    # on fig1's preset grid the ray's tables leave out the nodes whose
+    # e^{iwt} has underflowed against the rest of their group
+    _, series, _ = fig1_case
+    assert _quad_summary(series.quadrature_reports)["ray_kept_fraction"] < 1.0
+
+
+@pytest.mark.parametrize("key, value", [("t_max", "nan"), ("t_max", "inf"),
+                                        ("dt", "nan")])
+def test_run_grid_must_be_finite(tmp_path, capsys, key, value):
+    # np.arange used to raise a bare ValueError (exit 1) on these
+    cfg = tmp_path / "weak.ini"
+    line = {"t_max": "t_max = 2.0", "dt": "dt = 0.05"}[key]
+    cfg.write_text(WEAK_SINGLE.replace(line, f"{key} = {value}"))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "run"),
+                 "coeffs"]) == 2
+    assert f"[run] {key} = {value}" in capsys.readouterr().err
+
+
+def test_scenario_grid_must_be_finite(tmp_path, capsys):
+    assert main(["--out", str(tmp_path), "scenario", "fig1", "--t-max",
+                 "nan"]) == 2
+    assert "t_max = nan" in capsys.readouterr().err
 
 
 def test_coupled_end_to_end(tmp_path):

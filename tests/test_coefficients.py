@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from openosc import BathSpec, coefficient_series, make_system
 from openosc.errors import DomainError
+from openosc.scenarios import fig1_system
 from openosc.transport import coefficients
 from openosc.transport.asymptotics import asymptotic_bath_integral
 
@@ -19,6 +21,35 @@ def test_grid_validation():
         coefficient_series(spec, [0.0, 1.0, 1.0])
     with pytest.raises(DomainError):
         coefficient_series(spec, [])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_grid_rejects_times_that_are_not_finite(bad):
+    # a NaN time used to pass the grid check and come back as lambda = NaN,
+    # an infinite one to raise OverflowError from the ray's edges
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        spec = fig1_system()
+    with pytest.raises(DomainError, match=repr(float(bad))):
+        coefficient_series(spec, [0.0, 1.0, bad])
+
+
+def test_series_working_set_on_validates_grid():
+    # the ray's e^{iwt} tables are built one node group and one time slice
+    # at a time, so the traced peak stays a few MB (7.8 MB with one table
+    # over every node and time)
+    spec = make_system(1.0,
+                       BathSpec(statistics=+1, alpha=0.01, gamma=10.0, temperature=1.0),
+                       BathSpec(statistics=+1, alpha=0.01, gamma=10.0, temperature=1.0))
+    t = np.arange(0.0, 10.0 + 1e-9, 0.02)
+    coefficient_series(spec, t)
+    tracemalloc.start()
+    try:
+        coefficient_series(spec, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
 
 
 def test_initial_values_vanish(fig1_case):

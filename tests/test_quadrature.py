@@ -1,10 +1,12 @@
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from openosc import BathSpec, characteristic_roots, equilibrium_occupation, make_system
-from openosc.errors import QuadratureError
+from openosc.errors import DomainError, QuadratureError
 from openosc.scenarios import fig3_pair, fig5_pair
 from openosc.transport import quadrature
 from openosc.transport.asymptotics import asymptotic_bath_integral
@@ -312,7 +314,7 @@ def test_unbisected_ray_panels_do_not_move_under_bisection(baths, t, rtol):
         mid = 0.5 * (lo + hi)
         # the panel, then its halves
         w, f = integ._ray_nodes(np.array([lo, lo, mid]), np.array([hi, mid, hi]))
-        X = quadrature._phase_table(w, tp)
+        X = np.exp(1j * np.multiply.outer(w, tp))
         dC = (f[15:].T @ X[15:] - f[:15].T @ X[:15]).reshape(2, 2, 4, tp.size)
         change = 2.0 * (dC * E).sum(axis=2).real
         assert np.all(np.abs(change) <= 1e-3 * budget)
@@ -527,15 +529,22 @@ PHASE_NODES = np.concatenate([np.geomspace(1e-3, 50.0, 40),
 @pytest.mark.parametrize("t", [
     np.arange(1, 400) * 0.03,  # an arange grid that starts at dt
     np.linspace(0.7, 11.0, 333),
-    np.arange(1, 1301) * 0.0075,  # longer than _TIME_BLOCK
+    np.arange(1, 1301) * 0.0075,
 ], ids=["arange", "linspace", "long"])
 def test_factored_phase_table_matches_the_exponentials(t):
-    table = quadrature._phase_table(PHASE_NODES, t)
-    wt = np.multiply.outer(PHASE_NODES, t)
-    direct = np.exp(1j * wt)
-    assert not np.array_equal(table, direct)  # the factored path ran
-    bound = 4.0 * np.finfo(float).eps * (1.0 + np.abs(wt)) * np.abs(direct)
-    assert np.all(np.abs(table - direct) <= bound)
+    # the fine factors of the whole grid serve every slice of it, and every
+    # prefix of the nodes
+    third = t.size // 3
+    fine = quadrature._fine_factors(1j * PHASE_NODES, t, math.isqrt(third))
+    for sl, n_w in ((slice(0, third), 120), (slice(third, 2 * third), 50),
+                    (slice(2 * third, None), 120)):
+        w = PHASE_NODES[:n_w]
+        table = quadrature._exp_table(1j * w, t[sl], fine)
+        wt = np.multiply.outer(t[sl], w)
+        direct = np.exp(1j * wt)
+        assert not np.array_equal(table, direct)  # the factored path ran
+        bound = 4.0 * np.finfo(float).eps * (1.0 + np.abs(wt)) * np.abs(direct)
+        assert np.all(np.abs(table - direct) <= bound)
 
 
 @pytest.mark.parametrize("t", [
@@ -548,8 +557,11 @@ def test_factored_phase_table_matches_the_exponentials(t):
     np.linspace(5.0, 1.0, 100),
 ], ids=["frozen", "uneven", "perturbed", "decreasing"])
 def test_uneven_grid_takes_the_exponentials(t):
-    direct = np.exp(1j * np.multiply.outer(PHASE_NODES, t))
-    assert np.array_equal(quadrature._phase_table(PHASE_NODES, t), direct)
+    fine = quadrature._fine_factors(1j * PHASE_NODES, t, 8)
+    assert fine is None
+    direct = np.exp(1j * np.multiply.outer(t, PHASE_NODES))
+    assert np.array_equal(quadrature._exp_table(1j * PHASE_NODES, t, fine),
+                          direct)
 
 
 @pytest.mark.parametrize("baths", [EQUAL_CUTOFFS, FIG1])
@@ -567,3 +579,72 @@ def test_factored_and_direct_tables_give_the_same_integrals(baths):
         for value, other in zip(pair, uneven[name]):
             other = np.delete(other, 250)
             assert np.abs(value - other).max() <= 1e-14 * np.abs(value).max()
+
+
+#: (baths, times) of the pruning check: the fixtures on validate's grid,
+#: fig1's preset grid, an uneven grid, the 1300-time grid above, and fig1's
+#: preset grid shuffled, on which each slice's first time is not its
+#: smallest
+PRUNE_T = np.arange(0.0, 10.0 + 0.01, 0.02)
+PRUNE_CASES = {
+    "equal-cutoffs": (EQUAL_CUTOFFS, PRUNE_T),
+    "near-roots": (NEAR_ROOTS, PRUNE_T),
+    "fig1": (FIG1, PRUNE_T),
+    "fermionic-t0": (FERMIONIC_T0, PRUNE_T),
+    "fig1-preset": (FIG1, np.arange(0.0, 20.0 + 0.005, 0.01)),
+    "uneven": (FIG1, np.geomspace(1e-3, 20.0, 900)),
+    "long": (FIG1, np.arange(1, 1301) * 0.0075),
+    "unsorted": (FIG1, np.random.default_rng(7).permutation(
+        np.arange(0.0, 20.0 + 0.005, 0.01))),
+}
+
+
+@pytest.mark.parametrize("baths, t", list(PRUNE_CASES.values()),
+                         ids=list(PRUNE_CASES))
+def test_pruned_contraction_matches_the_full_tables(baths, t, monkeypatch):
+    # each group's share of C on each time slice, against the table over
+    # all of the group's nodes: within the bound on the part left out plus
+    # the rounding allowance, and within 1e-15 of the group's max|C| on the
+    # grid
+    integ = _integrator(baths)
+    tp = t[t > 0.0]
+    groups = integ._ray_groups(tp)
+    bounds = quadrature._slices(tp.size, max(len(w) for w, _, _ in groups))
+    m = math.isqrt(max(np.diff(bounds)))
+    dev_max, C_max = np.zeros(3), np.zeros(3)
+    for g, (w, f, f_abs) in enumerate(groups):
+        fine = quadrature._fine_factors(1j * w, tp, m)
+        for a, b, C, X, drop in quadrature._contract(w, f, f_abs, tp, bounds,
+                                                     fine):
+            full = quadrature._exp_table(1j * w, tp[a:b], fine)
+            ref = full @ f
+            dev = np.abs(C - ref)
+            size = np.abs(full) @ f_abs
+            assert np.all(dev <= drop + quadrature._ROUNDING * size)
+            # the floor: sums of subnormal numbers carry no relative accuracy
+            kept = X.shape[1]
+            left_out = np.abs(full[:, kept:] @ f[kept:])
+            assert np.all(left_out <= drop * (1.0 + 1e-12) + 1e-300)
+            dev_max[g] = max(dev_max[g], dev.max())
+            C_max[g] = max(C_max[g], np.abs(ref).max())
+    assert np.all(dev_max <= 1e-15 * C_max)
+    # and the budget covers the move of I and dI against the full tables
+    out = integ.integrate(t)
+    budget = integ.last_report.max_rel_error * _error_scales(integ, out)
+    monkeypatch.setattr(quadrature, "_DROP", 0.0)
+    full = _integrator(baths).integrate(t)
+    for ci, name in enumerate(out):
+        assert np.all(np.abs(np.array(out[name]) - full[name]) <= budget[ci])
+
+
+def test_pruning_drops_entries_on_fig1s_preset_grid():
+    integ = _integrator(FIG1)
+    integ.integrate(np.arange(0.0, 20.0 + 0.005, 0.01))
+    report = integ.last_report
+    assert 0 < report.ray_entries_kept < report.ray_entries
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_integrate_rejects_times_that_are_not_finite(bad):
+    with pytest.raises(DomainError, match=repr(float(bad))):
+        _integrator(FIG1).integrate(np.array([0.0, 1.0, bad]))
