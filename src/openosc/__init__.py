@@ -39,7 +39,7 @@ from .model import (
     spectral_density,
     statistics_from_name,
 )
-from .oracle import OracleResult, compare, evolve_exact, sample_bath
+from .oracle import OracleResult, compare, evolve_exact
 from .scenarios import SCENARIOS, run_scenario
 from .transport import (
     asymptotic_bath_integral,
@@ -49,7 +49,6 @@ from .transport import (
     coefficient_series,
     markovian_mixture,
     resonance_occupation,
-    oscillatory_pair,
     stationarity_condition_residual,
 )
 
@@ -87,10 +86,8 @@ __all__ = [
     "make_system",
     "markovian_mixture",
     "mixing_fraction",
-    "oscillatory_pair",
     "resonance_occupation",
     "run_scenario",
-    "sample_bath",
     "spectral_density",
     "statistics_from_name",
     "stationarity_condition_residual",

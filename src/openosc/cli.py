@@ -84,7 +84,6 @@ _SCHEMA = {
     "quadrature": ("rtol",),
     "sweep": None,  # keys are parameter paths, validated separately
 }
-_SECTION_ORDER = tuple(_SCHEMA)
 
 _DEFAULTS = {"t_max": 20.0, "dt": 0.005, "n0": (0.0,), "rtol": DEFAULT_RTOL,
              "beta": 0.0}
@@ -133,19 +132,6 @@ def load_config(path) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config_text(text)
-
-
-def render_config(raw: dict) -> str:
-    """Canonical INI text for a parsed config (stable round-trip)."""
-    lines = []
-    for section in _SECTION_ORDER:
-        if section not in raw:
-            continue
-        lines.append(f"[{section}]")
-        for key, value in raw[section].items():
-            lines.append(f"{key} = {value}")
-        lines.append("")
-    return "\n".join(lines)
 
 
 def _get_float(raw, section, key, default=None):
@@ -281,21 +267,16 @@ def write_observables(path: Path, rows):
                                _fmt(tol), status]) + "\n")
 
 
-def _quad_summary(reports):
-    if not reports:
-        return {}
-    entries = sum(r.ray_entries for r in reports)
+def _quad_summary(report):
     return {
         # the share of the ray's (node, time) entries its tables held; 1.0
         # when there is no ray
-        "ray_kept_fraction": (sum(r.ray_entries_kept for r in reports)
-                              / entries if entries else 1.0),
-        "n_panels_max": max(r.n_panels for r in reports),
-        "n_panels_total": sum(r.n_panels for r in reports),
-        "w_max_final": max(r.w_max for r in reports),
-        "max_rel_error": max(r.max_rel_error for r in reports),
-        "remainder_error_max": max(max(r.tail_bound.values())
-                                   for r in reports),
+        "ray_kept_fraction": (report.ray_entries_kept / report.ray_entries
+                              if report.ray_entries else 1.0),
+        "n_panels_total": report.n_panels,
+        "w_max_final": report.w_max,
+        "max_rel_error": report.max_rel_error,
+        "remainder_error_max": max(report.tail_bound.values()),
     }
 
 
@@ -327,7 +308,7 @@ def cmd_coeffs(raw, out, numerics):
     series = coefficient_series(spec, _time_grid(run), **numerics)
     write_csv(out / "coefficients.csv", *_coefficient_table(series))
     write_metadata(out, "coeffs", raw, numerics,
-                   {"quadrature": _quad_summary(series.quadrature_reports)})
+                   {"quadrature": _quad_summary(series.quadrature_report)})
     return 0
 
 
@@ -385,7 +366,7 @@ def cmd_evolve(raw, out, numerics):
     write_csv(out / "trajectory.csv", *_trajectory_table(traj))
     write_observables(out / "observables.csv", rows)
     write_metadata(out, "evolve", raw, numerics,
-                   {"quadrature": _quad_summary(series.quadrature_reports)})
+                   {"quadrature": _quad_summary(series.quadrature_report)})
     return 0
 
 
@@ -421,8 +402,8 @@ def cmd_coupled(raw, out, numerics):
     write_metadata(out, "coupled", raw, numerics, {
         "beta": beta,
         "quadrature": {
-            "system1": _quad_summary(series1.quadrature_reports),
-            "system2": _quad_summary(series2.quadrature_reports),
+            "system1": _quad_summary(series1.quadrature_report),
+            "system2": _quad_summary(series2.quadrature_report),
         },
     })
     return 0

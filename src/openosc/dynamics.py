@@ -90,16 +90,6 @@ class Trajectory:
     dissipation: tuple
     metadata: dict = field(default_factory=dict)
 
-    @property
-    def n1(self):
-        return self.occupations[0]
-
-    @property
-    def n2(self):
-        if len(self.occupations) < 2:
-            raise DomainError("trajectory has a single oscillator")
-        return self.occupations[1]
-
 
 def _uniform_step(t: np.ndarray) -> float:
     dt = np.diff(t)

@@ -5,7 +5,6 @@ The CLI maps exception categories to exit codes: configuration problems
 exit with 2, numerical failures with 3, and validation breaches with 4.
 """
 
-EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_VALIDATION = 4

@@ -13,14 +13,11 @@ deflated and keep their own frequency.
 
 Two conventions worth spelling out:
 
-* The oracle is restricted to same-statistics systems.  Mixed
-  fermionic-bosonic systems have no exact linear closure (their reduced
-  description already involves a mean-field step), so the mixed pathway is
-  validated through its same-statistics constituents instead.  All-bosonic
-  combs are the exact discretized model; all-fermionic combs are available
-  behind ``allow_fermionic=True`` as a linearized convention -- the same
-  harmonic network carrying fermionic initial occupations -- adequate for
-  weak-coupling cross-checks only.
+* The oracle is restricted to all-bosonic systems, for which the combs are
+  the exact discretized model of the linearly coupled oscillator.  A
+  fermionic bath has no such harmonic model: its comb would carry fermionic
+  occupations on bosonic modes, and the mixed description already involves
+  a mean-field step.
 * A finite comb is periodic: after the recurrence time 2 pi / (mode
   spacing) the discretization error grows from 'small' to O(1).  The
   recurrence time is reported and exceeding it warns.
@@ -34,8 +31,7 @@ invariant subspace that never reaches the oscillator, and the oscillator's
 <x^2> and <p^2> are linear in the initial covariance, so the correlation the
 rotation creates between the two modes drops out as well.  The oracle
 therefore diagonalizes one merged comb of n_modes + 1 modes; this is an
-identity of the discretized model (full coupling, ``rwa=True`` and the
-fermionic convention alike), not an approximation.
+identity of the discretized model, not an approximation.
 
 The comb stops at the sampling cutoff W, and the bath above W carries part
 of the static frequency renormalization omega = Omega + 2 sum_b alpha_b
@@ -48,10 +44,6 @@ checks, so the two stay independent.  Without it the comb is O(1/W) off the
 continuum; with it the remainder is O(1/W^2): on validate's system the
 deviation reads 9.6e-5 on W = 100 and 1.9e-5 on W = 200 (8.8e-3 and
 4.5e-3 without it).
-
-An excitation-conserving variant (``rwa=True``) drops the counter-rotating
-part of the coupling; it is a diagnostic, not a model of the full system,
-and its hopping matrix does not carry the counterterm.
 """
 
 from __future__ import annotations
@@ -64,9 +56,7 @@ import numpy as np
 from .errors import (DimensionCapError, DomainError, NumericalError,
                      StabilityError)
 from .model import (
-    FERMIONIC,
-    MIXED,
-    BathSpec,
+    ALL_BOSONIC,
     SystemSpec,
     _default_w_max,
     equilibrium_occupation,
@@ -100,7 +90,6 @@ class OracleResult:
     n_modes: int
     w_max: float
     recurrence_time: float
-    rwa: bool
 
 
 @dataclass
@@ -111,18 +100,6 @@ class ComparisonReport:
     mean_abs_dev: float
     worst_time: float
     overlap: tuple
-
-
-def sample_bath(bath: BathSpec, n_modes: int, w_max: float):
-    """Midpoint-rule discretization of one bath.
-
-    Returns mode frequencies w_i and coupling amplitudes a_i with
-    a_i^2 = w_i dw J(w_i), J the spectral density.  The effective coupling
-    sum a_i^2 / w_i then reproduces the truncated continuum integral
-    (alpha gamma / pi) arctan(w_max / gamma) to second order in dw.
-    """
-    w, dw = _midpoints(n_modes, w_max)
-    return w, np.sqrt(w * dw * spectral_density(w, bath))
 
 
 def _midpoints(n_modes: int, w_max: float):
@@ -157,15 +134,13 @@ def _comb(spec: SystemSpec, n_modes: int, w_max: float):
 
 
 def evolve_exact(spec: SystemSpec, t, n0: float, *, n_modes: int = 400,
-                 w_max: float | None = None, rwa: bool = False,
-                 allow_fermionic: bool = False) -> OracleResult:
+                 w_max: float | None = None) -> OracleResult:
     """Oscillator occupation from the exact discretized-model propagator.
 
     Parameters
     ----------
     spec : SystemSpec
-        Must carry same-statistics baths; the mixed pathway is validated
-        through its same-statistics constituents, not a direct oracle run.
+        Must carry two bosonic baths (see the module docstring).
     t : array_like
         Times at which to report the occupation.
     n0 : float
@@ -174,12 +149,6 @@ def evolve_exact(spec: SystemSpec, t, n0: float, *, n_modes: int = 400,
         Modes per bath; both baths together must stay within MODE_CAP.
     w_max : float, optional
         Sampling cutoff (default: the quadrature cutoff rule).
-    rwa : bool
-        Drop counter-rotating coupling terms (excitation-conserving
-        diagnostic variant).
-    allow_fermionic : bool
-        Opt in to the linearized all-fermionic convention (see module
-        docstring); off by default because it is not an exact model.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     bad = t[~(t >= 0) | np.isinf(t)]
@@ -189,16 +158,9 @@ def evolve_exact(spec: SystemSpec, t, n0: float, *, n_modes: int = 400,
     if not (np.isfinite(n0) and n0 >= 0):
         raise DomainError(f"initial occupation must be finite and "
                           f"nonnegative, got {n0}")
-    if spec.statistics_mode == MIXED:
-        raise DomainError(
-            "the oracle covers same-statistics systems only; validate mixed "
-            "systems through their fermionic and bosonic constituents"
-        )
-    if spec.baths[0].statistics == FERMIONIC and not allow_fermionic:
-        raise DomainError(
-            "all-fermionic combs use a linearized convention; pass "
-            "allow_fermionic=True to opt in"
-        )
+    if spec.statistics_mode != ALL_BOSONIC:
+        raise DomainError(f"the oracle covers all-bosonic systems only, "
+                          f"got {spec.statistics_mode}")
     if 2 * n_modes > MODE_CAP:
         raise DimensionCapError(
             f"2 x {n_modes} bath modes exceed the cap of {MODE_CAP}; "
@@ -218,13 +180,10 @@ def evolve_exact(spec: SystemSpec, t, n0: float, *, n_modes: int = 400,
             stacklevel=2,
         )
 
-    if rwa:
-        n = _evolve_rwa(w, w_bath, a_bath, occ_bath, t, n0)
-    else:
-        n = _evolve_full(w, _tail_corner(spec, w_max), w_bath, a_bath,
-                         occ_bath, t, n0)
+    n = _evolve_full(w, _tail_corner(spec, w_max), w_bath, a_bath, occ_bath,
+                     t, n0)
     return OracleResult(t=t, n=n, n_modes=n_modes, w_max=float(w_max),
-                        recurrence_time=float(recurrence), rwa=rwa)
+                        recurrence_time=float(recurrence))
 
 
 def _tail_corner(spec: SystemSpec, w_max: float) -> float:
@@ -368,31 +327,6 @@ def _secular_roots(a, z, d):
     return d[o] + tau, O
 
 
-def propagator_blocks(spec: SystemSpec, t_point: float, *, n_modes: int = 25,
-                      w_max: float | None = None):
-    """Full (X, P) propagator blocks at one time, for invariant checks.
-
-    Returns (Txx, Txp, Tpx, Tpp, wm) on the oscillator plus the merged
-    comb, the matrix the evolution path diagonalizes (counterterm included).
-    Meant for small mode counts; the evolution path only ever materializes
-    the oscillator row.
-    """
-    if w_max is None:
-        w_max = _default_w_max(spec)
-    w_bath, a_bath, _ = _comb(spec, n_modes, w_max)
-    wm, nu, O = _mode_system(spec.omega, _tail_corner(spec, w_max), w_bath,
-                             a_bath)
-    sqw = np.sqrt(wm)
-    c = O @ np.diag(np.cos(nu * t_point)) @ O.T
-    s_over = O @ np.diag(np.sin(nu * t_point) / nu) @ O.T
-    s_times = O @ np.diag(np.sin(nu * t_point) * nu) @ O.T
-    Txx = sqw[:, None] * c / sqw[None, :]
-    Txp = sqw[:, None] * s_over * sqw[None, :]
-    Tpx = -s_times / (sqw[:, None] * sqw[None, :])
-    Tpp = c * sqw[None, :] / sqw[:, None]
-    return Txx, Txp, Tpx, Tpp, wm
-
-
 def _evolve_full(w, corner, w_bath, a_bath, occ_bath, t, n0):
     """Full position-position coupling via the normal-mode propagator.
 
@@ -451,21 +385,6 @@ def _cos_sin(nu, t):
             return table.real[:, :n], table.imag[:, :n]
     phase = np.multiply.outer(nu, t)
     return np.cos(phase), np.sin(phase)
-
-
-def _evolve_rwa(w, w_bath, a_bath, occ_bath, t, n0):
-    """Excitation-conserving variant: single-quantum hopping matrix."""
-    eps_k, V = _arrowhead_eigh(w, a_bath, w_bath)
-    occ0 = np.concatenate([[n0], occ_bath])
-    u = V[0, :]
-
-    n_out = np.empty(t.size)
-    for i in range(0, t.size, _TIME_BLOCK):
-        ts = t[i:i + _TIME_BLOCK]
-        phase = np.exp(-1j * np.outer(eps_k, ts)) * u[:, None]
-        U_row = V @ phase  # (n_tot, n_t): overlap of mode m with oscillator
-        n_out[i:i + _TIME_BLOCK] = (U_row.real**2 + U_row.imag**2).T @ occ0
-    return n_out
 
 
 def compare(t_a, n_a, t_b, n_b) -> ComparisonReport:

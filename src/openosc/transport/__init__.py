@@ -11,12 +11,7 @@ from .asymptotics import (
 from .coefficients import RATIO_FLOOR, CoefficientSeries, coefficient_series
 from .kernels import AmplitudeSeries, KernelEvaluator
 from .quadrature import DEFAULT_RTOL, MemoryIntegrator
-from .roots import (
-    RootSet,
-    characteristic_polynomial,
-    characteristic_roots,
-    oscillatory_pair,
-)
+from .roots import RootSet, characteristic_polynomial, characteristic_roots
 
 __all__ = [
     "AmplitudeSeries",
@@ -32,7 +27,6 @@ __all__ = [
     "characteristic_roots",
     "coefficient_series",
     "markovian_mixture",
-    "oscillatory_pair",
     "resonance_occupation",
     "stationarity_condition_residual",
 ]

@@ -37,7 +37,7 @@ from ..model import (
     mixing_fraction,
 )
 from .kernels import KernelEvaluator
-from .quadrature import DEFAULT_RTOL, MemoryIntegrator
+from .quadrature import DEFAULT_RTOL, MemoryIntegrator, QuadratureReport
 from .roots import characteristic_roots
 
 #: friction magnitudes below this fraction of the series maximum make the
@@ -63,8 +63,8 @@ class CoefficientSeries:
         The two bath memory integrals entering the diffusion parts.
     ratio : ndarray
         D(t)/lambda(t); NaN where the friction is too small to divide by.
-    quadrature_reports : list of QuadratureReport
-        The memory integrals' report: one per series.
+    quadrature_report : QuadratureReport
+        The memory integrals' report.
     """
 
     t: np.ndarray
@@ -74,7 +74,7 @@ class CoefficientSeries:
     memory_integrals: tuple
     ratio: np.ndarray
     amplitudes: object
-    quadrature_reports: list
+    quadrature_report: QuadratureReport
 
 
 def _friction_from(A, dA, B, dB, eps, t):
@@ -165,4 +165,4 @@ def coefficient_series(spec: SystemSpec, t, *,
                              diffusion_parts=parts,
                              memory_integrals=(I1, I2), ratio=ratio,
                              amplitudes=amp,
-                             quadrature_reports=[integ.last_report])
+                             quadrature_report=integ.last_report)

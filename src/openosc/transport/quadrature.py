@@ -419,12 +419,14 @@ class MemoryIntegrator:
         uncoupled bath, and stores a QuadratureReport in
         ``last_report``.  I(0) = dI(0) = 0 exactly, because every kernel
         vanishes at t = 0.  Raises QuadratureError if the error budget
-        exceeds rtol, and DomainError for a time that is not finite.
+        exceeds rtol, and DomainError for a time that is negative or not
+        finite.
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        if not np.isfinite(t).all():
+        bad = t[~(t >= 0) | np.isinf(t)]
+        if bad.size:
             raise DomainError(
-                f"times must be finite; got {float(t[~np.isfinite(t)][0])!r}")
+                f"times must be finite and >= 0; got {float(bad[0])!r}")
         names = ("bath1", "bath2")
         totals = np.zeros((2, 2, t.size))
         pos = t > 0.0

@@ -393,7 +393,7 @@ def _constant_series(t, lam0, dif0):
     return CoefficientSeries(
         t=t, friction=lam, diffusion=dif, diffusion_parts=(half, half),
         memory_integrals=(half, half), ratio=dif / lam,
-        amplitudes=None, quadrature_reports=[],
+        amplitudes=None, quadrature_report=None,
     )
 
 

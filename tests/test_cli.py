@@ -19,10 +19,8 @@ from openosc.cli import (
     config_sweep,
     config_system,
     has_second_system,
-    load_config,
     main,
     parse_config_text,
-    render_config,
     write_csv,
 )
 from openosc.dynamics import _local_cubic
@@ -77,12 +75,6 @@ def _read_csv(path):
         header = fh.readline().strip().split(",")
         rows = [line.strip().split(",") for line in fh if line.strip()]
     return header, rows
-
-
-def test_round_trip():
-    raw = parse_config_text(WEAK_PAIR)
-    again = parse_config_text(render_config(raw))
-    assert raw == again
 
 
 def test_schema_rejections():
@@ -223,9 +215,12 @@ def test_evolve_end_to_end(tmp_path):
     assert meta["numerics"] == {"rtol": 1e-7}
     assert "timestamp" not in meta
     quad = meta["quadrature"]
+    assert sorted(quad) == ["max_rel_error", "n_panels_total",
+                            "ray_kept_fraction", "remainder_error_max",
+                            "w_max_final"]
     for key in ("n_panels_total", "max_rel_error", "remainder_error_max"):
         assert math.isfinite(quad[key])
-    assert quad["n_panels_total"] >= quad["n_panels_max"] > 0
+    assert quad["n_panels_total"] > 0
     assert 0.0 < quad["ray_kept_fraction"] <= 1.0
 
 
@@ -233,7 +228,7 @@ def test_summary_reports_the_rays_kept_fraction(fig1_case):
     # on fig1's preset grid the ray's tables leave out the nodes whose
     # e^{iwt} has underflowed against the rest of their group
     _, series, _ = fig1_case
-    assert _quad_summary(series.quadrature_reports)["ray_kept_fraction"] < 1.0
+    assert _quad_summary(series.quadrature_report)["ray_kept_fraction"] < 1.0
 
 
 @pytest.mark.parametrize("key, value", [("t_max", "nan"), ("t_max", "inf"),

@@ -101,7 +101,7 @@ def test_uncoupled_bath_integrates_to_exact_zero(monkeypatch):
     (out,) = outputs
     I1, dI1 = out["bath1"]
     assert np.all(I1 == 0.0) and np.all(dI1 == 0.0)
-    assert series.quadrature_reports[0].tail_bound["bath1"] == 0.0
+    assert series.quadrature_report.tail_bound["bath1"] == 0.0
     I2 = series.memory_integrals[1]
     assert I2[-1] == pytest.approx(asymptotic_bath_integral(spec, 1), rel=1e-6)
 

@@ -43,7 +43,7 @@ def _toy_series(t, lam, dif):
                              diffusion_parts=(half, half.copy()),
                              memory_integrals=(zero, zero.copy()),
                              ratio=np.full_like(t, np.nan),
-                             amplitudes=None, quadrature_reports=[])
+                             amplitudes=None, quadrature_report=None)
 
 
 def _run_constant(dt, lam0=0.9, dif0=0.45, n0=2.0, t_max=5.0):

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import openosc
+import openosc.transport
 from openosc import (
     ALL_BOSONIC,
     ALL_FERMIONIC,
@@ -126,3 +128,9 @@ def test_coupled_spec_validation():
     assert CoupledSpec(systems=(s, s)).systems == (s, s)
     with pytest.raises(DomainError):
         CoupledSpec(systems=(s,))
+
+
+def test_every_exported_name_resolves():
+    for module in (openosc, openosc.transport):
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert missing == [], module.__name__

@@ -2,16 +2,14 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
-from openosc import (BathSpec, compare, evolve_exact, make_system, oracle,
-                     sample_bath)
+from openosc import BathSpec, compare, evolve_exact, make_system, oracle
 from openosc.errors import (DimensionCapError, DomainError, NumericalError,
                             StabilityError)
-from openosc.model import _default_w_max, equilibrium_occupation
+from openosc.model import (_default_w_max, equilibrium_occupation,
+                           spectral_density)
 from openosc.cli import _closed_form
-from openosc.oracle import (_arrowhead_eigh, _comb, _mode_system,
-                            _tail_corner, propagator_blocks)
+from openosc.oracle import _arrowhead_eigh, _comb, _mode_system, _tail_corner
 from openosc.scenarios import fig1_system
 
 
@@ -24,32 +22,30 @@ def _weak(eps=+1, T=1.0, alpha=0.01):
     )
 
 
-def _per_bath_reference(spec, t, n0, n_modes, rwa):
+def _per_bath_reference(spec, t, n0, n_modes):
     """Occupation from the unmerged model: one mode per bath and frequency.
 
-    The two baths' combs are concatenated, 2 n_modes + 1 modes in which
-    every frequency appears twice, and diagonalized by a dense
-    ``np.linalg.eigh`` built here, independent of the oracle's solver.  Full
-    coupling puts the bath above the cutoff W into the corner, written out
-    here as omega^2 - 4 omega sum_b (alpha_b gamma_b / pi)
+    Each bath's comb samples its spectral density at the midpoints w_i of
+    [0, W], with a_i^2 = w_i dw J(w_i).  The two combs are concatenated,
+    2 n_modes + 1 modes in which every frequency appears twice, and
+    diagonalized by a dense ``np.linalg.eigh`` built here, independent of
+    the oracle's solver.  The bath above the cutoff W goes into the corner,
+    written out here as omega^2 - 4 omega sum_b (alpha_b gamma_b / pi)
     (pi/2 - arctan(W / gamma_b)).
     """
     w_max = _default_w_max(spec)
-    combs = [sample_bath(b, n_modes, w_max) for b in spec.baths]
-    w_bath = np.concatenate([w for w, _ in combs])
-    a_bath = np.concatenate([a for _, a in combs])
+    dw = w_max / n_modes
+    w_b = (np.arange(n_modes) + 0.5) * dw
+    w_bath = np.concatenate([w_b, w_b])
+    a_bath = np.concatenate([np.sqrt(w_b * dw * spectral_density(w_b, b))
+                             for b in spec.baths])
     occ0 = np.concatenate([[n0], *(
-        equilibrium_occupation(w, b.temperature, b.statistics)
-        for (w, _), b in zip(combs, spec.baths))])
+        equilibrium_occupation(w_b, b.temperature, b.statistics)
+        for b in spec.baths)])
     w = spec.omega
     wm = np.concatenate([[w], w_bath])
-    if rwa:
-        # |U_0m(t)|^2 of U = exp(-iht), h the single-quantum hopping matrix
-        eps, V = np.linalg.eigh(_arrow(w, a_bath, w_bath))
-        U = V @ (np.exp(-1j * np.outer(eps, t)) * V[0][:, None])
-        return (np.abs(U) ** 2).T @ occ0
     # the oscillator rows of the (X, P) propagator blocks, as in
-    # propagator_blocks, from the dense normal modes
+    # _propagator_blocks, from the dense normal modes
     tail = sum(b.alpha * b.gamma / np.pi
                * (np.pi / 2 - np.arctan(w_max / b.gamma)) for b in spec.baths)
     nu2, O = np.linalg.eigh(_arrow(w**2 - 4.0 * w * tail,
@@ -73,66 +69,72 @@ def _arrow(a, z, d):
     return M
 
 
-def _propagator_reference(spec, t, n0, n_modes, w_max, rwa):
-    """Occupation of the merged comb from each time's whole propagator.
+def _propagator_blocks(spec, t_point, n_modes, w_max=None):
+    """Full (X, P) propagator blocks at one time, for invariant checks.
 
-    Full coupling sums the four squared oscillator-row blocks of
-    ``propagator_blocks``; ``rwa`` takes |e^{-iht}|^2 of the single-quantum
-    hopping matrix h from ``expm``.
+    Returns (Txx, Txp, Tpx, Tpp, wm) on the oscillator plus the merged
+    comb, the matrix the oracle diagonalizes (counterterm included).  The
+    oracle itself only ever materializes the oscillator row.
     """
-    w_bath, a_bath, occ_bath = _comb(spec, n_modes, w_max)
+    if w_max is None:
+        w_max = _default_w_max(spec)
+    w_bath, a_bath, _ = _comb(spec, n_modes, w_max)
+    wm, nu, O = _mode_system(spec.omega, _tail_corner(spec, w_max), w_bath,
+                             a_bath)
+    sqw = np.sqrt(wm)
+    c = O @ np.diag(np.cos(nu * t_point)) @ O.T
+    s_over = O @ np.diag(np.sin(nu * t_point) / nu) @ O.T
+    s_times = O @ np.diag(np.sin(nu * t_point) * nu) @ O.T
+    Txx = sqw[:, None] * c / sqw[None, :]
+    Txp = sqw[:, None] * s_over * sqw[None, :]
+    Tpx = -s_times / (sqw[:, None] * sqw[None, :])
+    Tpp = c * sqw[None, :] / sqw[:, None]
+    return Txx, Txp, Tpx, Tpp, wm
+
+
+def _propagator_reference(spec, t, n0, n_modes, w_max):
+    """Occupation of the merged comb from each time's whole propagator: the
+    four squared oscillator-row blocks of ``_propagator_blocks``."""
+    _, _, occ_bath = _comb(spec, n_modes, w_max)
     occ0 = np.concatenate([[n0], occ_bath])
-    h = np.diag(np.concatenate([[spec.omega], w_bath]))
-    h[0, 1:] = h[1:, 0] = a_bath
     n = []
     for tk in t:
-        if rwa:
-            n.append(np.abs(expm(-1j * tk * h)[0]) ** 2 @ occ0)
-        else:
-            Txx, Txp, Tpx, Tpp, _ = propagator_blocks(spec, tk, n_modes=n_modes,
-                                                      w_max=w_max)
-            rows = Txx[0] ** 2 + Txp[0] ** 2 + Tpx[0] ** 2 + Tpp[0] ** 2
-            n.append(0.5 * (rows @ (occ0 + 0.5) - 1.0))
+        Txx, Txp, Tpx, Tpp, _ = _propagator_blocks(spec, tk, n_modes, w_max)
+        rows = Txx[0] ** 2 + Txp[0] ** 2 + Tpx[0] ** 2 + Tpp[0] ** 2
+        n.append(0.5 * (rows @ (occ0 + 0.5) - 1.0))
     return np.array(n)
 
 
-@pytest.mark.parametrize("rwa", [False, True])
-def test_occupation_matches_the_whole_propagator(rwa):
+def test_occupation_matches_the_whole_propagator():
     spec = make_system(1.0, BathSpec(+1, 0.02, 8.0, 2.0),
                        BathSpec(+1, 0.005, 14.0, 0.3))
-    # a low cutoff keeps |h t| small enough for expm's 1e-15 accuracy
     t = np.linspace(0.0, 4.0, 21)
-    got = evolve_exact(spec, t, 0.2, n_modes=100, w_max=40.0, rwa=rwa).n
-    want = _propagator_reference(spec, t, 0.2, 100, 40.0, rwa)
+    got = evolve_exact(spec, t, 0.2, n_modes=100, w_max=40.0).n
+    want = _propagator_reference(spec, t, 0.2, 100, 40.0)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 _MERGE_CASES = {
-    "bosonic": (+1, (0.02, 8.0, 2.0), (0.005, 14.0, 0.3)),
-    "fermionic": (-1, (0.015, 9.0, 0.8), (0.01, 12.0, 0.2)),
-    "one bath decoupled": (+1, (0.0, 10.0, 1.0), (0.02, 12.0, 0.5)),
+    "bosonic": ((0.02, 8.0, 2.0), (0.005, 14.0, 0.3)),
+    "one bath decoupled": ((0.0, 10.0, 1.0), (0.02, 12.0, 0.5)),
 }
 
 
-@pytest.mark.parametrize("rwa", [False, True])
 @pytest.mark.parametrize("case", sorted(_MERGE_CASES))
-def test_merged_comb_matches_the_per_bath_model(case, rwa):
-    eps, bath1, bath2 = _MERGE_CASES[case]
-    spec = make_system(1.0, BathSpec(eps, *bath1), BathSpec(eps, *bath2))
+def test_merged_comb_matches_the_per_bath_model(case):
+    bath1, bath2 = _MERGE_CASES[case]
+    spec = make_system(1.0, BathSpec(+1, *bath1), BathSpec(+1, *bath2))
     t = np.linspace(0.0, 4.0, 41)
-    got = evolve_exact(spec, t, 0.2, n_modes=200, rwa=rwa,
-                       allow_fermionic=eps < 0).n
-    want = _per_bath_reference(spec, t, 0.2, 200, rwa)
+    got = evolve_exact(spec, t, 0.2, n_modes=200).n
+    want = _per_bath_reference(spec, t, 0.2, 200)
     assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("rwa", [False, True])
-def test_fully_decoupled_comb_keeps_its_occupation(rwa):
+def test_fully_decoupled_comb_keeps_its_occupation():
     # every merged mode has a = 0, where the weighted occupation is 0/0
     spec = make_system(1.0, BathSpec(+1, 0.0, 10.0, 1.0),
                        BathSpec(+1, 0.0, 12.0, 0.5))
-    res = evolve_exact(spec, np.linspace(0.0, 4.0, 41), 0.25, n_modes=200,
-                       rwa=rwa)
+    res = evolve_exact(spec, np.linspace(0.0, 4.0, 41), 0.25, n_modes=200)
     assert np.isfinite(res.n).all()
     assert np.abs(res.n - 0.25).max() <= 1e-12
 
@@ -144,6 +146,8 @@ def _full_arrowhead(spec, n_modes):
 
 
 def _rwa_arrowhead(spec, n_modes):
+    """An excitation-conserving coupling's arrowhead: corner omega, border
+    a_i and poles w_i, on another scale than the full coupling's squares."""
     w_bath, a_bath, _ = _comb(spec, n_modes, _default_w_max(spec))
     return spec.omega, a_bath, w_bath
 
@@ -240,17 +244,21 @@ def test_secular_solver_raises_rather_than_return_unconverged_roots(
 
 
 def test_sample_bath_reproduces_the_truncated_coupling_sum():
+    # one bath sampled alone: bath 2 is decoupled, so the merged comb is
+    # bath 1's own
     bath = BathSpec(statistics=+1, alpha=0.01, gamma=10.0, temperature=1.0)
-    w, a = sample_bath(bath, 400, 200.0)
-    assert w.shape == a.shape == (400,)
+    spec = make_system(1.0, bath, BathSpec(+1, 0.0, 12.0, 0.5))
+    w, a, occ = _comb(spec, 400, 200.0)
+    assert w.shape == a.shape == occ.shape == (400,)
     assert w[0] == pytest.approx(0.25, rel=1e-12)  # midpoint of the first cell
+    assert occ == pytest.approx(equilibrium_occupation(w, 1.0, +1), rel=1e-15)
     # midpoint rule telescopes to the truncated continuum integral
     target = (bath.alpha * bath.gamma / np.pi) * np.arctan(200.0 / bath.gamma)
     assert np.sum(a**2 / w) == pytest.approx(target, rel=1e-7)
-    with pytest.raises(DomainError):
-        sample_bath(bath, 0, 200.0)
-    with pytest.raises(DomainError):
-        sample_bath(bath, 10, -1.0)
+    with pytest.raises(DomainError, match="bath modes"):
+        evolve_exact(spec, [0.0, 1.0], 0.0, n_modes=0)
+    with pytest.raises(DomainError, match="cutoff"):
+        evolve_exact(spec, [0.0, 1.0], 0.0, n_modes=10, w_max=-1.0)
 
 
 def test_tail_corner_restores_the_renormalized_static_frequency():
@@ -274,10 +282,9 @@ def test_oracle_input_validation():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         mixed = fig1_system()
-    with pytest.raises(DomainError):
-        evolve_exact(mixed, [0.0, 1.0], 0.0)
-    with pytest.raises(DomainError):
-        evolve_exact(_weak(eps=-1), [0.0, 1.0], 0.0)  # fermionic needs opt-in
+    for spec in (mixed, _weak(eps=-1)):
+        with pytest.raises(DomainError, match="all-bosonic"):
+            evolve_exact(spec, [0.0, 1.0], 0.0)
     with pytest.raises(DimensionCapError):
         evolve_exact(_weak(), [0.0, 1.0], 0.0, n_modes=1001)
     with pytest.raises(DomainError):
@@ -304,14 +311,6 @@ def test_oracle_rejects_a_fractional_mode_count():
         evolve_exact(_weak(), [0.0, 1.0], 0.0, n_modes=50.5)
 
 
-def test_fermionic_comb_behind_the_flag():
-    spec = _weak(eps=-1, T=0.5)
-    res = evolve_exact(spec, np.linspace(0.0, 2.0, 21), 0.1, n_modes=100,
-                       allow_fermionic=True)
-    assert np.isfinite(res.n).all()
-    assert res.n[0] == pytest.approx(0.1, abs=1e-10)
-
-
 def test_recurrence_horizon_warns():
     spec = _weak()
     with pytest.warns(UserWarning, match="recurrence"):
@@ -329,32 +328,22 @@ def test_initial_value_and_determinism():
 
 
 def test_counter_rotating_terms_excite_the_vacuum():
-    # at T = 0 from an empty oscillator: the excitation-conserving variant
-    # stays empty, the full coupling does not
+    # at T = 0 from an empty oscillator, which an excitation-conserving
+    # coupling would leave empty
     spec = _weak(T=0.0)
     t = np.linspace(0.0, 5.0, 26)
-    rwa = evolve_exact(spec, t, 0.0, n_modes=150, rwa=True)
     full = evolve_exact(spec, t, 0.0, n_modes=150)
-    assert np.abs(rwa.n).max() < 1e-12
     assert full.n[5:].min() > 1e-5
-
-
-def test_excitation_conserving_variant_never_amplifies():
-    spec = _weak(T=0.0)
-    t = np.linspace(0.0, 5.0, 26)
-    res = evolve_exact(spec, t, 1.0, n_modes=150, rwa=True)
-    assert res.n.max() <= 1.0 + 1e-10
-    assert res.n[-1] < 1.0  # occupation leaks into the bath
 
 
 def test_propagator_blocks_are_symplectic():
     spec = _weak()
-    Txx, Txp, Tpx, Tpp, wm = propagator_blocks(spec, 0.0, n_modes=15)
+    Txx, Txp, Tpx, Tpp, wm = _propagator_blocks(spec, 0.0, 15)
     n = wm.size
     assert np.allclose(Txx, np.eye(n), atol=1e-12)
     assert np.allclose(Tpp, np.eye(n), atol=1e-12)
     assert np.abs(Txp).max() < 1e-12 and np.abs(Tpx).max() < 1e-12
-    Txx, Txp, Tpx, Tpp, _ = propagator_blocks(spec, 0.7, n_modes=15)
+    Txx, Txp, Tpx, Tpp, _ = _propagator_blocks(spec, 0.7, 15)
     # phase-space volume and Poisson brackets are preserved
     assert np.allclose(Txx @ Tpp.T - Txp @ Tpx.T, np.eye(n), atol=1e-10)
     assert np.allclose(Txx @ Txp.T, (Txx @ Txp.T).T, atol=1e-10)

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -648,3 +647,9 @@ def test_pruning_drops_entries_on_fig1s_preset_grid():
 def test_integrate_rejects_times_that_are_not_finite(bad):
     with pytest.raises(DomainError, match=repr(float(bad))):
         _integrator(FIG1).integrate(np.array([0.0, 1.0, bad]))
+
+
+def test_integrate_rejects_negative_times():
+    # a negative time would read I = dI = 0, as t = 0 does
+    with pytest.raises(DomainError, match="got -1.0"):
+        _integrator(FIG1).integrate(np.array([-1.0, 0.0, 1.0]))
