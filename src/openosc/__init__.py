@@ -30,7 +30,6 @@ from .model import (
     MIXED,
     BathSpec,
     CoupledSpec,
-    OscillatorSpec,
     SystemSpec,
     bare_frequency,
     equilibrium_occupation,
@@ -62,7 +61,6 @@ __all__ = [
     "FERMIONIC",
     "MIXED",
     "OracleResult",
-    "OscillatorSpec",
     "PeriodEstimate",
     "SCENARIOS",
     "SystemSpec",

@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -80,7 +81,7 @@ _SCHEMA = {
     "bath2.1": _BATH_KEYS,
     "bath2.2": _BATH_KEYS,
     "coupling": ("beta",),
-    "run": ("t_max", "dt", "n0", "scenario"),
+    "run": ("t_max", "dt", "n0"),
     "quadrature": ("rtol",),
     "sweep": None,  # keys are parameter paths, validated separately
 }
@@ -188,7 +189,6 @@ def config_run(raw) -> dict:
     out = {
         "t_max": _get_float(raw, "run", "t_max", _DEFAULTS["t_max"]),
         "dt": _get_float(raw, "run", "dt", _DEFAULTS["dt"]),
-        "scenario": run.get("scenario"),
     }
     if "n0" in run:
         try:
@@ -207,11 +207,11 @@ def config_run(raw) -> dict:
     return out
 
 
-def config_numerics(raw, rtol_override=None) -> dict:
-    rtol = (rtol_override if rtol_override is not None
-            else _get_float(raw, "quadrature", "rtol", _DEFAULTS["rtol"]))
-    if rtol <= 0:
-        raise ConfigError("[quadrature] rtol must be positive")
+def config_numerics(raw) -> dict:
+    rtol = _get_float(raw, "quadrature", "rtol", _DEFAULTS["rtol"])
+    if not (np.isfinite(rtol) and rtol > 0):
+        raise ConfigError(f"[quadrature] rtol = {rtol!r} must be a positive "
+                          "finite number")
     return {"rtol": rtol}
 
 
@@ -335,10 +335,9 @@ def _series_observables(series, traj):
         stationary, variation = detect_stationarity(series.ratio[finite])
         rows.append(("ratio_variation", variation, lo, t_max, STATIONARITY_TOL,
                      "stationary" if stationary else "oscillating"))
-    rows.append(("envelope_exceeded",
-                 float(traj.metadata["envelope_exceeded"]), 0.0, t_max,
-                 np.nan, "warn" if traj.metadata["envelope_exceeded"]
-                 else "info"))
+    exceeded = traj.metadata["envelope_exceeded"][0]
+    rows.append(("envelope_exceeded", float(exceeded), 0.0, t_max, np.nan,
+                 "warn" if exceeded else "info"))
     return rows
 
 
@@ -447,18 +446,11 @@ def cmd_scenario(name, raw, out, numerics, run_overrides):
 
 # ----------------------------------------------------------------------- sweep
 
-def _apply_override(raw, path, value):
-    section, _, key = path.rpartition(".")
-    updated = {s: dict(b) for s, b in raw.items()}
-    updated.setdefault(section, {})[key] = repr(float(value))
-    return updated
-
-
 def _sweep_point(args):
     """One sweep evaluation; returns (index, summary dict, status, message)."""
-    index, raw, rtol_override = args
+    index, raw = args
     try:
-        _, _, rows = _single_run(raw, config_numerics(raw, rtol_override))
+        _, _, rows = _single_run(raw, config_numerics(raw))
         value = {name: v for name, v, *_ in rows}
         summary = {"n_final": value["n_final"],
                    "n_tail_mean": value["n_tail_mean"],
@@ -468,25 +460,21 @@ def _sweep_point(args):
         return index, {}, f"error:{type(exc).__name__}", str(exc)
 
 
-def cmd_sweep(raw, out, numerics, workers, rtol_override):
+def cmd_sweep(raw, out, numerics, workers):
     entries = config_sweep(raw)
-    base = {s: dict(b) for s, b in raw.items() if s != "sweep"}
+    base = {s: b for s, b in raw.items() if s != "sweep"}
     _single_run_settings(base)  # [run] is not swept: check it once, up front
     paths = [p for p, _ in entries]
-    if rtol_override is not None and "quadrature.rtol" in paths:
-        raise ConfigError("[sweep] cannot sweep 'quadrature.rtol' under "
-                          "--rtol, which overrides it at every point")
     grids = [v for _, v in entries]
+    # row-major: the last path varies fastest
+    values = list(itertools.product(*grids))
     points = []
-    shape = [len(g) for g in grids]
-    total = int(np.prod(shape))
-    for flat in range(total):
-        idx = np.unravel_index(flat, shape)
-        values = [grids[d][i] for d, i in enumerate(idx)]
-        cfg = base
-        for path, value in zip(paths, values):
-            cfg = _apply_override(cfg, path, value)
-        points.append((flat, cfg, rtol_override))
+    for flat, point in enumerate(values):
+        cfg = dict(base)
+        for path, value in zip(paths, point):
+            section, _, key = path.rpartition(".")
+            cfg[section] = {**cfg.get(section, {}), key: repr(float(value))}
+        points.append((flat, cfg))
 
     if workers > 1:
         # imported here: it pulls in multiprocessing, which every other
@@ -504,16 +492,15 @@ def cmd_sweep(raw, out, numerics, workers, rtol_override):
         # csv quotes the commas an exception message may hold
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(names)
-        for (flat, summary, status, message), point in zip(results, points):
-            idx = np.unravel_index(flat, shape)
-            values = [grids[d][i] for d, i in enumerate(idx)]
-            cells = [str(flat)] + [_fmt(v) for v in values]
+        for (flat, summary, status, message), point in zip(results, values):
+            cells = [str(flat)] + [_fmt(v) for v in point]
             for col in ("n_final", "n_tail_mean", "period"):
                 cells.append(_fmt(summary.get(col, np.nan)))
             writer.writerow(cells + [status, message])
     n_failed = sum(1 for _, _, status, _ in results if status != "ok")
     write_metadata(out, "sweep", raw, numerics, {
-        "sweep": {"parameters": paths, "shape": shape, "points": total,
+        "sweep": {"parameters": paths, "shape": [len(g) for g in grids],
+                  "points": len(values),
                   "failed": n_failed, "workers": workers},
     })
     return 0
@@ -692,8 +679,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output directory (default: %(default)s)")
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes for sweep (default: 1)")
-    parser.add_argument("--rtol", type=float, default=None,
-                        help="override the quadrature relative tolerance")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("coeffs", help="friction/diffusion coefficient series")
     sub.add_parser("evolve", help="single-oscillator occupation trajectory")
@@ -718,7 +703,7 @@ def main(argv=None) -> int:
         if args.command in _NEEDS_CONFIG and not args.config:
             raise ConfigError(f"{args.command} requires --config")
         raw = load_config(args.config) if args.config else {}
-        numerics = config_numerics(raw, args.rtol)
+        numerics = config_numerics(raw)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "coeffs":
@@ -737,8 +722,7 @@ def main(argv=None) -> int:
                 overrides["dt"] = args.dt
             return cmd_scenario(args.name, raw, out, numerics, overrides)
         if args.command == "sweep":
-            return cmd_sweep(raw, out, numerics, max(1, args.workers),
-                             args.rtol)
+            return cmd_sweep(raw, out, numerics, max(1, args.workers))
         if args.command == "validate":
             return cmd_validate(raw, out, numerics)
         raise ConfigError(f"unknown command {args.command!r}")

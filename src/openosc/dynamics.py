@@ -81,7 +81,8 @@ class Trajectory:
         Cumulative dissipated energy per oscillator,
         E(t) = int_0^t 2 Omega lambda(s) n(s) ds.
     metadata : dict
-        Diagnostics: envelope flags, coupling, initial data.
+        Diagnostics: the coupling ``beta``, and per oscillator the start
+        ``n0``, the ``envelope`` and whether it was ``envelope_exceeded``.
     """
 
     t: np.ndarray
@@ -341,8 +342,6 @@ def _evolve(series, specs, betas, n0) -> list:
 def evolve(series: CoefficientSeries, spec: SystemSpec, n0: float) -> Trajectory:
     """Integrate a single oscillator's occupation over the series grid."""
     (traj,) = _evolve((series,), (spec,), (0.0,), (n0,))
-    traj.metadata = {"n0": n0, "envelope": traj.metadata["envelope"][0],
-                     "envelope_exceeded": traj.metadata["envelope_exceeded"][0]}
     return traj
 
 

@@ -192,7 +192,7 @@ def run_scenario(name: str, *, t_max=None, dt=None,
         else:
             traj = evolve(series, spec, d.n0[0])
             tables["trajectory"] = _trajectory_table(traj)
-            meta["envelope_exceeded"] = traj.metadata["envelope_exceeded"]
+            meta["envelope_exceeded"] = traj.metadata["envelope_exceeded"][0]
         return ScenarioResult(name=name, tables=tables, metadata=meta)
 
     pair = _PAIR_BUILDERS[name]()

@@ -34,7 +34,7 @@ from .roots import characteristic_roots
 
 
 def _require_coupling(spec: SystemSpec) -> None:
-    if all(b.alpha == 0.0 for b in spec.baths):
+    if spec.decoupled:
         raise DomainError(
             "both couplings vanish: the occupation never relaxes and has "
             "no stationary limit"

@@ -70,8 +70,7 @@ class KernelEvaluator:
         poles = (s + g1) * (s + g2) * xp
         self.aM = -(1j * s + w) * poles
         self.aN = (1j * s - w) * poles
-        self._decoupled = a1 == 0.0 and a2 == 0.0
-        if self._decoupled:
+        if spec.decoupled:
             # zero coupling: a root sits exactly at -i*w and the residue
             # weights become 0/0; the kernels reduce to their free limits
             # (A a bare phase, everything bath-borne identically zero)
@@ -91,7 +90,7 @@ class KernelEvaluator:
         t = np.atleast_1d(np.asarray(t, dtype=float))
         if np.any(t < 0):
             raise DomainError("kernel times must be >= 0")
-        if self._decoupled:
+        if self.spec.decoupled:
             ph = np.exp(-1j * self.w * t)
             zero = np.zeros(t.size, dtype=complex)
             return AmplitudeSeries(
@@ -152,7 +151,7 @@ class KernelEvaluator:
         """
         wq = np.atleast_1d(np.asarray(wq, dtype=float))
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        if self._decoupled:
+        if self.spec.decoupled:
             # consumed only inside bath integrals whose spectral weights
             # vanish identically at zero coupling
             zero = np.zeros((wq.size, t.size), dtype=complex)

@@ -208,13 +208,17 @@ class MemoryIntegrator:
         Supplies the roots and the per-node coefficients of M and N, and
         the system, whose baths are integrated.
     rtol : float
-        Accuracy contract: ``integrate`` raises QuadratureError if the error
-        budget exceeds rtol times the error scale at any time.
+        Accuracy contract, finite and > 0: ``integrate`` raises
+        QuadratureError if the error budget exceeds rtol times the error
+        scale at any time.
     """
 
     def __init__(self, evaluator, *, rtol=DEFAULT_RTOL):
         self.ev = evaluator
         self.rtol = float(rtol)
+        if not (math.isfinite(self.rtol) and self.rtol > 0):
+            # a nan or inf rtol would pass every budget check
+            raise DomainError(f"rtol must be finite and > 0, got {rtol}")
         spec = evaluator.spec
         self.w_max = _default_w_max(spec)
         self._Omega = spec.omega_renormalized

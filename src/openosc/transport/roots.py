@@ -95,8 +95,7 @@ def characteristic_roots(spec: SystemSpec) -> RootSet:
     by construction); a near-degenerate pair raises DegenerateRootsError.
     """
     c = characteristic_polynomial(spec)
-    decoupled = spec.baths[0].alpha == 0.0 and spec.baths[1].alpha == 0.0
-    if decoupled:
+    if spec.decoupled:
         # exact factorization: (s^2 + omega^2)(s + g1)(s + g2) with omega = Omega
         w = spec.omega
         roots = np.array(
@@ -134,7 +133,7 @@ def characteristic_roots(spec: SystemSpec) -> RootSet:
             "would blow up"
         )
 
-    if not decoupled:
+    if not spec.decoupled:
         bad = np.where(roots.real >= 0)[0]
         if bad.size:
             raise StabilityError(
@@ -144,7 +143,7 @@ def characteristic_roots(spec: SystemSpec) -> RootSet:
 
     rs = RootSet(roots=roots, xi_prime=_xi_prime(roots), quartic_coefficients=c)
     res = rs.residuals_relative()
-    if not decoupled and np.any(res > POLISH_TOL):
+    if not spec.decoupled and np.any(res > POLISH_TOL):
         raise StabilityError(
             f"root polish stalled: residuals {res} exceed {POLISH_TOL:g}"
         )

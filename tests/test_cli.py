@@ -113,10 +113,34 @@ def test_numerics_validation():
     # the friction normalization |A|^2 is fixed: no [kernel] section
     with pytest.raises(ConfigError, match="unknown config section"):
         parse_config_text("[kernel]\nabs_A_power = 2\n")
-    with pytest.raises(ConfigError):
-        config_numerics(parse_config_text("[quadrature]\nrtol = -1e-7\n"))
-    over = config_numerics(parse_config_text(WEAK_SINGLE), rtol_override=1e-5)
-    assert over["rtol"] == 1e-5
+    assert config_numerics(parse_config_text("[quadrature]\nrtol = 1e-5\n")) \
+        == {"rtol": 1e-5}
+    # a nan or inf rtol would pass every budget check
+    for bad in ("-1e-7", "0", "nan", "inf"):
+        with pytest.raises(ConfigError, match="positive finite"):
+            config_numerics(parse_config_text(f"[quadrature]\nrtol = {bad}\n"))
+
+
+@pytest.mark.parametrize("extra, message", [
+    ("\n[quadrature]\nrtol = nan\n", "rtol = nan"),
+    ("\n[quadrature]\nrtol = inf\n", "rtol = inf"),
+    # the bundled presets are run by `scenario NAME`; [run] names none
+    ("scenario = fig1\n", "unknown key 'scenario' in section [run]"),
+])
+def test_config_error_exits_2(tmp_path, capsys, extra, message):
+    cfg = tmp_path / "weak.ini"
+    cfg.write_text(WEAK_SINGLE + extra)
+    out = tmp_path / "run"
+    assert main(["--config", str(cfg), "--out", str(out), "coeffs"]) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "coefficients.csv").exists()
+
+
+def test_rtol_is_not_an_option(tmp_path):
+    # the tolerance has one source, [quadrature] rtol
+    with pytest.raises(SystemExit) as info:
+        main(["--out", str(tmp_path), "--rtol", "1e-5", "validate"])
+    assert info.value.code == 2
 
 
 def test_sweep_paths():
@@ -143,11 +167,6 @@ def test_sweep_exits_2_on_a_path_no_point_reads(tmp_path, capsys):
     assert main(["--config", str(cfg), "--out", str(out), "sweep"]) == 2
     assert "'coupling.beta'" in capsys.readouterr().err
     assert not (out / "sweep_index.csv").exists()
-    # --rtol overrides quadrature.rtol at every point
-    cfg.write_text(WEAK_SINGLE + "\n[sweep]\nquadrature.rtol = 1e-7, 1e-6\n")
-    args = ["--config", str(cfg), "--out", str(out), "--rtol", "1e-5"]
-    assert main(args + ["sweep"]) == 2
-    assert "'quadrature.rtol'" in capsys.readouterr().err
 
 
 def test_write_csv_format(tmp_path):

@@ -217,7 +217,7 @@ def test_rates_and_dissipation_bookkeeping():
     # and in scipy's operation order, so E(t) is unchanged to the bit
     assert np.array_equal(traj.dissipation[0], cumulative_trapezoid(
         2.0 * lam0 * n, t, initial=0.0))
-    assert traj.metadata["n0"] == n0
+    assert traj.metadata["n0"] == (n0,)
 
 
 def test_evolve_validation():
@@ -245,11 +245,11 @@ def test_envelope_flag_and_warning():
     spec = _toy_spec()
     with pytest.warns(UserWarning, match="envelope"):
         traj = evolve(series, spec, 50.0)  # far above 10 x n_eq
-    assert traj.metadata["envelope_exceeded"] is True
+    assert traj.metadata["envelope_exceeded"] == [True]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         quiet = evolve(series, spec, 0.1)
-    assert quiet.metadata["envelope_exceeded"] is False
+    assert quiet.metadata["envelope_exceeded"] == [False]
 
 
 def test_coupled_validation():

@@ -21,7 +21,7 @@ from openosc import (
     statistics_from_name,
 )
 from openosc.errors import DomainError
-from openosc.model import OscillatorSpec, SystemSpec
+from openosc.model import SystemSpec
 
 
 def _bath(eps=+1, alpha=0.01, gamma=10.0, T=1.0):
@@ -89,12 +89,18 @@ def test_bare_frequency_shift():
     assert spec.omega_renormalized == 1.0
     with pytest.raises(DomainError):
         bare_frequency(-1.0, b1, b2)
-
-
-def test_inconsistent_bare_frequency_rejected():
-    b1, b2 = _bath(), _bath()
     with pytest.raises(DomainError):
-        SystemSpec(OscillatorSpec(1.0, 1.0), (b1, b2))  # should be 1.4
+        SystemSpec(0.0, (b1, b2))
+    # omega is summed in the order the baths are given, before a mixed
+    # system is relabeled fermionic-first; here the two orders differ in
+    # the last bit
+    bosonic, fermionic = _bath(+1, alpha=0.01), _bath(-1, alpha=0.03)
+    assert (bare_frequency(1.0, bosonic, fermionic)
+            != bare_frequency(1.0, fermionic, bosonic))
+    mixed = make_system(1.0, bosonic, fermionic)
+    assert mixed.baths == (fermionic, bosonic)
+    assert mixed.omega == bare_frequency(1.0, bosonic, fermionic)
+    assert SystemSpec(1.0, (bosonic, fermionic)) == mixed
 
 
 def test_statistics_modes_and_relabeling():
@@ -111,9 +117,22 @@ def test_statistics_modes_and_relabeling():
 
 
 def test_slow_bath_warning():
-    with pytest.warns(UserWarning, match="fast-bath"):
+    with pytest.warns(UserWarning, match="fast-bath") as record:
         make_system(1.0, _bath(alpha=0.10, gamma=10.0),
                     _bath(alpha=0.05, gamma=15.0))
+    # reported at the line that called make_system, or SystemSpec
+    assert record[0].filename == __file__
+    with pytest.warns(UserWarning, match="fast-bath") as record:
+        SystemSpec(1.0, (_bath(alpha=0.10, gamma=10.0),
+                         _bath(alpha=0.05, gamma=15.0)))
+    assert record[0].filename == __file__
+
+
+def test_decoupled_only_when_both_couplings_vanish():
+    for a1, a2, decoupled in ((0.0, 0.0, True), (0.0, 0.01, False),
+                              (0.01, 0.0, False), (0.01, 0.01, False)):
+        spec = make_system(1.0, _bath(alpha=a1), _bath(-1, alpha=a2))
+        assert spec.decoupled is decoupled
 
 
 def test_mixing_fraction():

@@ -4,7 +4,14 @@ import warnings
 import numpy as np
 import pytest
 
-from openosc import BathSpec, characteristic_roots, equilibrium_occupation, make_system
+from openosc import (
+    BathSpec,
+    characteristic_roots,
+    coefficient_series,
+    equilibrium_occupation,
+    make_system,
+    run_scenario,
+)
 from openosc.errors import DomainError, QuadratureError
 from openosc.scenarios import fig3_pair, fig5_pair
 from openosc.transport import quadrature
@@ -84,6 +91,19 @@ def test_memory_integrals_start_at_zero():
     rep = integ.last_report
     assert rep.n_panels > 0
     assert rep.max_rel_error <= 1e-7
+
+
+@pytest.mark.parametrize("rtol", [np.nan, np.inf, 0.0, -1e-7])
+def test_rtol_must_be_positive_and_finite(rtol):
+    # a nan or inf rtol would pass every budget check
+    with pytest.raises(DomainError, match="rtol"):
+        _weak_integrator(rtol=rtol)
+    with pytest.raises(DomainError, match="rtol"):
+        coefficient_series(_spec(EQUAL_CUTOFFS), np.linspace(0.0, 1.0, 11),
+                           rtol=rtol)
+    with pytest.raises(DomainError, match="rtol"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # fig1's fast-bath warning
+        run_scenario("fig1", t_max=0.1, dt=0.05, rtol=rtol)
 
 
 def test_self_convergence_between_tolerances():
