@@ -89,9 +89,9 @@ _SCHEMA = {
 _DEFAULTS = {"t_max": 20.0, "dt": 0.005, "n0": (0.0,), "rtol": DEFAULT_RTOL,
              "beta": 0.0}
 
-#: the sections a sweep point reads: ``_single_run`` runs the first system
-#: alone, uncoupled
-_SWEPT = ("oscillator", "bath.1", "bath.2", "quadrature")
+#: the sections whose numeric keys a sweep point's outputs depend on: it runs
+#: the first system alone, uncoupled, and [quadrature] rtol steers no node
+_SWEPT = ("oscillator", "bath.1", "bath.2")
 
 _UNITS_NOTE = (
     "frequencies and temperatures in units of Omega_1 (hbar = k_B = 1); "
@@ -227,8 +227,8 @@ def config_sweep(raw) -> list:
             raise ConfigError(f"[sweep] {path!r} does not name a config key")
         if key == "statistics" or section not in _SWEPT:
             raise ConfigError(
-                f"[sweep] cannot sweep {path!r}: a sweep point's single-system "
-                "run reads only the numeric keys of "
+                f"[sweep] cannot sweep {path!r}: a sweep point's outputs "
+                "depend only on the numeric keys of "
                 + ", ".join(f"[{s}]" for s in _SWEPT))
         try:
             values = [float(v) for v in text.split(",") if v.strip()]
@@ -415,21 +415,19 @@ def cmd_asymptotics(raw, out, numerics):
     rows = []
     for label, spec in systems:
         i1, i2 = _stationary_integrals(spec)
-        rows.append((f"{label}_bath1_integral", i1, np.nan, np.nan, np.nan,
-                     "info"))
-        rows.append((f"{label}_bath2_integral", i2, np.nan, np.nan, np.nan,
-                     "info"))
-        rows.append((f"{label}_asymptotic_occupation", i1 + i2, np.nan,
-                     np.nan, np.nan, "info"))
-        rows.append((f"{label}_markovian_mixture", markovian_mixture(spec),
-                     np.nan, np.nan, np.nan, "info"))
-        rows.append((f"{label}_resonance_occupation",
-                     resonance_occupation(spec), np.nan, np.nan, np.nan,
-                     "info"))
+        values = [("bath1_integral", i1, "info"),
+                  ("bath2_integral", i2, "info"),
+                  ("asymptotic_occupation", i1 + i2, "info"),
+                  ("markovian_mixture", markovian_mixture(spec), "info"),
+                  ("resonance_occupation", resonance_occupation(spec), "info")]
         if spec.statistics_mode == "mixed":
-            rows.append((f"{label}_stationarity_residual",
-                         _stationarity_residual(spec, i1, i2),
-                         np.nan, np.nan, np.nan, "info"))
+            try:
+                values.append(("stationarity_residual",
+                               _stationarity_residual(spec, i1, i2), "info"))
+            except DomainError:  # an uncoupled channel or a singular target
+                values.append(("stationarity_residual", np.nan, "undefined"))
+        rows += [(f"{label}_{name}", value, np.nan, np.nan, np.nan, status)
+                 for name, value, status in values]
     write_observables(out / "observables.csv", rows)
     write_metadata(out, "asymptotics", raw, numerics, {})
     return 0
@@ -448,9 +446,9 @@ def cmd_scenario(name, raw, out, numerics, run_overrides):
 
 def _sweep_point(args):
     """One sweep evaluation; returns (index, summary dict, status, message)."""
-    index, raw = args
+    index, raw, numerics = args
     try:
-        _, _, rows = _single_run(raw, config_numerics(raw))
+        _, _, rows = _single_run(raw, numerics)
         value = {name: v for name, v, *_ in rows}
         summary = {"n_final": value["n_final"],
                    "n_tail_mean": value["n_tail_mean"],
@@ -474,7 +472,7 @@ def cmd_sweep(raw, out, numerics, workers):
         for path, value in zip(paths, point):
             section, _, key = path.rpartition(".")
             cfg[section] = {**cfg.get(section, {}), key: repr(float(value))}
-        points.append((flat, cfg))
+        points.append((flat, cfg, numerics))
 
     if workers > 1:
         # imported here: it pulls in multiprocessing, which every other

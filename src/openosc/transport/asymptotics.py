@@ -29,7 +29,7 @@ from ..model import (
     spectral_density,
 )
 from .kernels import KernelEvaluator
-from .quadrature import _coupled, integrate_static
+from .quadrature import integrate_static
 from .roots import characteristic_roots
 
 
@@ -43,16 +43,13 @@ def _require_coupling(spec: SystemSpec) -> None:
 
 def _stationary_integrals(spec: SystemSpec) -> tuple:
     """Stationary values (I_1(inf), I_2(inf)) of both baths' memory
-    integrals: S_0 of their static parts, 0.0 for an uncoupled bath.
+    integrals: S_0 of their static parts, exactly 0.0 for an uncoupled bath.
 
     Raises DomainError if both couplings vanish.
     """
     _require_coupling(spec)
     S = integrate_static(KernelEvaluator(characteristic_roots(spec), spec))[0]
-    S_0 = [0.0, 0.0]
-    for i, row in zip(_coupled(spec), S):
-        S_0[i] = float(row[0].real)
-    return tuple(S_0)
+    return float(S[0, 0].real), float(S[1, 0].real)
 
 
 def asymptotic_bath_integral(spec: SystemSpec, bath_index: int) -> float:
@@ -133,7 +130,7 @@ def stationarity_condition_residual(spec: SystemSpec) -> float:
     factor renormalizes the target), the bosonic one toward I_b/(1-p).  The
     residual is the bosonic target minus the fermionic one; a value away
     from zero means no joint stationary point, i.e. persistent oscillation.
-    Defined for mixed statistics only.
+    Defined for mixed statistics with both channels coupled only.
     """
     if spec.statistics_mode != MIXED:
         raise DomainError(
@@ -145,6 +142,8 @@ def stationarity_condition_residual(spec: SystemSpec) -> float:
 def _stationarity_residual(spec: SystemSpec, I_f: float, I_b: float) -> float:
     """The residual of a mixed system from its stationary integrals."""
     p = mixing_fraction(*spec.baths)
+    if p in (0.0, 1.0):  # I_f/p or I_b/(1 - p) is 0/0
+        raise DomainError(f"one channel is uncoupled (p = {p:g})")
     scale = 1.0 - 2.0 * I_f / p
     if abs(scale) < 1e-300:
         raise DomainError("fermionic channel target is singular (I_f/p = 1/2)")

@@ -20,6 +20,11 @@ variants, shifted by the fermionic diffusion part:
 
 with the fermionic part built from bath 1 and the bosonic part from bath 2
 (the model normalizes mixed systems to that order).
+
+When both couplings vanish the oscillator is free, A = e^{-i omega t} and
+lambda = D = I = 0, whatever its statistics and cutoffs.
+``coefficient_series`` decides that before any root solve, so every layer
+below it assumes a coupled system.
 """
 
 from __future__ import annotations
@@ -34,10 +39,12 @@ from ..model import (
     FERMIONIC,
     MIXED,
     SystemSpec,
+    _default_w_max,
     mixing_fraction,
 )
-from .kernels import KernelEvaluator
-from .quadrature import DEFAULT_RTOL, MemoryIntegrator, QuadratureReport
+from .kernels import AmplitudeSeries, KernelEvaluator
+from .quadrature import (DEFAULT_RTOL, MemoryIntegrator, QuadratureReport,
+                         _checked_rtol)
 from .roots import characteristic_roots
 
 #: friction magnitudes below this fraction of the series maximum make the
@@ -109,6 +116,24 @@ def _j_parts(series):
     return (J1, J2), (dJ1, dJ2)
 
 
+def _free_series(spec: SystemSpec, t, rtol) -> CoefficientSeries:
+    """The free oscillator's series: A = e^{-i omega t}, nothing bath-borne,
+    and lambda = -0.0, the sign -(1/2) dX/X gives for X = |A|^2."""
+    _checked_rtol(rtol)
+    A = np.exp(-1j * spec.omega * t)
+    amp = AmplitudeSeries(t, A, -1j * spec.omega * A,
+                          *np.zeros((6, t.size), dtype=complex))  # B, dB, ...
+    D, D1, D2, I1, I2 = np.zeros((5, t.size))
+    report = QuadratureReport(
+        n_panels=0, w_max=_default_w_max(spec), max_rel_error=0.0,
+        tail_bound={"bath1": 0.0, "bath2": 0.0}, ray_entries=0,
+        ray_entries_kept=0)
+    return CoefficientSeries(
+        t=t, friction=np.full(t.size, -0.0), diffusion=D,
+        diffusion_parts=(D1, D2), memory_integrals=(I1, I2),
+        ratio=np.full(t.size, np.nan), amplitudes=amp, quadrature_report=report)
+
+
 def coefficient_series(spec: SystemSpec, t, *,
                        rtol: float = DEFAULT_RTOL) -> CoefficientSeries:
     """Compute lambda(t) and D(t) for one system on the given time grid.
@@ -129,6 +154,8 @@ def coefficient_series(spec: SystemSpec, t, *,
             f"time grid must be finite; got {float(t[~np.isfinite(t)][0])!r}")
     if (t < 0).any() or (np.diff(t) <= 0).any():
         raise DomainError("time grid must be nonnegative and strictly increasing")
+    if spec.decoupled:
+        return _free_series(spec, t, rtol)
 
     rootset = characteristic_roots(spec)
     ev = KernelEvaluator(rootset, spec)

@@ -21,6 +21,10 @@ Divided-difference identities give the t = 0 values: a sum over n+1 simple
 nodes annihilates polynomials of degree <= n-1 and maps a degree-n polynomial
 to its leading coefficient.  Hence A(0) = 1, B(0) = B_1(0) = B_2(0) = 0,
 M(w,0) = N(w,0) = 0, dM/dt(w,0) = -i, dN/dt(w,0) = +i.
+
+At alpha_1 = alpha_2 = 0 a root sits at -i*omega and the weights become 0/0,
+so the evaluator takes coupled systems only (``coefficient_series`` gives
+the free oscillator's series itself).
 """
 
 from __future__ import annotations
@@ -53,29 +57,20 @@ class KernelEvaluator:
     """Vectorized evaluator for the response kernels of one system."""
 
     def __init__(self, rootset: RootSet, spec: SystemSpec):
-        self.rootset = rootset
-        self.spec = spec
-        s = rootset.roots
+        if spec.decoupled:
+            raise DomainError("both couplings vanish: a root sits at "
+                              "-i*omega and the kernels' weights are 0/0")
+        self.rootset, self.spec = rootset, spec
+        self.s = s = rootset.roots
+        self.w = w = spec.omega
         xp = rootset.xi_prime
-        self.s = s
-        w = spec.omega
-        (a1, g1), (a2, g2) = (
-            (spec.baths[0].alpha, spec.baths[0].gamma),
-            (spec.baths[1].alpha, spec.baths[1].gamma),
-        )
-        self.w = w
+        (a1, g1), (a2, g2) = ((b.alpha, b.gamma) for b in spec.baths)
         self.g1, self.g2 = g1, g2
         # w-independent numerators of the root coefficients of M and N,
         # c_k(w) = a_k / (s_k + i w)
         poles = (s + g1) * (s + g2) * xp
         self.aM = -(1j * s + w) * poles
         self.aN = (1j * s - w) * poles
-        if spec.decoupled:
-            # zero coupling: a root sits exactly at -i*w and the residue
-            # weights become 0/0; the kernels reduce to their free limits
-            # (A a bare phase, everything bath-borne identically zero)
-            self._fA = self._fB = self._fB1 = self._fB2 = None
-            return
         h1 = a1 * g1**2 * (s + g2)
         h2 = a2 * g2**2 * (s + g1)
         self._fA = 1j * xp * (s - 1j * w) / (s + 1j * w) * (h1 + h2)
@@ -90,14 +85,6 @@ class KernelEvaluator:
         t = np.atleast_1d(np.asarray(t, dtype=float))
         if np.any(t < 0):
             raise DomainError("kernel times must be >= 0")
-        if self.spec.decoupled:
-            ph = np.exp(-1j * self.w * t)
-            zero = np.zeros(t.size, dtype=complex)
-            return AmplitudeSeries(
-                t=t, A=ph, dA=-1j * self.w * ph,
-                B=zero, dB=zero.copy(), B1=zero.copy(), dB1=zero.copy(),
-                B2=zero.copy(), dB2=zero.copy(),
-            )
         E = np.exp(np.multiply.outer(self.s, t))  # (4, Nt)
         s = self.s[:, None]
 
@@ -105,11 +92,9 @@ class KernelEvaluator:
             f = f[:, None]
             return np.einsum("kt,kt->t", f, E), np.einsum("kt,kt->t", f * s, E)
 
-        A, dA = pair(self._fA)
-        B, dB = pair(self._fB)
-        B1, dB1 = pair(self._fB1)
-        B2, dB2 = pair(self._fB2)
-        return AmplitudeSeries(t=t, A=A, dA=dA, B=B, dB=dB, B1=B1, dB1=dB1, B2=B2, dB2=dB2)
+        # the fields' order: (A, dA), (B, dB), (B1, dB1), (B2, dB2)
+        return AmplitudeSeries(t, *pair(self._fA), *pair(self._fB),
+                               *pair(self._fB1), *pair(self._fB2))
 
     # ---- five-node kernels ---------------------------------------------------
 
@@ -124,9 +109,7 @@ class KernelEvaluator:
         if np.any(close):
             bad = wq[close][0]
             raise DomainError(
-                f"probe node -i*{bad:g} collides with a characteristic root; "
-                "this can only happen for marginally stable (decoupled) systems"
-            )
+                f"probe node -i*{bad:g} collides with a characteristic root")
         return 1.0 / d
 
     def _c0_coefficients(self, wq):
@@ -151,11 +134,6 @@ class KernelEvaluator:
         """
         wq = np.atleast_1d(np.asarray(wq, dtype=float))
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        if self.spec.decoupled:
-            # consumed only inside bath integrals whose spectral weights
-            # vanish identically at zero coupling
-            zero = np.zeros((wq.size, t.size), dtype=complex)
-            return zero, zero.copy(), zero.copy(), zero.copy()
         s0, cM0, cN0, cMk, cNk = self._mn_coefficients(wq)
         E0 = np.exp(np.multiply.outer(s0, t))  # (Nw, Nt)
         Ek = np.exp(np.multiply.outer(self.s, t))  # (4, Nt)

@@ -7,8 +7,8 @@ The integrals have the form
 
 with weights Wn, Wp (``_weights``: a bath's spectral density times its
 occupation factors) and the five-node propagator kernels M, N.  The
-integrator reads both baths from the system; an uncoupled bath's weights
-vanish, so its integrals are exactly 0 and are not computed (``_coupled``).
+integrator reads both baths from the system; an uncoupled one's weights
+are exactly 0, and so are its integrals and their error budget.
 Both kernels are exponential sums, M = c_0 e^{-iwt} + sum_k c_k e^{s_k t}
 (N alike), so
 
@@ -163,13 +163,11 @@ def _weights(bath: BathSpec, w):
     return pref * n, pref * (1.0 + bath.statistics * n)
 
 
-def _coupled(spec: SystemSpec) -> list:
-    """Indices of the coupled baths of ``spec``.
-
-    An uncoupled bath's weights vanish identically, and so do its
-    integrals, so only the coupled ones are integrated.
-    """
-    return [i for i, b in enumerate(spec.baths) if b.alpha > 0.0]
+def _checked_rtol(rtol) -> float:
+    """``rtol``, finite and > 0: a nan or inf one passes every budget check."""
+    if not (math.isfinite(rtol) and rtol > 0):
+        raise DomainError(f"rtol must be finite and > 0, got {rtol}")
+    return float(rtol)
 
 
 @dataclass
@@ -215,18 +213,11 @@ class MemoryIntegrator:
 
     def __init__(self, evaluator, *, rtol=DEFAULT_RTOL):
         self.ev = evaluator
-        self.rtol = float(rtol)
-        if not (math.isfinite(self.rtol) and self.rtol > 0):
-            # a nan or inf rtol would pass every budget check
-            raise DomainError(f"rtol must be finite and > 0, got {rtol}")
+        self.rtol = _checked_rtol(rtol)
         spec = evaluator.spec
         self.w_max = _default_w_max(spec)
         self._Omega = spec.omega_renormalized
         self.last_report = None
-        self._live = _coupled(spec)
-        self._baths = [spec.baths[i] for i in self._live]
-        if not self._live:
-            return
         self._S, self._S_err, self._tail, self._static_panels = (
             integrate_static(evaluator))
         s = evaluator.s
@@ -256,7 +247,7 @@ class MemoryIntegrator:
     # ---------------------------------------------------------------- parts
 
     def _residues(self, wj, sj, xj):
-        """2 pi i Res_{w_j} F_k for I and dI: (n_live, 2, 4, n_j).
+        """2 pi i Res_{w_j} F_k for I and dI: (2, 2, 4, n_j).
 
         The residue of conj(c_0^N(conj w)) = (w - omega)(g1 + iw)(g2 + iw)
         / q(iw) at w_j is -i xi'_j (w_j - omega)(g1 + s_j)(g2 + s_j); for
@@ -267,7 +258,7 @@ class MemoryIntegrator:
         poles = -1j * xj * (ev.g1 + sj) * (ev.g2 + sj)
         _, _, _, cMk, cNk = ev._mn_coefficients(wj)  # (n_j, 4)
         out = []
-        for bath in self._baths:
+        for bath in ev.spec.baths:
             wn, wp = _weights(bath, wj)
             res = 2j * np.pi * (
                 (-wn * (wj + ev.w) * poles)[:, None] * cMk
@@ -278,7 +269,7 @@ class MemoryIntegrator:
 
     def _ray_nodes(self, lo, hi):
         """Ray nodes w = R v/(1 - v) e^{i theta} on the K15 panels [lo, hi]
-        in v, and the weighted F_k dw/dv: (n_v,), (n_v, n_live * 2 * 4)."""
+        in v, and the weighted F_k dw/dv: (n_v,), (n_v, 2 * 2 * 4)."""
         v, half = _k15_nodes(lo, hi)
         phase = np.exp(1j * self._theta)
         w = self._R * v / (1.0 - v) * phase
@@ -290,7 +281,7 @@ class MemoryIntegrator:
         cMk, cNk = self.ev.aM * R, self.ev.aN * R
         rate = self.ev.s[None, :] + 1j * w[:, None]
         f = []
-        for bath in self._baths:
+        for bath in self.ev.spec.baths:
             wn, wp = _weights(bath, w)
             F = ((wn * cM0.conj() * jac)[:, None] * cMk
                  + (wp * cN0.conj() * jac)[:, None] * cNk)  # (n_v, 4)
@@ -323,11 +314,11 @@ class MemoryIntegrator:
         return groups
 
     def _static(self, t):
-        """The static parts and the residues' cross terms of the coupled
-        baths at the times t > 0, with their budgets, and e^{s t}.
+        """The static parts and the residues' cross terms of both baths at
+        the times t > 0, with their budgets, and e^{s t}.
 
-        Returns (value, budget, E): value and budget of shape
-        (n_live, 2, n_t) and E, (4, n_t).
+        Returns (value, budget, E): value and budget of shape (2, 2, n_t)
+        and E, (4, n_t).
         """
         s = self.ev.s
         E = np.exp(np.multiply.outer(s, t))  # (4, n_t)
@@ -356,7 +347,7 @@ class MemoryIntegrator:
         ``_slices``.  The value takes the first two groups; the estimate is
         the halves' part minus the base level's, on the bisected panels
         alone.  Returns (C_value, C_diff, bound, kept): the first three
-        (n_live * 2 * 4, n_t), bound the rounding allowance on the value's
+        (2 * 2 * 4, n_t), bound the rounding allowance on the value's
         magnitudes plus the bound on every group's left-out nodes, and kept
         the entries of the tables built.
         """
@@ -420,7 +411,7 @@ class MemoryIntegrator:
         """Integrate both baths' memory integrals at the times ``t``.
 
         Returns {"bath1": (I, dI), "bath2": (I, dI)}, exactly 0.0 for an
-        uncoupled bath, and stores a QuadratureReport in
+        uncoupled bath (its weights are 0), and stores a QuadratureReport in
         ``last_report``.  I(0) = dI(0) = 0 exactly, because every kernel
         vanishes at t = 0.  Raises QuadratureError if the error budget
         exceeds rtol, and DomainError for a time that is negative or not
@@ -436,14 +427,14 @@ class MemoryIntegrator:
         pos = t > 0.0
         n_panels, worst, entries, kept = 0, 0.0, 0, 0
         tail = dict.fromkeys(names, 0.0)
-        if self._live and pos.any():
+        if pos.any():
             tp = t[pos]
             groups = self._ray_groups(tp)
             n_nodes = [len(w) for w, _, _ in groups]
             value, budget, E = self._static(tp)
             C_value, C_diff, bound, kept = self._ray(
                 tp, groups, _slices(tp.size, max(n_nodes)))
-            shape = (len(self._live), 2, 4, tp.size)
+            shape = (2, 2, 4, tp.size)
             value += 2.0 * (C_value.reshape(shape) * E).sum(axis=2).real
             diff = 2.0 * (C_diff.reshape(shape) * E).sum(axis=2).real
             budget += np.abs(diff) + 2.0 * (bound.reshape(shape)
@@ -456,9 +447,8 @@ class MemoryIntegrator:
                     f"{self.rtol:g}",
                     achieved=worst,
                 )
-            for li, ci in enumerate(self._live):
-                totals[ci][:, pos] = value[li]
-                tail[names[ci]] = float(self._tail[li])
+            totals[:, :, pos] = value
+            tail = dict(zip(names, self._tail.tolist()))
             n_panels = self._static_panels + sum(n_nodes) // 15
         self.last_report = QuadratureReport(
             n_panels=n_panels, w_max=self.w_max, max_rel_error=worst,
@@ -687,22 +677,23 @@ def _assemble(ev, rate, G):
 
 
 def integrate_static(ev):
-    """The static parts of the memory integrals of the coupled baths
-    (``_coupled``) of the system that the KernelEvaluator ``ev`` holds.
+    """The static parts of the memory integrals of both baths of the
+    system that the KernelEvaluator ``ev`` holds.
 
     Integrates Wn and Wp of each bath times 1/(s_k + iw), the 8 resolvent
     integrals G per bath, on ``_static_edges`` up to W and in u = W/w
     beyond it, and assembles S_0 and the S_jk from them.  S_0 is the
     bath's stationary integral I(inf).  Returns (S, S_err, tail,
-    n_panels): the parts (n, 17) with S_0 first, their error estimates, the
+    n_panels): the parts (2, 17) with S_0 first, their error estimates, the
     bound on the error of the parts beyond W at any time, value and
-    derivative (n,), and the K15 panels evaluated.
+    derivative (2,), and the K15 panels evaluated.  An uncoupled bath's
+    rows are exactly 0.
     """
     rate, n_panels = _rates(ev.s), 0
-    baths = [ev.spec.baths[i] for i in _coupled(ev.spec)]
+    baths = ev.spec.baths
 
     def resolvent_integrand(w):
-        """(n_w, n, 2, 4): Wn and Wp of each bath times 1/(s_k + iw)."""
+        """(n_w, 2, 2, 4): Wn and Wp of each bath times 1/(s_k + iw)."""
         nonlocal n_panels
         n_panels += w.size // 15
         W = np.stack([wt for b in baths for wt in _weights(b, w)], axis=1)

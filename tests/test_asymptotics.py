@@ -78,6 +78,20 @@ def test_stationarity_residual_requires_mixed_statistics():
         stationarity_condition_residual(spec)
 
 
+@pytest.mark.parametrize("alphas", [(0.0, 0.05), (0.10, 0.0)],
+                         ids=["fermionic-uncoupled", "bosonic-uncoupled"])
+def test_stationarity_residual_needs_both_channels(alphas):
+    # with p = 0 or 1 one channel's target, I_f/p or I_b/(1 - p), is 0/0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        spec = make_system(
+            1.0,
+            BathSpec(statistics=-1, alpha=alphas[0], gamma=10.0, temperature=1.0),
+            BathSpec(statistics=+1, alpha=alphas[1], gamma=15.0, temperature=0.1))
+    with pytest.raises(DomainError, match="uncoupled"):
+        stationarity_condition_residual(spec)
+
+
 def test_decoupled_bath_contributes_nothing():
     spec = make_system(1.0,
                        BathSpec(statistics=+1, alpha=0.02, gamma=10.0, temperature=1.0),

@@ -153,9 +153,11 @@ def test_sweep_paths():
                 "nosuch.key = 1", "bath.1.alpha = a, b", "sweep.x = 1"):
         with pytest.raises(ConfigError):
             config_sweep(parse_config_text(f"[sweep]\n{bad}\n"))
-    # a sweep point runs the first system alone, so these would give rows
-    # that differ only in the swept column
-    for path in ("coupling.beta", "oscillator2.Omega", "bath2.1.alpha"):
+    # a sweep point runs the first system alone, and rtol only gates the
+    # memory integrals' error budget, so these would give rows that differ
+    # only in the swept column
+    for path in ("coupling.beta", "oscillator2.Omega", "bath2.1.alpha",
+                 "quadrature.rtol"):
         with pytest.raises(ConfigError, match=repr(path)):
             config_sweep(parse_config_text(f"[sweep]\n{path} = 1, 2\n"))
 
@@ -241,6 +243,26 @@ def test_evolve_end_to_end(tmp_path):
         assert math.isfinite(quad[key])
     assert quad["n_panels_total"] > 0
     assert 0.0 < quad["ray_kept_fraction"] <= 1.0
+
+
+@pytest.mark.parametrize("first, gamma2", [("fermionic", "12"), ("bosonic", "10")],
+                         ids=["mixed", "equal-cutoffs"])
+def test_evolve_at_zero_coupling_keeps_n0(tmp_path, first, gamma2):
+    # both alpha = 0: a mixed system's blend weight p and equal cutoffs'
+    # degenerate roots used to stop the run (exit 2 and 3)
+    cfg = tmp_path / "free.ini"
+    cfg.write_text(
+        WEAK_SINGLE.replace("alpha = 1e-3", "alpha = 0")
+        .replace("bosonic", first, 1)
+        .replace("gamma_over_Omega = 12", f"gamma_over_Omega = {gamma2}")
+        + "n0 = 0.25\n")
+    out = tmp_path / "run"
+    assert main(["--config", str(cfg), "--out", str(out), "evolve"]) == 0
+    _, rows = _read_csv(out / "trajectory.csv")
+    assert {r[1] for r in rows} == {"0.25"}
+    header, rows = _read_csv(out / "coefficients.csv")
+    for name in ("lambda", "D", "I1", "I2"):
+        assert {float(r[header.index(name)]) for r in rows} == {0.0}
 
 
 def test_summary_reports_the_rays_kept_fraction(fig1_case):
@@ -341,6 +363,26 @@ def test_asymptotics_end_to_end(tmp_path):
     assert vals["system1_resonance_occupation"] == pytest.approx(
         resonance_occupation(config_system(parse_config_text(WEAK_SINGLE))),
         rel=1e-12)
+
+
+@pytest.mark.parametrize("uncoupled", ["fermionic", "bosonic"])
+def test_asymptotics_with_an_uncoupled_channel(tmp_path, uncoupled):
+    # p = 0 or 1 leaves the stationarity residual undefined; the other rows
+    # are still written
+    section = {"fermionic": "[bath.1]", "bosonic": "[bath.2]"}[uncoupled]
+    head, _, tail = WEAK_SINGLE.replace("bosonic", "fermionic", 1).partition(
+        section)
+    cfg = tmp_path / "mixed.ini"
+    cfg.write_text(head + section + tail.replace("alpha = 1e-3", "alpha = 0", 1))
+    out = tmp_path / "run"
+    assert main(["--config", str(cfg), "--out", str(out), "asymptotics"]) == 0
+    _, rows = _read_csv(out / "observables.csv")
+    row = {r[0]: r[1:] for r in rows}
+    assert row["system1_stationarity_residual"][0] == "nan"
+    assert row["system1_stationarity_residual"][-1] == "undefined"
+    integrals = [float(row[f"system1_bath{i}_integral"][0]) for i in (1, 2)]
+    assert integrals[0 if uncoupled == "fermionic" else 1] == 0.0
+    assert max(integrals) > 0.0
 
 
 def test_asymptotics_integrates_each_bath_once(tmp_path, monkeypatch):

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from openosc import BathSpec, coefficient_series, make_system
+from openosc import BathSpec, coefficient_series, evolve, make_system
 from openosc.errors import DomainError
 from openosc.scenarios import fig1_system
 from openosc.transport import coefficients
@@ -80,8 +80,9 @@ def test_memory_integrals_fill_from_zero(weak_case):
 
 
 def test_uncoupled_bath_integrates_to_exact_zero(monkeypatch):
-    # fig1's baths with the fermionic one uncoupled: the integrator skips
-    # bath 1 and must still place bath 2's integral under its own name
+    # fig1's baths with the fermionic one uncoupled: bath 1 goes through the
+    # general path, whose weights are exactly 0 for it, and bath 2's
+    # integral keeps its own name
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         spec = make_system(
@@ -104,6 +105,46 @@ def test_uncoupled_bath_integrates_to_exact_zero(monkeypatch):
     assert series.quadrature_report.tail_bound["bath1"] == 0.0
     I2 = series.memory_integrals[1]
     assert I2[-1] == pytest.approx(asymptotic_bath_integral(spec, 1), rel=1e-6)
+
+
+def _both_uncoupled(eps1, eps2, gamma2):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return make_system(
+            1.0,
+            BathSpec(statistics=eps1, alpha=0.0, gamma=10.0, temperature=1.0),
+            BathSpec(statistics=eps2, alpha=0.0, gamma=gamma2, temperature=0.5))
+
+
+@pytest.mark.parametrize("eps1, eps2, gamma2", [
+    (-1, +1, 12.0),  # mixed: the blend's p = alpha_1/(alpha_1 + alpha_2) is 0/0
+    (+1, +1, 10.0),  # equal cutoffs: the quartic's roots are degenerate
+    (-1, -1, 12.0),
+], ids=["mixed", "equal-cutoffs", "fermionic"])
+def test_zero_coupling_is_the_free_oscillator(eps1, eps2, gamma2):
+    spec = _both_uncoupled(eps1, eps2, gamma2)
+    t = np.linspace(0.0, 5.0, 251)
+    series = coefficient_series(spec, t)
+    assert np.allclose(series.amplitudes.A, np.exp(-1j * spec.omega * t),
+                       rtol=0, atol=1e-12)
+    # lambda is -0.0, the sign -(1/2) dX/X gives for X = |A|^2
+    assert np.all(series.friction == 0.0) and np.signbit(series.friction).all()
+    assert np.all(series.diffusion == 0.0)
+    for part in series.diffusion_parts + series.memory_integrals:
+        assert np.all(part == 0.0)
+    assert np.isnan(series.ratio).all()
+    report = series.quadrature_report
+    assert report.n_panels == 0 and report.max_rel_error == 0.0
+    assert report.w_max == max(20.0 * max(10.0, gamma2), 40.0 * spec.omega)
+    traj = evolve(series, spec, 0.3)
+    assert np.all(traj.occupations[0] == 0.3)
+
+
+@pytest.mark.parametrize("rtol", [np.nan, np.inf, 0.0, -1e-7])
+def test_zero_coupling_still_checks_rtol(rtol):
+    with pytest.raises(DomainError, match="rtol"):
+        coefficient_series(_both_uncoupled(+1, +1, 12.0),
+                           np.linspace(0.0, 1.0, 11), rtol=rtol)
 
 
 def test_weak_friction_beats_at_the_root_pair_frequency(weak_case):

@@ -3,7 +3,12 @@ import warnings
 import numpy as np
 import pytest
 
-from openosc import BathSpec, characteristic_roots, make_system
+from openosc import (
+    BathSpec,
+    characteristic_roots,
+    coefficient_series,
+    make_system,
+)
 from openosc.errors import DomainError
 from openosc.scenarios import fig1_system
 from openosc.transport.kernels import KernelEvaluator
@@ -85,22 +90,32 @@ def test_negative_time_rejected():
         KernelEvaluator(rs, spec).amplitude_series([-0.1])
 
 
-def test_zero_coupling_kernels_are_free():
+def _decoupled():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        spec = make_system(
+        return make_system(
             1.5,
             BathSpec(statistics=+1, alpha=0.0, gamma=10.0, temperature=1.0),
             BathSpec(statistics=+1, alpha=0.0, gamma=12.0, temperature=0.5),
         )
-    rs = characteristic_roots(spec)
+
+
+def test_zero_coupling_kernels_are_free():
+    # the free oscillator's amplitudes come from coefficient_series, which
+    # decides zero coupling before any kernel is built
     t = np.linspace(0.0, 5.0, 101)
-    amp = KernelEvaluator(rs, spec).amplitude_series(t)
+    amp = coefficient_series(_decoupled(), t).amplitudes
     assert np.allclose(amp.A, np.exp(-1.5j * t), rtol=0, atol=1e-12)
-    assert np.abs(amp.B).max() == 0.0
-    M, N, dM, dN = KernelEvaluator(rs, spec).mn_block([1.0, 3.0], t)
-    assert np.abs(M).max() == 0.0
-    assert np.abs(dN).max() == 0.0
+    assert np.allclose(amp.dA, -1.5j * amp.A, rtol=0, atol=1e-12)
+    for B in (amp.B, amp.dB, amp.B1, amp.dB1, amp.B2, amp.dB2):
+        assert np.abs(B).max() == 0.0
+
+
+def test_decoupled_spec_is_rejected():
+    # a root sits exactly at -i*omega, where the residue weights are 0/0
+    spec = _decoupled()
+    with pytest.raises(DomainError, match="both couplings vanish"):
+        KernelEvaluator(characteristic_roots(spec), spec)
 
 
 @pytest.mark.parametrize("k", range(4))
