@@ -23,15 +23,16 @@ D and beta are known in advance, so every RK4 half-step is an affine map
 of the state, fixed by the coefficients and beta and not by the initial
 occupation.  Stepping is therefore two parts.  The builder
 (``_build_maps``) runs the stage arithmetic once for a batch of runs, each
-with its own series and beta, and composes the maps by a prefix scan, with
-no Python loop over steps.  The application (``_trajectories``) carries
-any number of start states through those maps, checks the blow-up guard
-and assembles the trajectories, so runs that share series and beta share
-one build.
+with its own series and beta, and composes the maps by a two-level prefix
+scan, about 2.4 compositions per half-step, with no Python loop over
+steps.  The application (``_trajectories``) carries any number of start
+states through those maps, checks the blow-up guard and assembles the
+trajectories, so runs that share series and beta share one build.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -61,6 +62,10 @@ STATIONARITY_TOL = 0.01
 #: RK4 half-steps whose maps are built and scanned together; the state is
 #: carried from block to block
 BLOCK = 512
+
+#: half-steps composed one after another inside each chunk of a block, all
+#: chunks at once, before the chunk totals are scanned
+CHUNK = 8
 
 #: the columns own n, partner n, own y, partner y, 1 seen from the partner
 _SWAP = [1, 0, 3, 2, 4]
@@ -92,11 +97,46 @@ class Trajectory:
     metadata: dict = field(default_factory=dict)
 
 
+def _close(a, b, rtol: float) -> bool:
+    """``np.allclose(a, b, rtol=rtol, atol=0.0)`` on finite arrays, without
+    its overhead."""
+    return bool(np.all(np.abs(a - b) <= rtol * np.abs(b)))
+
+
 def _uniform_step(t: np.ndarray) -> float:
+    if t.size < 2:
+        raise DomainError(
+            f"evolution needs at least two times; got {t.size}")
     dt = np.diff(t)
-    if t.size < 2 or not np.allclose(dt, dt[0], rtol=1e-9, atol=0.0):
+    if not _close(dt, dt[0], 1e-9):
         raise DomainError("evolution requires a uniform time grid")
     return float(dt[0])
+
+
+@functools.cache
+def _stencil(width: int, sub: int, derivative: bool):
+    """``_local_cubic``'s tables for windows of ``width`` points, read-only.
+
+    Returns the nearest window point of each sample, shape (width - 1,
+    sub + 1), and the Lagrange weights of each node there, shape (width,
+    width - 1, sub + 1), for each offset of the interval inside its window.
+    """
+    # sample points, in grid steps from the window start, for each offset
+    u = np.arange(width - 1)[:, None] + np.arange(sub + 1) / sub
+    nodes = np.arange(width)
+    weights = []
+    for i in nodes:
+        others = nodes[nodes != i]  # Lagrange basis polynomial of node i
+        if derivative:
+            w = sum(np.prod(u[..., None] - others[others != j], axis=-1)
+                    for j in others)
+        else:
+            w = np.prod(u[..., None] - others, axis=-1)
+        weights.append(w / np.prod(i - others))
+    tables = np.rint(u).astype(int), np.array(weights)
+    for a in tables:
+        a.flags.writeable = False
+    return tables
 
 
 def _local_cubic(y, sub: int, derivative: bool = False) -> np.ndarray:
@@ -118,23 +158,15 @@ def _local_cubic(y, sub: int, derivative: bool = False) -> np.ndarray:
     width = min(k_pts, 4)
     start = np.clip(np.arange(k_pts - 1) - 1, 0, k_pts - width)
     offset = np.arange(k_pts - 1) - start  # interval start inside its window
-    # sample points, in grid steps from the window start, for each offset
-    u = np.arange(width - 1)[:, None] + np.arange(sub + 1) / sub
-    near = np.take(y, start[:, None] + np.rint(u).astype(int)[offset], axis=1)
-    nodes = np.arange(width)
+    nearest, weights = _stencil(width, sub, derivative)
+    near = np.take(y, start[:, None] + nearest[offset], axis=1)
     out = np.zeros_like(near)
-    for i in nodes:
-        others = nodes[nodes != i]  # Lagrange basis polynomial of node i
-        if derivative:
-            w = sum(np.prod(u[..., None] - others[others != j], axis=-1)
-                    for j in others)
-        else:
-            w = np.prod(u[..., None] - others, axis=-1)
-        w = (w / np.prod(i - others))[offset]
-        out += (np.take(y, start + i, axis=1)[..., None] - near) * w
+    for i, w in enumerate(weights):
+        out += (np.take(y, start + i, axis=1)[..., None] - near) * w[offset]
     return out if derivative else out + near
 
 
+@functools.lru_cache(maxsize=64)  # specs are frozen; runs and calls share them
 def _envelope(spec: SystemSpec) -> float:
     return ENVELOPE_FACTOR * max(
         float(equilibrium_occupation(spec.omega, b.temperature, b.statistics))
@@ -201,9 +233,15 @@ def _build_maps(series, specs, betas) -> _MapSet:
     one build serves any number of start states.  The RK4 stage
     arithmetic runs once, on all half-steps of a block and all runs
     together, over the unit states e_n and e_y (D off) and the zero state
-    (D on); their images are the columns of the maps.  A Hillis-Steele
-    scan then forms the prefix maps R_m ... R_0 of each block in
-    log2(BLOCK) rounds of batched composition.
+    (D on); their images are the columns of the maps.  A two-level scan
+    then forms the prefix maps R_m ... R_0 of each block: the half-steps of
+    each chunk of ``CHUNK`` are composed one after another, all chunks at
+    once; a Hillis-Steele scan runs over the chunk totals; and one batched
+    composition puts each chunk's prefix in front of its members.  A block
+    of 512 takes 1,210 compositions, 2.4 per half-step, against 4,097 for
+    a Hillis-Steele scan over the whole block.  The last block is padded
+    to whole chunks with copies of its last map, and the padding is
+    dropped after the scan.
 
     Each oscillator stores its maps on (own n, partner n, own y, partner
     y, 1), and every application and composition sums those five terms in
@@ -219,9 +257,8 @@ def _build_maps(series, specs, betas) -> _MapSet:
     flat = [s for run in series for s in run]
     t = flat[0].t
     for other in flat[1:]:
-        if other.t.shape != t.shape or not np.allclose(
-            other.t, t, rtol=1e-12, atol=0.0
-        ):
+        if other.t is not t and (other.t.shape != t.shape
+                                 or not _close(other.t, t, 1e-12)):
             raise DomainError("runs stepped together require a shared time grid")
     h2 = _uniform_step(t) / 2.0
     half, sixth = 0.5 * h2, h2 / 6.0
@@ -242,10 +279,10 @@ def _build_maps(series, specs, betas) -> _MapSet:
     # the columns in each oscillator's own frame
     frame = np.array([range(5), _SWAP])[:n_osc]
 
-    def deriv(q, s):
+    def deriv(j, s):
         d = np.empty_like(s)
-        np.subtract(s[1], lam2[..., q] * s[0], out=d[0])
-        d[0] += dif2[..., q] * drive
+        np.subtract(s[1], lam[..., j, :] * s[0], out=d[0])
+        d[0] += dif[..., j, :] * drive
         np.subtract(s[0], s[0, ::-1], out=d[1])
         d[1] *= neg_beta
         return d
@@ -254,21 +291,38 @@ def _build_maps(series, specs, betas) -> _MapSet:
     n_half = 2 * (t.size - 1)
     with np.errstate(over="ignore", invalid="ignore"):
         for m0 in range(0, n_half, BLOCK):
-            m = np.arange(m0, min(m0 + BLOCK, n_half))
+            size = min(BLOCK, n_half - m0)
+            n_chunk = -(-size // CHUNK)
+            # half-step j of chunk c at [j, c], so that each chunk position
+            # is contiguous; past the block's end, copies of its last map
+            m = np.minimum(m0 + CHUNK * np.arange(n_chunk)
+                           + np.arange(CHUNK)[:, None], n_half - 1).ravel()
             q = 5 * (m // 2) + 2 * (m % 2)
+            # 2 lambda and 2 D at the half-step's three quarter points
+            lam, dif = (c[..., q + np.arange(3)[:, None]]
+                        for c in (lam2, dif2))
             # the stage arithmetic of one RK4 half-step, on the map columns
             u = np.broadcast_to(unit, unit.shape[:3] + (neg_beta.size, m.size))
-            k1 = deriv(q, u)
-            k2 = deriv(q + 1, u + half * k1)
-            k3 = deriv(q + 1, u + half * k2)
-            k4 = deriv(q + 2, u + h2 * k3)
+            k1 = deriv(0, u)
+            k2 = deriv(1, u + half * k1)
+            k3 = deriv(1, u + half * k2)
+            k4 = deriv(2, u + h2 * k3)
             images = u + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             maps = images[:, np.arange(n_osc)[:, None], frame]
+            chunks = maps.reshape(maps.shape[:-1] + (CHUNK, n_chunk))
+            for j in range(1, CHUNK):  # in sequence inside every chunk
+                chunks[..., j, :] = _compose(chunks[..., j, :],
+                                             chunks[..., j - 1, :])
+            totals = chunks[..., -1, :]
             step = 1
-            while step < m.size:
-                maps[..., step:] = _compose(maps[..., step:], maps[..., :-step])
+            while step < n_chunk:  # Hillis-Steele over the chunk totals
+                totals[..., step:] = _compose(totals[..., step:],
+                                              totals[..., :-step])
                 step *= 2
-            blocks.append(maps)
+            chunks[..., :-1, 1:] = _compose(chunks[..., :-1, 1:],
+                                            totals[..., None, :-1])
+            maps = chunks.swapaxes(-1, -2).reshape(maps.shape)
+            blocks.append(maps[..., :size])
     return _MapSet(t=t, series=tuple(series), specs=tuple(specs), betas=betas,
                    blocks=blocks)
 

@@ -290,6 +290,22 @@ def test_scenario_grid_must_be_finite(tmp_path, capsys):
     assert "t_max = nan" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["fig2", "fig6", "fig8"])
+def test_one_time_grid_is_too_short_to_step(tmp_path, capsys, name):
+    # t_max < dt leaves the grid [0.0]: uniform, but one time short
+    assert main(["--out", str(tmp_path), "scenario", name, "--t-max", "0.01",
+                 "--dt", "0.02"]) == 2
+    assert "evolution needs at least two times; got 1" in capsys.readouterr().err
+
+
+def test_evolve_on_one_time_is_too_short(tmp_path, capsys):
+    cfg = tmp_path / "weak.ini"
+    cfg.write_text(WEAK_SINGLE.replace("t_max = 2.0", "t_max = 0.01"))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "run"),
+                 "evolve"]) == 2
+    assert "evolution needs at least two times; got 1" in capsys.readouterr().err
+
+
 def test_coupled_end_to_end(tmp_path):
     cfg = tmp_path / "pair.ini"
     cfg.write_text(WEAK_PAIR)

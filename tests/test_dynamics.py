@@ -14,8 +14,9 @@ from openosc import (
     evolve_coupled,
     make_system,
 )
-from openosc.dynamics import (_build_maps, _local_cubic, _trajectories,
-                               _uniform_step)
+from openosc import dynamics
+from openosc.dynamics import (BLOCK, CHUNK, _build_maps, _compose, _local_cubic,
+                              _stencil, _trajectories, _uniform_step)
 from openosc.errors import (
     DomainError,
     InsufficientDataError,
@@ -122,10 +123,43 @@ def test_stepper_matches_per_step_rk4_on_the_fig5_pair(pair5_case):
     _assert_matches_reference(series, specs, (0.0,) + BETA_FAMILY, (0.0, 0.25))
 
 
-@pytest.mark.parametrize("lam", [-5.0, -150.0])
+@pytest.mark.parametrize("n_half", [2, CHUNK - 2, 5 * CHUNK + 6, 2 * BLOCK + 76])
+def test_scan_matches_sequential_composition(monkeypatch, n_half):
+    # grids of one interval, of fewer half-steps than one chunk, of a count
+    # that is not a multiple of the chunk, and of several blocks, the last
+    # one partial; single runs and coupled ones with several couplings
+    dt = 0.01
+    t = dt * np.arange(n_half // 2 + 1)
+    s1 = _toy_series(t, 0.7 + 0.2 * np.sin(3.0 * t), 0.3 + 0.1 * np.cos(t))
+    s2 = _toy_series(t, 0.4 - 0.1 * np.cos(2.0 * t), 0.1 + 0.05 * np.sin(2.0 * t))
+    spec = _toy_spec()
+    for series, betas in ((((s1,), (s2,)), (0.0, 0.0)),
+                          (((s1, s2), (s2, s1), (s1, s2)), (0.3, 0.3, 2.0))):
+        specs = tuple((spec,) * len(series[0]) for _ in series)
+        scanned = _build_maps(series, specs, betas).blocks
+        # blocks of one half-step hold each half-step's own map
+        with monkeypatch.context() as m:
+            m.setattr(dynamics, "BLOCK", 1)
+            steps = _build_maps(series, specs, betas).blocks
+        assert len(steps) == n_half
+        assert [b.shape[-1] for b in scanned] == [
+            min(BLOCK, n_half - m0) for m0 in range(0, n_half, BLOCK)]
+        for m0, block in zip(range(0, n_half, BLOCK), scanned):
+            prefix = steps[m0]
+            want = [prefix]
+            for step in steps[m0 + 1:m0 + block.shape[-1]]:
+                prefix = _compose(step, prefix)
+                want.append(prefix)
+            want = np.concatenate(want, axis=-1)
+            assert np.abs(block - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("lam", [-5.0, -150.0, -2.5])
 def test_blowup_time_matches_per_step_rk4(lam):
     # at lambda = -150 the prefix maps overflow to inf and nan past the
-    # blow-up; that must neither move the reported time nor warn
+    # blow-up; that must neither move the reported time nor warn.  At -2.5
+    # the single run's first bad state is at t = 5.53 (half-step 1105 or
+    # 1106), in chunk 10 of the third block
     t = np.arange(0.0, 8.0, 0.01)
     grow = _toy_series(t, lam, 0.0)
     calm = _toy_series(t, 0.5, 0.1)
@@ -176,6 +210,21 @@ def test_local_cubic_reproduces_cubics_and_constants():
     assert np.array_equal(_local_cubic(unit, 4)[0, 4:8, 1] * 128,
                           [-5, 35, 105, -7])
     assert np.array_equal(_local_cubic(unit, 4)[0, 6, ::4], [1.0, 0.0])
+
+
+def test_local_cubic_stencils_stay_constant():
+    # the stencil tables are built once per (width, sub, derivative) and
+    # cannot be written, so no call changes what a later one reads
+    y = np.sin(np.linspace(0.0, 3.0, 17))
+    for derivative in (False, True):
+        first = _local_cubic(y, 4, derivative)
+        assert np.array_equal(_local_cubic(y, 4, derivative), first)
+        tables = _stencil(4, 4, derivative)
+        assert _stencil(4, 4, derivative) is tables
+        for table in tables:
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[...] = 0
 
 
 def test_stepper_is_fourth_order():
