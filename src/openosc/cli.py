@@ -38,7 +38,6 @@ from . import __version__
 from .dynamics import (
     STATIONARITY_TOL,
     _build_maps,
-    _local_cubic,
     _trajectories,
     antiphase_metric,
     detect_stationarity,
@@ -64,12 +63,13 @@ from .scenarios import (
     run_scenario,
 )
 from .transport.asymptotics import (
-    _stationarity_residual,
-    _stationary_integrals,
+    asymptotic_bath_integral,
+    asymptotic_occupation,
     markovian_mixture,
     resonance_occupation,
+    stationarity_condition_residual,
 )
-from .transport.coefficients import coefficient_series
+from .transport.coefficients import _local_cubic, coefficient_series
 from .transport.quadrature import DEFAULT_RTOL
 
 _BATH_KEYS = ("statistics", "alpha", "gamma_over_Omega", "kT_over_hOmega")
@@ -414,16 +414,16 @@ def cmd_asymptotics(raw, out, numerics):
         systems.append(("system2", config_system(raw, second=True)))
     rows = []
     for label, spec in systems:
-        i1, i2 = _stationary_integrals(spec)
-        values = [("bath1_integral", i1, "info"),
-                  ("bath2_integral", i2, "info"),
-                  ("asymptotic_occupation", i1 + i2, "info"),
+        values = [("bath1_integral", asymptotic_bath_integral(spec, 0), "info"),
+                  ("bath2_integral", asymptotic_bath_integral(spec, 1), "info"),
+                  ("asymptotic_occupation", asymptotic_occupation(spec),
+                   "info"),
                   ("markovian_mixture", markovian_mixture(spec), "info"),
                   ("resonance_occupation", resonance_occupation(spec), "info")]
         if spec.statistics_mode == "mixed":
             try:
                 values.append(("stationarity_residual",
-                               _stationarity_residual(spec, i1, i2), "info"))
+                               stationarity_condition_residual(spec), "info"))
             except DomainError:  # an uncoupled channel or a singular target
                 values.append(("stationarity_residual", np.nan, "undefined"))
         rows += [(f"{label}_{name}", value, np.nan, np.nan, np.nan, status)

@@ -17,11 +17,13 @@ second-order stepper would sample.
 
 The stepper is classic fixed-step RK4 on half the coefficient-grid spacing,
 with lambda and D interpolated to the quarter points by local cubics, each
-through the four grid points nearest its interval; the result is reported
-on the coefficient grid itself.  The pair is linear in (n, y), and lambda,
-D and beta are known in advance, so every RK4 half-step is an affine map
-of the state, fixed by the coefficients and beta and not by the initial
-occupation.  Stepping is therefore two parts.  The builder
+through the four grid points nearest its interval.  Each series keeps that
+table (``CoefficientSeries.quarter_points``), made the first time a build
+steps it, so repeated builds on the same series interpolate nothing.  The
+result is reported on the coefficient grid itself.  The pair is linear in
+(n, y), and lambda, D and beta are known in advance, so every RK4 half-step
+is an affine map of the state, fixed by the coefficients and beta and not
+by the initial occupation.  Stepping is therefore two parts.  The builder
 (``_build_maps``) runs the stage arithmetic once for a batch of runs, each
 with its own series and beta, and composes the maps by a two-level prefix
 scan, about 2.4 compositions per half-step, with no Python loop over
@@ -111,59 +113,6 @@ def _uniform_step(t: np.ndarray) -> float:
     if not _close(dt, dt[0], 1e-9):
         raise DomainError("evolution requires a uniform time grid")
     return float(dt[0])
-
-
-@functools.cache
-def _stencil(width: int, sub: int, derivative: bool):
-    """``_local_cubic``'s tables for windows of ``width`` points, read-only.
-
-    Returns the nearest window point of each sample, shape (width - 1,
-    sub + 1), and the Lagrange weights of each node there, shape (width,
-    width - 1, sub + 1), for each offset of the interval inside its window.
-    """
-    # sample points, in grid steps from the window start, for each offset
-    u = np.arange(width - 1)[:, None] + np.arange(sub + 1) / sub
-    nodes = np.arange(width)
-    weights = []
-    for i in nodes:
-        others = nodes[nodes != i]  # Lagrange basis polynomial of node i
-        if derivative:
-            w = sum(np.prod(u[..., None] - others[others != j], axis=-1)
-                    for j in others)
-        else:
-            w = np.prod(u[..., None] - others, axis=-1)
-        weights.append(w / np.prod(i - others))
-    tables = np.rint(u).astype(int), np.array(weights)
-    for a in tables:
-        a.flags.writeable = False
-    return tables
-
-
-def _local_cubic(y, sub: int, derivative: bool = False) -> np.ndarray:
-    """Rows of ``y``, sampled on a uniform grid, inside each grid interval.
-
-    Interval [k, k+1] takes the cubic through the four grid points nearest
-    it, k-1..k+2, or the first or last four at the ends (fewer points and a
-    lower degree on grids shorter than four), and is sampled at k + j/sub,
-    j = 0..sub.  On quarter points the weights are fixed stencils, e.g.
-    (-7, 105, 35, -5)/128 at k + 1/4.  The cubic is summed as the nearest
-    grid value plus weighted differences from it, so grid values and
-    constants come back exactly.  With ``derivative`` the result is the
-    cubic's derivative per grid step (divide by the spacing); at a grid
-    point the two intervals that share it then differ.  Returns shape
-    (rows, K - 1, sub + 1) for K grid points.
-    """
-    y = np.atleast_2d(y)
-    k_pts = y.shape[-1]
-    width = min(k_pts, 4)
-    start = np.clip(np.arange(k_pts - 1) - 1, 0, k_pts - width)
-    offset = np.arange(k_pts - 1) - start  # interval start inside its window
-    nearest, weights = _stencil(width, sub, derivative)
-    near = np.take(y, start[:, None] + nearest[offset], axis=1)
-    out = np.zeros_like(near)
-    for i, w in enumerate(weights):
-        out += (np.take(y, start + i, axis=1)[..., None] - near) * w[offset]
-    return out if derivative else out + near
 
 
 @functools.lru_cache(maxsize=64)  # specs are frozen; runs and calls share them
@@ -264,13 +213,8 @@ def _build_maps(series, specs, betas) -> _MapSet:
     half, sixth = 0.5 * h2, h2 / 6.0
     n_osc = len(series[0])
     # row 5k + j: 2 lambda and 2 D at t_k + j h2 / 2 on interval k's cubic,
-    # on the axes (oscillator, map column, run, row); each distinct array
-    # is interpolated once, since runs often share their series
-    arrays = [s.friction for s in flat] + [s.diffusion for s in flat]
-    unique = {id(a): a for a in arrays}
-    row = {key: i for i, key in enumerate(unique)}
-    coef2 = 2.0 * _local_cubic(list(unique.values()), 4)
-    lam2, dif2 = coef2[[row[id(a)] for a in arrays]].reshape(
+    # on the axes (oscillator, map column, run, row)
+    lam2, dif2 = np.stack([s.quarter_points for s in flat], axis=1).reshape(
         2, len(series), n_osc, 1, -1).transpose(0, 2, 3, 1, 4)
     # columns: e_n and e_y of each oscillator, zero in place of a missing
     # partner, and the zero state that D drives

@@ -10,13 +10,17 @@ bath memory integral converges to a frequency integral over the resolvent:
 with q the characteristic quartic and n_b the equilibrium occupation of
 bath b.  This is S_0, the time-independent part of the memory integrator's
 I_b(t) = S_0 + (terms that decay), so the program reads it from the same
-static-part builder, ``quadrature.integrate_static``.  For same-statistics
+static-part builder, ``quadrature.integrate_static``.  Both baths' values
+come from one build per system, memoized on the frozen ``SystemSpec``, so
+repeated stationary queries on one system share it.  For same-statistics
 systems the stationary occupation is the sum of the two integrals; for
 mixed statistics the channels compete and the mismatch of their preferred
 stationary points is what sustains the persistent oscillations.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -41,11 +45,14 @@ def _require_coupling(spec: SystemSpec) -> None:
         )
 
 
+@functools.lru_cache(maxsize=64)  # specs are frozen; queries share a build
 def _stationary_integrals(spec: SystemSpec) -> tuple:
     """Stationary values (I_1(inf), I_2(inf)) of both baths' memory
     integrals: S_0 of their static parts, exactly 0.0 for an uncoupled bath.
 
-    Raises DomainError if both couplings vanish.
+    The cache holds values for the quadrature module's fixed static rule;
+    code that changes that rule calls ``integrate_static`` itself.  Raises
+    DomainError if both couplings vanish (an error is not cached).
     """
     _require_coupling(spec)
     S = integrate_static(KernelEvaluator(characteristic_roots(spec), spec))[0]
@@ -56,10 +63,10 @@ def asymptotic_bath_integral(spec: SystemSpec, bath_index: int) -> float:
     """Stationary value of bath ``bath_index``'s memory integral (0 or 1).
 
     Raises DomainError if both couplings vanish (no relaxation, hence no
-    stationary limit) or the index is out of range.
+    stationary limit) or the index is not the integer 0 or 1.
     """
-    if bath_index not in (0, 1):
-        raise DomainError(f"bath index must be 0 or 1, got {bath_index}")
+    if not isinstance(bath_index, (int, np.integer)) or bath_index not in (0, 1):
+        raise DomainError(f"bath index must be 0 or 1, got {bath_index!r}")
     return _stationary_integrals(spec)[bath_index]
 
 
@@ -136,11 +143,7 @@ def stationarity_condition_residual(spec: SystemSpec) -> float:
         raise DomainError(
             "stationarity residual is defined for mixed statistics only"
         )
-    return _stationarity_residual(spec, *_stationary_integrals(spec))
-
-
-def _stationarity_residual(spec: SystemSpec, I_f: float, I_b: float) -> float:
-    """The residual of a mixed system from its stationary integrals."""
+    I_f, I_b = _stationary_integrals(spec)
     p = mixing_fraction(*spec.baths)
     if p in (0.0, 1.0):  # I_f/p or I_b/(1 - p) is 0/0
         raise DomainError(f"one channel is uncoupled (p = {p:g})")

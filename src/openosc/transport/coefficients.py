@@ -29,6 +29,7 @@ below it assumes a coupled system.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,59 @@ from .roots import characteristic_roots
 RATIO_FLOOR = 1e-6
 
 _CANCEL_TOL = 1e-12
+
+
+@functools.cache
+def _stencil(width: int, sub: int, derivative: bool):
+    """``_local_cubic``'s tables for windows of ``width`` points, read-only.
+
+    Returns the nearest window point of each sample, shape (width - 1,
+    sub + 1), and the Lagrange weights of each node there, shape (width,
+    width - 1, sub + 1), for each offset of the interval inside its window.
+    """
+    # sample points, in grid steps from the window start, for each offset
+    u = np.arange(width - 1)[:, None] + np.arange(sub + 1) / sub
+    nodes = np.arange(width)
+    weights = []
+    for i in nodes:
+        others = nodes[nodes != i]  # Lagrange basis polynomial of node i
+        if derivative:
+            w = sum(np.prod(u[..., None] - others[others != j], axis=-1)
+                    for j in others)
+        else:
+            w = np.prod(u[..., None] - others, axis=-1)
+        weights.append(w / np.prod(i - others))
+    tables = np.rint(u).astype(int), np.array(weights)
+    for a in tables:
+        a.flags.writeable = False
+    return tables
+
+
+def _local_cubic(y, sub: int, derivative: bool = False) -> np.ndarray:
+    """Rows of ``y``, sampled on a uniform grid, inside each grid interval.
+
+    Interval [k, k+1] takes the cubic through the four grid points nearest
+    it, k-1..k+2, or the first or last four at the ends (fewer points and a
+    lower degree on grids shorter than four), and is sampled at k + j/sub,
+    j = 0..sub.  On quarter points the weights are fixed stencils, e.g.
+    (-7, 105, 35, -5)/128 at k + 1/4.  The cubic is summed as the nearest
+    grid value plus weighted differences from it, so grid values and
+    constants come back exactly.  With ``derivative`` the result is the
+    cubic's derivative per grid step (divide by the spacing); at a grid
+    point the two intervals that share it then differ.  Returns shape
+    (rows, K - 1, sub + 1) for K grid points.
+    """
+    y = np.atleast_2d(y)
+    k_pts = y.shape[-1]
+    width = min(k_pts, 4)
+    start = np.clip(np.arange(k_pts - 1) - 1, 0, k_pts - width)
+    offset = np.arange(k_pts - 1) - start  # interval start inside its window
+    nearest, weights = _stencil(width, sub, derivative)
+    near = np.take(y, start[:, None] + nearest[offset], axis=1)
+    out = np.zeros_like(near)
+    for i, w in enumerate(weights):
+        out += (np.take(y, start + i, axis=1)[..., None] - near) * w[offset]
+    return out if derivative else out + near
 
 
 @dataclass
@@ -82,6 +136,21 @@ class CoefficientSeries:
     ratio: np.ndarray
     amplitudes: object
     quadrature_report: QuadratureReport
+
+    @functools.cached_property
+    def quarter_points(self) -> np.ndarray:
+        """2 lambda and 2 D at the quarter points of each grid interval, on
+        its local cubic (``_local_cubic``), read-only.
+
+        Shape (2, K - 1, 5) for K grid points: entry [., k, j] sits at
+        t_k + j (t_{k+1} - t_k)/4.  Made on first use and kept with the
+        series, so every RK4 build that steps it shares one table; a copy
+        made by ``dataclasses.replace`` makes its own.  Meaningful on a
+        uniform grid only, which the stepper checks before reading it.
+        """
+        table = 2.0 * _local_cubic([self.friction, self.diffusion], 4)
+        table.flags.writeable = False
+        return table
 
 
 def _friction_from(A, dA, B, dB, eps, t):

@@ -4,7 +4,9 @@ The coefficient series (about 0.1 s each, nearly all of it the memory
 integrals) are shared by many tests, so the heavily reused ones are
 computed once per session: the strongly coupled single system at fine
 resolution, the two coupled pairs, and the weak-coupling reference with
-its discretized-bath cross-check.
+its discretized-bath cross-check.  The stationary integrals' memo is
+cleared before every test, so each test starts cold, as a fresh process
+does.
 """
 
 import warnings
@@ -20,6 +22,7 @@ from openosc import (
     make_system,
 )
 from openosc.scenarios import fig1_system, fig3_pair, fig5_pair
+from openosc.transport.asymptotics import _stationary_integrals
 
 
 def _series(spec, t_max, dt, **kw):
@@ -27,6 +30,11 @@ def _series(spec, t_max, dt, **kw):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return coefficient_series(spec, t, **kw)
+
+
+@pytest.fixture(autouse=True)
+def cold_stationary_memo():
+    _stationary_integrals.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from openosc import (
 )
 from openosc.errors import DomainError
 from openosc.scenarios import fig1_system
+from openosc.transport import asymptotics
 
 
 def _equal_temperature_system(eps, alpha):
@@ -110,6 +112,57 @@ def test_fully_decoupled_has_no_stationary_limit():
         asymptotic_bath_integral(spec, 2)
     with pytest.raises(DomainError):
         resonance_occupation(spec)
+
+
+def _count_static_builds(monkeypatch):
+    calls = []
+    integrate = asymptotics.integrate_static
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(asymptotics, "integrate_static", counted)
+    return calls
+
+
+def test_stationary_queries_on_one_system_share_one_build(monkeypatch):
+    calls = _count_static_builds(monkeypatch)
+    first = (asymptotic_bath_integral(_strong(), 0), asymptotic_occupation(_strong()),
+             stationarity_condition_residual(_strong()))
+    assert len(calls) == 1
+    # an equal spec, built anew, reads the same build
+    again = (asymptotic_bath_integral(_strong(), 0), asymptotic_occupation(_strong()),
+             stationarity_condition_residual(_strong()))
+    assert again == first and len(calls) == 1
+    # one changed field is another system
+    b1, b2 = _strong().baths
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        warmer = make_system(1.0, b1, replace(b2, temperature=0.2))
+    assert asymptotic_bath_integral(warmer, 1) != first[0]
+    assert len(calls) == 2
+    # a decoupled system raises on every query and builds nothing
+    free = make_system(2.0,
+                       BathSpec(statistics=+1, alpha=0.0, gamma=10.0, temperature=1.0),
+                       BathSpec(statistics=+1, alpha=0.0, gamma=12.0, temperature=1.0))
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            asymptotic_occupation(free)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("index", [1.0, 0.0, np.float64(1.0)],
+                         ids=["float-one", "float-zero", "numpy-float"])
+def test_bath_index_must_be_an_integer(index, monkeypatch):
+    # 1.0 == 1 passes a membership test but cannot index the integrals;
+    # it is rejected before any build
+    calls = _count_static_builds(monkeypatch)
+    with pytest.raises(DomainError, match="bath index"):
+        asymptotic_bath_integral(_strong(), index)
+    assert calls == []
+    assert asymptotic_bath_integral(_strong(), np.int64(1)) == pytest.approx(
+        0.05030094, rel=1e-6)
 
 
 def test_weak_coupling_approaches_equilibrium():

@@ -23,10 +23,10 @@ from openosc.cli import (
     parse_config_text,
     write_csv,
 )
-from openosc.dynamics import _local_cubic
 from openosc.errors import ConfigError, DomainError
 from openosc.model import BathSpec
 from openosc.transport.asymptotics import resonance_occupation
+from openosc.transport.coefficients import _local_cubic
 
 WEAK_SINGLE = """\
 [oscillator]

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,16 +8,18 @@ from scipy.integrate import cumulative_trapezoid
 from openosc import (
     BathSpec,
     antiphase_metric,
+    asymptotic_occupation,
     delta_dissipation,
     detect_stationarity,
     estimate_period,
     evolve,
     evolve_coupled,
     make_system,
+    stationarity_condition_residual,
 )
 from openosc import dynamics
-from openosc.dynamics import (BLOCK, CHUNK, _build_maps, _compose, _local_cubic,
-                              _stencil, _trajectories, _uniform_step)
+from openosc.dynamics import (BLOCK, CHUNK, _build_maps, _compose,
+                              _trajectories, _uniform_step)
 from openosc.errors import (
     DomainError,
     InsufficientDataError,
@@ -24,7 +27,9 @@ from openosc.errors import (
     UndefinedMetricError,
 )
 from openosc.scenarios import BETA_FAMILY, SCENARIOS, _PAIR_BUILDERS, run_scenario
-from openosc.transport.coefficients import CoefficientSeries, coefficient_series
+from openosc.transport import coefficients
+from openosc.transport.coefficients import (CoefficientSeries, _local_cubic,
+                                            _stencil, coefficient_series)
 
 
 def _toy_spec():
@@ -225,6 +230,61 @@ def test_local_cubic_stencils_stay_constant():
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[...] = 0
+
+
+def test_quarter_points_are_made_once_per_series(monkeypatch):
+    calls = []
+    cubic = coefficients._local_cubic
+    monkeypatch.setattr(coefficients, "_local_cubic",
+                        lambda *a, **k: calls.append(1) or cubic(*a, **k))
+    t = np.arange(0.0, 3.0 + 0.005, 0.01)
+    series = _toy_series(t, 0.7 + 0.2 * np.sin(3.0 * t), 0.3 + 0.1 * np.cos(t))
+    spec = _toy_spec()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        evolve(series, spec, 1.0)
+        evolve(series, spec, 0.5)
+        evolve_coupled(series, series, spec, spec, 0.3, (1.0, 0.0))
+        delta_dissipation(series, series, spec, spec, 0.3, (1.0, 0.0))
+    assert len(calls) == 1
+    table = series.quarter_points
+    assert np.array_equal(table, 2.0 * cubic([series.friction, series.diffusion], 4))
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0, 0] = 0.0
+    # a replace copy, such as validate's corrupted series, makes its own
+    corrupted = replace(series, friction=series.friction * 1.03)
+    assert not np.array_equal(corrupted.quarter_points[0], table[0])
+    assert np.array_equal(corrupted.quarter_points[1], table[1])
+    assert len(calls) == 2
+
+
+def test_pair_products_are_equal_on_cold_and_warm_caches(pair5_case):
+    # the pair-dynamics sequence: nine stepping calls on the same two
+    # series, then three stationary queries; the second pass reads the
+    # series' quarter points and the memoized stationary integrals
+    (spec1, spec2), (ser1, ser2) = pair5_case
+    ser1, ser2 = replace(ser1), replace(ser2)  # no table made yet
+
+    def products():
+        out = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for beta in (0.0,) + BETA_FAMILY:
+                traj = evolve_coupled(ser1, ser2, spec1, spec2, beta, (0.0, 0.0))
+                out += [traj.occupations, traj.dissipation]
+            for beta in BETA_FAMILY:
+                dd = delta_dissipation(ser1, ser2, spec1, spec2, beta, (0.0, 0.0))
+                out.append(dd.delta_energy)
+        out.append((asymptotic_occupation(spec1), asymptotic_occupation(spec2),
+                    stationarity_condition_residual(spec1)))
+        return [np.array(x) for x in out]
+
+    assert "quarter_points" not in vars(ser1)
+    cold = products()
+    assert "quarter_points" in vars(ser1)
+    warm = products()
+    assert all(np.array_equal(a, b) for a, b in zip(cold, warm))
 
 
 def test_stepper_is_fourth_order():
