@@ -199,9 +199,8 @@ def bare_frequency(Omega, bath1: BathSpec, bath2: BathSpec) -> float:
 def _default_w_max(spec: SystemSpec) -> float:
     """Frequency cutoff rule max(20 gamma_max, 40 omega, 20 T_max).
 
-    The one rule behind the real-line split point of the memory integrals'
-    and the stationary integrals' static parts, and the discretized-bath
-    oracle's comb.
+    The one rule behind the discretized-bath oracle's comb and the
+    ``w_max`` that the memory integrals' report carries.
     """
     g_max = max(b.gamma for b in spec.baths)
     t_max = max(b.temperature for b in spec.baths)

@@ -29,14 +29,18 @@ cross terms.
   gives S_jk = [a^M_j a^M_k* (Gn_j + Gn_k*) + a^N_j a^N_k* (Gp_j + Gp_k*)]
   / (s_j + s_k*) with Gn_k = int Wn/(s_k + iw) dw (Gp alike), while
   c_0 = -sum_k c_k (M(w, 0) = 0) gives S_0 = sum_jk S_jk.  One builder,
-  ``integrate_static``, integrates the G on the real line: K15 panels on
-  [0, W] graded by the distance to the integrands' nearest singularity
-  (``_static_edges``, W the model's cutoff rule) and the substitution
-  u = W/w beyond W.  Their ladders' signed differences pass through the
-  same assembly to give the parts' error estimates.  Every other term of
-  I(t) decays, so S_0 is also the stationary integral I(inf): the
-  integrator and the stationary limits (``asymptotics``) share the
-  builder.
+  ``integrate_static``, integrates the G on the cross terms' ray (below).
+  Each integrand W/(s_k + iw) has poles at w = i s_k, below the real axis
+  (Re s_k < 0), and at +-i gamma_b and the Matsubara frequencies, on the
+  imaginary axis, so none lies in the open first quadrant; it falls as
+  1/|w|^2 there, so by Cauchy's theorem its integral on any ray
+  0 < theta < pi/2 is the real-line one.  The panels (``_ray_edges``) run
+  from 16x below the smallest singularity's modulus to 16x beyond the
+  largest; the value is taken from one bisection of them, and its signed
+  difference from the base level passes through the same assembly to give
+  the parts' error estimates.  Every other term of I(t) decays, so S_0 is
+  also the stationary integral I(inf): the integrator and the stationary
+  limits (``asymptotics``) share the builder.
 * The cross terms are integrated on the ray w = r e^{i theta}, where e^{iwt}
   decays as e^{-r sin(theta) t}.  c_0* continues analytically as
   conj(c_0(conj w)), whose poles sit at w_j = -i s_j; those between the
@@ -59,15 +63,15 @@ cross terms.
   slice.  Other grids take one exponential per entry.
 
 Nothing is adaptive: the node count follows from the spec and grows only as
-log2(t_max/t_min).  The error budget adds the static parts' ladder
-estimates, the ray's difference to one bisection, the bound on the ray's
+log2(t_max/t_min).  The error budget adds the static parts' estimates,
+the cross terms' difference to one bisection, the bound on the ray's
 left-out nodes, and a rounding allowance on the parts' magnitudes, which
-cancel as t -> 0.  The ray bisects only
-its two end panels and the panels that overlap [m_lo/2, 2 m_hi], m_lo and
-m_hi the smallest and largest modulus of a singularity (``_bisected``),
-and takes its value from the halves there; on the other panels one K15
-level is accurate to rounding.  All sums run in a fixed order, so repeated
-runs are bit-identical.
+cancel as t -> 0.  The static parts bisect every panel.  The cross terms
+bisect only their two end panels and the panels that overlap
+[m_lo/2, 2 m_hi], m_lo and m_hi the smallest and largest modulus of a
+singularity (``_bisected``), and take their value from the halves there;
+on the other panels one K15 level is accurate to rounding.  All sums run
+in a fixed order, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -80,7 +84,7 @@ import numpy as np
 from ..errors import DomainError, QuadratureError
 from ..model import BathSpec, SystemSpec, _default_w_max, equilibrium_occupation
 
-# 15-point Kronrod abscissae (ascending) with embedded 7-point Gauss rule.
+# 15-point Kronrod abscissae and weights, one half of each.
 _XK_HALF = np.array(
     [
         0.991455371120813,
@@ -105,30 +109,14 @@ _WK_HALF = np.array(
         0.209482141084728,
     ]
 )
-_WG_HALF = np.array(
-    [
-        0.129484966168870,
-        0.279705391489277,
-        0.381830050505119,
-        0.417959183673469,
-    ]
-)
 
 XK = np.concatenate([-_XK_HALF[:-1], _XK_HALF[::-1]])  # 15 ascending
 WK = np.concatenate([_WK_HALF[:-1], _WK_HALF[::-1]])
-WG = np.zeros(15)
-WG[1:14:2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
 
 DEFAULT_RTOL = 1e-7
 
 #: Rounding allowance, relative to the summed magnitudes of the parts.
 _ROUNDING = 64 * np.finfo(float).eps
-
-#: Bisections of the static panels in ``_ladder``'s convergence ladder.
-_REFINE = 4
-
-#: K15 panels in u = W/w on (0, 1] for integrals over the real ray [W, inf).
-_RAY_EDGES = np.array([0.0, 0.25, 0.5, 1.0])
 
 #: (node, time) entries of one e^{iwt} table of the ray, the working set of
 #: its contraction (16 bytes each, and 8 more for their moduli): the times
@@ -153,9 +141,8 @@ def _weights(bath: BathSpec, w):
 
     Both are the Lorentzian spectral weight
     g(w) = (alpha gamma^2/pi) w/(gamma^2 + w^2) times the bath's occupation
-    factors: n(w) on |M|^2 and 1 + eps n(w) on |N|^2.  Real w serves the
-    real line, complex w the rotated ray: both factors continue
-    analytically off the real axis.
+    factors: n(w) on |M|^2 and 1 + eps n(w) on |N|^2.  Both continue
+    analytically off the real axis, onto the rotated ray.
     """
     a, g = bath.alpha, bath.gamma
     pref = (a * g * g / np.pi) * w / (g * g + w * w)
@@ -174,14 +161,14 @@ def _checked_rtol(rtol) -> float:
 class QuadratureReport:
     """Error bookkeeping for one ``integrate`` call.
 
-    ``n_panels`` counts the K15 panels evaluated: the static parts' (every
-    rung of their ladders, on the real line and beyond W) plus the ray's
-    (each panel once, and the halves of those its error estimate bisects,
-    ``_bisected``).  ``w_max`` is the real-line split point W.
-    ``max_rel_error`` is the largest error budget relative to the
-    per-bath error scales.  ``tail_bound`` maps each bath's name ("bath1",
-    "bath2") to the absolute error estimate of the static parts beyond W,
-    bounded over every time and over value and derivative.
+    ``n_panels`` counts the K15 panels evaluated: the static parts' (each
+    panel and its two halves) plus the cross terms' (each panel once, and
+    the halves of those their error estimate bisects, ``_bisected``).
+    ``w_max`` is the model's cutoff rule (``model._default_w_max``); the
+    integrals do not use it.  ``max_rel_error`` is the largest error
+    budget relative to the per-bath error scales.  ``tail_bound`` maps
+    each bath's name ("bath1", "bath2") to the bound on a cutoff remainder,
+    exactly 0.0: the ray reaches to infinity.
     ``ray_entries`` counts the (node, time) pairs of the ray's groups and
     ``ray_entries_kept`` those its e^{iwt} tables held (``_contract``).
     """
@@ -218,30 +205,19 @@ class MemoryIntegrator:
         self.w_max = _default_w_max(spec)
         self._Omega = spec.omega_renormalized
         self.last_report = None
-        self._S, self._S_err, self._tail, self._static_panels = (
-            integrate_static(evaluator))
+        self._S, self._S_err, self._static_panels = integrate_static(evaluator)
         s = evaluator.s
         self._rate = _rates(s)  # (2, 16): I and dI
-
-        # poles of conj(c_0(conj w)) at w_j = -i s_j; the ray bisects the
-        # widest angular gap in the first quadrant
-        w_pole = -1j * s
-        first = (w_pole.real > 0.0) & (w_pole.imag > 0.0)
-        angles = np.sort(np.concatenate([[0.0, 0.5 * np.pi],
-                                         np.angle(w_pole[first])]))
-        gap = int(np.argmax(np.diff(angles)))
-        self._theta = 0.5 * (angles[gap] + angles[gap + 1])
-        self._R = max(max(b.gamma for b in spec.baths), spec.omega)
-        # the ray's panels that overlap [m_lo/2, 2 m_hi], m_lo and m_hi the
-        # smallest and largest singularity's modulus, are bisected for its
-        # error estimate (``_bisected``); m_lo also sets the ray's smallest
-        # scale
+        self._R, self._theta, self._inside = _ray_geometry(spec, s)
+        # the cross terms' panels that overlap [m_lo/2, 2 m_hi], m_lo and
+        # m_hi the smallest and largest singularity's modulus, are bisected
+        # for their error estimate (``_bisected``); m_lo also sets the ray's
+        # smallest scale
         modulus = np.abs(_singularities(spec, s))
         self._r_min = modulus.min()
         self._band = np.array([0.5 * self._r_min, 2.0 * modulus.max()])
-        inside = first & (np.angle(w_pole) < self._theta)
-        self._inside = inside
-        self._P = self._residues(w_pole[inside], s[inside],
+        inside = self._inside
+        self._P = self._residues(-1j * s[inside], s[inside],
                                  evaluator.rootset.xi_prime[inside])
 
     # ---------------------------------------------------------------- parts
@@ -270,10 +246,7 @@ class MemoryIntegrator:
     def _ray_nodes(self, lo, hi):
         """Ray nodes w = R v/(1 - v) e^{i theta} on the K15 panels [lo, hi]
         in v, and the weighted F_k dw/dv: (n_v,), (n_v, 2 * 2 * 4)."""
-        v, half = _k15_nodes(lo, hi)
-        phase = np.exp(1j * self._theta)
-        w = self._R * v / (1.0 - v) * phase
-        jac = (half[:, None] * WK).ravel() * phase * self._R / (1.0 - v) ** 2
+        w, jac = _ray_points(lo, hi, self._R, self._theta)
         # c_0 at conj(w) and the root coefficients at w, each evaluated
         # only where it is used
         _, cM0, cN0 = self.ev._c0_coefficients(w.conj())
@@ -426,7 +399,6 @@ class MemoryIntegrator:
         totals = np.zeros((2, 2, t.size))
         pos = t > 0.0
         n_panels, worst, entries, kept = 0, 0.0, 0, 0
-        tail = dict.fromkeys(names, 0.0)
         if pos.any():
             tp = t[pos]
             groups = self._ray_groups(tp)
@@ -448,11 +420,11 @@ class MemoryIntegrator:
                     achieved=worst,
                 )
             totals[:, :, pos] = value
-            tail = dict(zip(names, self._tail.tolist()))
             n_panels = self._static_panels + sum(n_nodes) // 15
         self.last_report = QuadratureReport(
             n_panels=n_panels, w_max=self.w_max, max_rel_error=worst,
-            tail_bound=tail, ray_entries=entries, ray_entries_kept=kept,
+            tail_bound=dict.fromkeys(names, 0.0), ray_entries=entries,
+            ray_entries_kept=kept,
         )
         return {name: (totals[ci, 0], totals[ci, 1])
                 for ci, name in enumerate(names)}
@@ -534,16 +506,40 @@ def _contract(w, f, f_abs, t, bounds, fine, out=None):
         yield a, b, X @ f[:keep[s]], X, drop[:, s]
 
 
-def _bisect(edges):
-    """``edges`` with every panel halved."""
-    return np.sort(np.concatenate([edges, 0.5 * (edges[1:] + edges[:-1])]))
-
-
 def _k15_nodes(lo, hi):
     """K15 nodes on the panels [lo, hi] and the panels' half-widths."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     return (mid[:, None] + half[:, None] * XK[None, :]).ravel(), half
+
+
+def _ray_geometry(spec: SystemSpec, s: np.ndarray):
+    """The ray w = r e^{i theta} of the static parts and the cross terms:
+    (R, theta, inside).
+
+    R = max(gamma_max, omega) is its scale.  theta bisects the widest
+    angular gap between the real axis, the first-quadrant poles
+    w_j = -i s_j of conj(c_0(conj w)) and the imaginary axis; ``inside``
+    marks the roots whose w_j lie between the real axis and the ray.
+    """
+    w_pole = -1j * s
+    first = (w_pole.real > 0.0) & (w_pole.imag > 0.0)
+    angles = np.sort(np.concatenate([[0.0, 0.5 * np.pi],
+                                     np.angle(w_pole[first])]))
+    gap = int(np.argmax(np.diff(angles)))
+    theta = 0.5 * (angles[gap] + angles[gap + 1])
+    R = max(max(b.gamma for b in spec.baths), spec.omega)
+    return R, theta, first & (np.angle(w_pole) < theta)
+
+
+def _ray_points(lo, hi, R, theta):
+    """The ray's nodes w = R v/(1 - v) e^{i theta} on the K15 panels
+    [lo, hi] in v, and their K15 weights times dw/dv: (n_v,), (n_v,)."""
+    v, half = _k15_nodes(lo, hi)
+    phase = np.exp(1j * theta)
+    w = R * v / (1.0 - v) * phase
+    jac = (half[:, None] * WK).ravel() * phase * R / (1.0 - v) ** 2
+    return w, jac
 
 
 def _ray_edges(R, r_lo, r_hi):
@@ -553,7 +549,9 @@ def _ray_edges(R, r_lo, r_hi):
     in r and resolves a pole at any distance from the origin that keeps its
     angle to the ray.  They run from 16x below r_lo, the smallest scale of
     the integrand near the origin, to 16x beyond r_hi, how far out it
-    reaches at the smallest time; the end panels cover the rest.
+    reaches: the largest singularity's modulus for the static parts, and
+    1/t at the smallest time for the cross terms.  The end panels cover
+    the rest.
     """
     lo = 4 + max(0, int(np.ceil(np.log2(R / r_lo))))
     hi = 4 + max(0, int(np.ceil(np.log2(r_hi / R))))
@@ -599,62 +597,6 @@ def _singularities(spec: SystemSpec, roots: np.ndarray) -> list:
     return poles
 
 
-def _static_edges(spec: SystemSpec, roots: np.ndarray) -> np.ndarray:
-    """Real-line panel edges on [0, W] marching from 0 by x <- x + d(x)/2.
-
-    d(x) is the distance to the nearest singularity of the static
-    integrands (``_singularities``).  A resonance of width eta thus gets
-    panels of width ~eta however narrow it is.  W, the model's cutoff
-    rule, is the last edge; beyond it ``integrate_static`` substitutes
-    u = W/w.  The step floor 1e-12 W only
-    ensures termination.
-    """
-    w_knee = _default_w_max(spec)
-    poles = _singularities(spec, roots)
-    floor = 1e-12 * w_knee
-    edges = [0.0]
-    while edges[-1] < w_knee:
-        x = edges[-1]
-        edges.append(x + max(0.5 * min(abs(x - p) for p in poles), floor))
-    edges[-1] = w_knee
-    return np.array(edges)
-
-
-def _ladder(weight, edges):
-    """Fixed-panel K15 integration with a signed error estimate.
-
-    ``_REFINE`` bisections of ``edges`` give a convergence ladder, stopped
-    once two rungs agree to 1e-12 of the largest value, else closed with the
-    embedded G7 rule.  Returns (value, value minus the coarser estimate).
-    """
-    edges = np.asarray(edges, dtype=float)
-    value_prev = None
-    for level in range(_REFINE + 1):
-        nodes, half = _k15_nodes(edges[:-1], edges[1:])
-        f = np.asarray(weight(nodes))
-        f = f.reshape((half.size, 15) + f.shape[1:])
-        value = np.einsum("pk...,k,p->...", f, WK, half)
-        if value_prev is not None and (np.abs(value - value_prev).max()
-                                       <= 1e-12 * np.abs(value).max()):
-            return value[()], (value - value_prev)[()]
-        value_prev = value
-        if level < _REFINE:
-            edges = _bisect(edges)
-    g7 = np.einsum("pk...,k,p->...", f, WG, half)
-    return value_prev[()], (value_prev - g7)[()]
-
-
-def _on_ray(weight, w0):
-    """``weight`` on [w0, inf) in the variable u = w0/w on (0, 1], with the
-    Jacobian w0/u^2."""
-    def mapped(u):
-        f = np.asarray(weight(w0 / u))
-        jac = w0 / (u * u)
-        return f * jac.reshape(jac.shape + (1,) * (f.ndim - 1))
-
-    return mapped
-
-
 def _rates(s):
     """(2, 16): the factors 1 and s_j + s_k* that the root-root terms of I
     and dI carry."""
@@ -681,34 +623,30 @@ def integrate_static(ev):
     system that the KernelEvaluator ``ev`` holds.
 
     Integrates Wn and Wp of each bath times 1/(s_k + iw), the 8 resolvent
-    integrals G per bath, on ``_static_edges`` up to W and in u = W/w
-    beyond it, and assembles S_0 and the S_jk from them.  S_0 is the
-    bath's stationary integral I(inf).  Returns (S, S_err, tail,
-    n_panels): the parts (2, 17) with S_0 first, their error estimates, the
-    bound on the error of the parts beyond W at any time, value and
-    derivative (2,), and the K15 panels evaluated.  An uncoupled bath's
-    rows are exactly 0.
+    integrals G per bath, on the ray (``_ray_geometry``) over
+    ``_ray_edges`` from 16x below the smallest singularity's modulus to
+    16x beyond the largest, and assembles S_0 and the S_jk from them.  S_0
+    is the bath's stationary integral I(inf).  Returns (S, S_err,
+    n_panels): the parts (2, 17) with S_0 first, taken from the bisected
+    panels; their error estimates, the magnitude of their difference from
+    the base level; and the K15 panels evaluated.  An uncoupled bath's rows
+    are exactly 0.
     """
-    rate, n_panels = _rates(ev.s), 0
-    baths = ev.spec.baths
-
-    def resolvent_integrand(w):
-        """(n_w, 2, 2, 4): Wn and Wp of each bath times 1/(s_k + iw)."""
-        nonlocal n_panels
-        n_panels += w.size // 15
-        W = np.stack([wt for b in baths for wt in _weights(b, w)], axis=1)
-        R = ev._resolvent(w)
-        return (W[:, :, None] * R[:, None, :]).reshape(w.size, -1, 2, 4)
-
-    body, body_diff = _ladder(resolvent_integrand, _static_edges(ev.spec, ev.s))
-    tail, tail_diff = _ladder(_on_ray(resolvent_integrand,
-                                      _default_w_max(ev.spec)), _RAY_EDGES)
-    # the assembly is linear, so the ladders' signed differences propagate
-    # through it before their magnitude is taken
-    tail_err = np.abs(_assemble(ev, rate, tail_diff))
-    S = _assemble(ev, rate, body + tail)
-    S_err = np.abs(_assemble(ev, rate, body_diff)) + tail_err
-    # |e^{(s_j + s_k*) t}| <= 1, so this bounds the tail's error at any t
-    tail_bound = tail_err[:, 0] + (np.abs(rate)
-                                   * tail_err[:, None, 1:]).sum(-1).max(-1)
-    return S, S_err, tail_bound, n_panels
+    spec, s = ev.spec, ev.s
+    R, theta, _ = _ray_geometry(spec, s)
+    modulus = np.abs(_singularities(spec, s))
+    edges = _ray_edges(R, modulus.min(), modulus.max())
+    lo, hi = edges[:-1], edges[1:]
+    mid = 0.5 * (lo + hi)
+    w, jac = _ray_points(np.concatenate([lo, lo, mid]),
+                         np.concatenate([hi, mid, hi]), R, theta)
+    W = np.stack([wt for b in spec.baths for wt in _weights(b, w)], axis=1)
+    terms = ((W * jac[:, None])[:, :, None]
+             * ev._resolvent(w)[:, None, :]).reshape(w.size, 2, 2, 4)
+    n_base = 15 * lo.size
+    base, halves = terms[:n_base].sum(axis=0), terms[n_base:].sum(axis=0)
+    # the assembly is linear, so the signed difference propagates through
+    # it before its magnitude is taken
+    rate = _rates(s)
+    return (_assemble(ev, rate, halves),
+            np.abs(_assemble(ev, rate, halves - base)), 3 * lo.size)

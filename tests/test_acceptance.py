@@ -410,8 +410,8 @@ def test_11_numerical_hygiene(tmp_path):
     ratio = _rk4_error(0.1) / _rk4_error(0.05)
 
     # self-convergence of the memory integrals, judged against their own
-    # reported error budget: the default panels against the static and ray
-    # panels bisected once more
+    # reported error budget: the default panels against the ray's panels,
+    # which carry the static parts and the cross terms, bisected once more
     spec = make_system(1.0, BathSpec(+1, 0.01, 10.0, 1.0),
                        BathSpec(+1, 0.01, 10.0, 1.0))
     ev = KernelEvaluator(characteristic_roots(spec), spec)
@@ -420,14 +420,14 @@ def test_11_numerical_hygiene(tmp_path):
     with pytest.MonkeyPatch.context() as patch:
         for finer in (False, True):
             if finer:
-                bisect = quadrature._bisect
-                static, ray = quadrature._static_edges, quadrature._ray_edges
-                patch.setattr(quadrature, "_static_edges",
-                              lambda *a: bisect(static(*a)))
-                patch.setattr(quadrature, "_ray_edges",
-                              lambda *a: bisect(ray(*a)))
-                patch.setattr(quadrature, "_RAY_EDGES",
-                              bisect(quadrature._RAY_EDGES))
+                ray = quadrature._ray_edges
+
+                def bisected(*args):
+                    edges = ray(*args)
+                    mid = 0.5 * (edges[1:] + edges[:-1])
+                    return np.sort(np.concatenate([edges, mid]))
+
+                patch.setattr(quadrature, "_ray_edges", bisected)
             integ = MemoryIntegrator(ev)
             runs.append((integ.integrate(t), integ.last_report))
     (out_c, rep_c), (out_f, rep_f) = runs
