@@ -15,20 +15,44 @@ derivatives of lambda and D altogether -- important because dD/dt has a
 logarithmically divergent second derivative at t = 0+ that a naive
 second-order stepper would sample.
 
+Every run starts at rest, dn/dt(0) = 0, so y(0) = 0 (a start in motion
+would need y back in the state).  A single oscillator's y then stays 0,
+and its state is (n, 1).  For a pair, y_1 + y_2 has zero derivative and
+stays 0 as well, so the state is (n+, n-, y-, 1) with n+- = n_1 +- n_2
+and y- = y_1 - y_2.  With Lambda = lambda_1 + lambda_2 and
+delta = lambda_1 - lambda_2 it obeys
+
+    dn+/dt = -Lambda n+ - delta n- + 2 (D_1 + D_2),
+    dn-/dt = y- - delta n+ - Lambda n- + 2 (D_1 - D_2),
+    dy-/dt = -2 beta n-,
+
+and n_1, n_2 = (n+ +- n-)/2, y_1 = y-/2, y_2 = -y-/2.  Swapping the
+oscillators negates n-, y-, delta and D_1 - D_2 and leaves the rest
+unchanged, since lambda_1 + lambda_2 and D_1 + D_2 commute.  IEEE negation
+is exact, so every product and sum the stepper forms for the swapped pair
+is the original one up to sign, summed in the same order: swapped runs
+agree bit for bit by construction.
+
 The stepper is classic fixed-step RK4 on half the coefficient-grid spacing,
 with lambda and D interpolated to the quarter points by local cubics, each
 through the four grid points nearest its interval.  Each series keeps that
 table (``CoefficientSeries.quarter_points``), made the first time a build
 steps it, so repeated builds on the same series interpolate nothing.  The
-result is reported on the coefficient grid itself.  The pair is linear in
-(n, y), and lambda, D and beta are known in advance, so every RK4 half-step
-is an affine map of the state, fixed by the coefficients and beta and not
-by the initial occupation.  Stepping is therefore two parts.  The builder
-(``_build_maps``) runs the stage arithmetic once for a batch of runs, each
-with its own series and beta, and composes the maps by a two-level prefix
-scan, about 2.4 compositions per half-step, with no Python loop over
-steps.  The application (``_trajectories``) carries any number of start
-states through those maps, checks the blow-up guard and assembles the
+result is reported on the coefficient grid itself.  The state s obeys
+s' = A(t) s with A fixed by lambda, D and beta, so every RK4 half-step of
+length h is the d x d matrix (d = 2 for one oscillator, 4 for a pair)
+
+    M = I + h/6 (K1 + 2 K2 + 2 K3 + K4),     K1 = A(t),
+    K2 = A(t + h/2) (I + h/2 K1),  K3 = A(t + h/2) (I + h/2 K2),
+    K4 = A(t + h) (I + h K3),
+
+fixed by the coefficients and beta and not by the initial occupation.
+Stepping is therefore two parts.  The builder (``_build_maps``) forms
+these matrices once for a batch of runs, each with its own series and
+beta, and composes them by a two-level prefix scan, about 2.4 stacked
+``np.matmul`` products per half-step, with no Python loop over steps.
+The application (``_trajectories``) carries any number of start states
+through those maps, checks the blow-up guard and assembles the
 trajectories, so runs that share series and beta share one build.
 """
 
@@ -68,9 +92,6 @@ BLOCK = 512
 #: half-steps composed one after another inside each chunk of a block, all
 #: chunks at once, before the chunk totals are scanned
 CHUNK = 8
-
-#: the columns own n, partner n, own y, partner y, 1 seen from the partner
-_SWAP = [1, 0, 3, 2, 4]
 
 
 @dataclass
@@ -123,28 +144,33 @@ def _envelope(spec: SystemSpec) -> float:
     )
 
 
-def _compose(outer, inner):
-    """The maps ``outer`` after ``inner``, both (n|y, osc, 5, runs, steps).
+@functools.cache
+def _basis(n_osc) -> np.ndarray:
+    """The frame's generator A, flattened, as ``coef @ _basis(n_osc)`` plus
+    the constants 1 and -2 beta of a pair.
 
-    Each oscillator reads ``inner``'s rows in its own frame: own n, partner
-    n, own y, partner y, the partner's rows with own and partner columns
-    swapped.  The four products are summed in that order, in place, and
-    the constant column adds ``outer``'s own constant last.
+    ``coef`` holds (2 lambda, 2 D) of one oscillator, or (2 lambda_1,
+    2 lambda_2, 2 D_1, 2 D_2) of a pair.  Every entry is 0, +-1 or +-1/2,
+    so every product is exact and each entry of A is one rounding of a sum
+    of at most two nonzero terms, whatever the order of summation.
     """
-    n, y = inner
-    out = outer[:, :, 0:1] * n
-    out += outer[:, :, 1:2] * np.take(n[::-1], _SWAP, axis=1)
-    out += outer[:, :, 2:3] * y
-    out += outer[:, :, 3:4] * np.take(y[::-1], _SWAP, axis=1)
-    out[:, :, 4] += outer[:, :, 4]
-    return out
+    if n_osc == 1:
+        basis = np.array([[[-1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]]])
+    else:
+        basis = np.zeros((4, 4, 4))
+        basis[:2, [0, 1], [0, 1]] = -0.5  # -Lambda on n+ and n-
+        basis[:2, [0, 1], [1, 0]] = [[-0.5], [0.5]]  # -delta between them
+        basis[2:, [0, 1], 3] = [[1.0, 1.0], [1.0, -1.0]]  # 2 (D_1 +- D_2)
+    basis = basis.reshape(2 * n_osc, -1)
+    basis.flags.writeable = False
+    return basis
 
 
-def _apply(maps, s):
-    """States (n|y, osc, runs, steps) that ``maps`` make of ``s`` (n|y, osc, runs)."""
-    s = s[..., None]
-    return (maps[:, :, 0] * s[0] + maps[:, :, 1] * s[0, ::-1]
-            + maps[:, :, 2] * s[1] + maps[:, :, 3] * s[1, ::-1] + maps[:, :, 4])
+def _occupations(s) -> np.ndarray:
+    """n per oscillator, shape (oscillators, ...), of frame states (d, ...)."""
+    if len(s) == 2:
+        return s[:1]
+    return 0.5 * np.stack((s[0] + s[1], s[0] - s[1]))
 
 
 def _checked(name, values, count) -> np.ndarray:
@@ -168,41 +194,43 @@ class _MapSet:
     series: tuple  # per run, one CoefficientSeries per oscillator
     specs: tuple  # per run, one SystemSpec per oscillator
     betas: tuple  # per run
-    blocks: list  # per block, maps (n|y, osc, 5, runs, half-steps)
+    #: per block, the prefix maps (runs, half-steps, d, d) on the frame
+    #: state, (n, 1) for one oscillator and (n+, n-, y-, 1) for a pair:
+    #: 8 d^2 bytes per half-step and run, 32 and 128
+    blocks: list
 
 
 def _build_maps(series, specs, betas) -> _MapSet:
     """Every RK4 half-step map of a batch of runs of one or two oscillators.
 
     ``series`` and ``specs`` hold one tuple per run, with one entry per
-    oscillator, and ``betas`` one coupling per run.  The state (n, y) of a
-    run has shape (2, oscillators).  The equation is linear in it, so each
-    RK4 half-step m is an affine map s -> R_m s + r_m fixed by the
-    quarter-grid coefficients and beta alone, never by the start state:
-    one build serves any number of start states.  The RK4 stage
-    arithmetic runs once, on all half-steps of a block and all runs
-    together, over the unit states e_n and e_y (D off) and the zero state
-    (D on); their images are the columns of the maps.  A two-level scan
-    then forms the prefix maps R_m ... R_0 of each block: the half-steps of
+    oscillator, and ``betas`` one coupling per run.  Each run steps the
+    frame state of the module docstring, of length d = 2 for one
+    oscillator and 4 for a pair: y, and for a pair y_1 + y_2, stay 0 from
+    a start at rest and drop out.  The equation is linear in the state, so
+    each RK4 half-step m is a d x d matrix M_m whose last row is (0, ...,
+    0, 1), fixed by the quarter-grid coefficients and beta alone, never by
+    the start state: one build serves any number of start states.  The
+    generators A at each half-step's three quarter points and the stage
+    products K2, K3, K4 are formed for all half-steps of a block and all
+    runs together, three stacked ``np.matmul`` calls.  A two-level scan
+    then forms the prefix maps M_m ... M_0 of each block: the half-steps of
     each chunk of ``CHUNK`` are composed one after another, all chunks at
     once; a Hillis-Steele scan runs over the chunk totals; and one batched
-    composition puts each chunk's prefix in front of its members.  A block
-    of 512 takes 1,210 compositions, 2.4 per half-step, against 4,097 for
-    a Hillis-Steele scan over the whole block.  The last block is padded
-    to whole chunks with copies of its last map, and the padding is
-    dropped after the scan.
+    product puts each chunk's prefix in front of its members.  A block of
+    512 takes 1,210 matrix products, 2.4 per half-step, against 4,097 for
+    a Hillis-Steele scan over the whole block.  Every product is one
+    ``np.matmul`` over a stack of contiguous d x d matrices.  The grid's
+    last block is filled up to whole chunks with maps made at the grid's
+    last point, and they are dropped after the scan.
 
-    Each oscillator stores its maps on (own n, partner n, own y, partner
-    y, 1), and every application and composition sums those five terms in
-    that order.  Swapping the two oscillators therefore permutes the
-    results bit for bit, which a dense 4x4 product, whose summation order
-    depends on which oscillator comes first, would not.  A single
-    oscillator has zero partner coefficients.  A run that blows up
-    overflows its maps to inf and nan silently; ``_trajectories`` reports
-    it.
+    Swapping a pair's oscillators conjugates every A by diag(1, -1, -1, 1),
+    which flips signs only, so swapped runs get the same maps up to sign
+    bit for bit (see the module docstring).  A run that blows up overflows
+    its maps to inf and nan silently; ``_trajectories`` reports it.
     """
     betas = tuple(betas)
-    neg_beta = -_checked("beta", betas, len(series))[:, None]
+    neg_beta = -_checked("beta", betas, len(series))
     flat = [s for run in series for s in run]
     t = flat[0].t
     for other in flat[1:]:
@@ -211,62 +239,51 @@ def _build_maps(series, specs, betas) -> _MapSet:
             raise DomainError("runs stepped together require a shared time grid")
     h2 = _uniform_step(t) / 2.0
     half, sixth = 0.5 * h2, h2 / 6.0
-    n_osc = len(series[0])
-    # row 5k + j: 2 lambda and 2 D at t_k + j h2 / 2 on interval k's cubic,
-    # on the axes (oscillator, map column, run, row)
-    lam2, dif2 = np.stack([s.quarter_points for s in flat], axis=1).reshape(
-        2, len(series), n_osc, 1, -1).transpose(0, 2, 3, 1, 4)
-    # columns: e_n and e_y of each oscillator, zero in place of a missing
-    # partner, and the zero state that D drives
-    unit = np.eye(4, 5).reshape(2, 2, 5, 1, 1)[:, :n_osc]
-    drive = np.eye(1, 5, 4).reshape(5, 1, 1)
-    # the columns in each oscillator's own frame
-    frame = np.array([range(5), _SWAP])[:n_osc]
-
-    def deriv(j, s):
-        d = np.empty_like(s)
-        np.subtract(s[1], lam[..., j, :] * s[0], out=d[0])
-        d[0] += dif[..., j, :] * drive
-        np.subtract(s[0], s[0, ::-1], out=d[1])
-        d[1] *= neg_beta
-        return d
+    n_runs, n_osc = len(series), len(series[0])
+    d = 2 * n_osc
+    eye = np.eye(d)
+    basis = _basis(n_osc)
+    base = np.zeros((n_runs, 1, 1, d, d))  # the constant part of each run's A
+    if n_osc == 2:
+        base[..., 1, 2] = 1.0
+        base[..., 2, 1] = 2.0 * neg_beta[:, None, None]
+    n_half = 2 * (t.size - 1)
+    # 2 lambda and 2 D at t_k + j h2 / 2 in column 5k + j, on the axes
+    # (run, column, lambda|D x oscillator); then at the three quarter
+    # points 5m // 2 + (0, 1, 2) of each half-step m, with clipped columns
+    # past the grid's end so that every block fills whole chunks
+    coef = np.stack([s.quarter_points for s in flat]).reshape(
+        n_runs, n_osc, 2, -1).transpose(0, 3, 2, 1).reshape(n_runs, -1, d)
+    m = np.arange(n_half + CHUNK - 1)
+    coef = np.take(coef, 5 * m // 2 + np.arange(3)[:, None], axis=1,
+                   mode="clip")
 
     blocks = []
-    n_half = 2 * (t.size - 1)
     with np.errstate(over="ignore", invalid="ignore"):
         for m0 in range(0, n_half, BLOCK):
             size = min(BLOCK, n_half - m0)
             n_chunk = -(-size // CHUNK)
-            # half-step j of chunk c at [j, c], so that each chunk position
-            # is contiguous; past the block's end, copies of its last map
-            m = np.minimum(m0 + CHUNK * np.arange(n_chunk)
-                           + np.arange(CHUNK)[:, None], n_half - 1).ravel()
-            q = 5 * (m // 2) + 2 * (m % 2)
-            # 2 lambda and 2 D at the half-step's three quarter points
-            lam, dif = (c[..., q + np.arange(3)[:, None]]
-                        for c in (lam2, dif2))
-            # the stage arithmetic of one RK4 half-step, on the map columns
-            u = np.broadcast_to(unit, unit.shape[:3] + (neg_beta.size, m.size))
-            k1 = deriv(0, u)
-            k2 = deriv(1, u + half * k1)
-            k3 = deriv(1, u + half * k2)
-            k4 = deriv(2, u + h2 * k3)
-            images = u + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            maps = images[:, np.arange(n_osc)[:, None], frame]
-            chunks = maps.reshape(maps.shape[:-1] + (CHUNK, n_chunk))
+            # A at the half-steps' three quarter points, on the axes (run,
+            # quarter point, half-step, d, d).  The block's last chunk is
+            # filled up with the half-steps after it, past the grid's end
+            # with the clipped columns, and their maps are dropped
+            a = (coef[:, :, m0:m0 + CHUNK * n_chunk] @ basis).reshape(
+                n_runs, 3, -1, d, d) + base
+            k1 = a[:, 0]
+            k2 = a[:, 1] @ (eye + half * k1)
+            k3 = a[:, 1] @ (eye + half * k2)
+            k4 = a[:, 2] @ (eye + h2 * k3)
+            maps = eye + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            chunks = maps.reshape(n_runs, n_chunk, CHUNK, d, d)
             for j in range(1, CHUNK):  # in sequence inside every chunk
-                chunks[..., j, :] = _compose(chunks[..., j, :],
-                                             chunks[..., j - 1, :])
-            totals = chunks[..., -1, :]
+                chunks[:, :, j] = chunks[:, :, j] @ chunks[:, :, j - 1]
+            totals = chunks[:, :, -1]
             step = 1
             while step < n_chunk:  # Hillis-Steele over the chunk totals
-                totals[..., step:] = _compose(totals[..., step:],
-                                              totals[..., :-step])
+                totals[:, step:] = totals[:, step:] @ totals[:, :-step]
                 step *= 2
-            chunks[..., :-1, 1:] = _compose(chunks[..., :-1, 1:],
-                                            totals[..., None, :-1])
-            maps = chunks.swapaxes(-1, -2).reshape(maps.shape)
-            blocks.append(maps[..., :size])
+            chunks[:, 1:, :-1] = chunks[:, 1:, :-1] @ totals[:, :-1, None]
+            blocks.append(maps[:, :size])
     return _MapSet(t=t, series=tuple(series), specs=tuple(specs), betas=betas,
                    blocks=blocks)
 
@@ -275,53 +292,66 @@ def _trajectories(maps: _MapSet, runs, n0) -> list:
     """One Trajectory per start: run ``runs[i]`` of ``maps`` from ``n0[i]``.
 
     ``n0[i]`` holds one occupation per oscillator, and dn/dt(0) = 0.  The
-    start states, shape (n|y, oscillators, starts), are carried through
-    the blocks together: each half-step's state is its block's start
-    state under its prefix map, and every state is checked against the
-    blow-up guard.
+    start states are carried through the blocks together: each half-step's
+    state is its block's start state under its prefix map, one
+    matrix-vector product per start and block, and every occupation is
+    checked against the blow-up guard.  The rates, powers and trapezoid
+    dissipations of all starts and oscillators are then formed in one pass.
     """
     t = maps.t
     n_osc = len(maps.series[0])
-    s = np.zeros((2, n_osc, len(runs)))
-    s[0] = np.transpose([_checked("n0", v, n_osc) for v in n0])
-    out = np.empty(s.shape + (t.size,))
-    out[..., 0] = s
+    n = np.transpose([_checked("n0", v, n_osc) for v in n0])
+    s = np.zeros((len(n0), 2 * n_osc))  # (start, frame state)
+    s[:, -1] = 1.0
+    s[:, :n_osc] = np.transpose(n if n_osc == 1
+                                else (n[0] + n[1], n[0] - n[1]))
+    grid = np.empty(s.shape[::-1] + (t.size,))  # (frame state, start, t)
+    grid[..., 0] = s.T
     with np.errstate(over="ignore", invalid="ignore"):
         for m0, block in zip(range(0, 2 * (t.size - 1), BLOCK), maps.blocks):
-            states = _apply(np.take(block, runs, axis=3), s)
-            bad = ~np.all(np.abs(states[0]) <= BLOWUP, axis=(0, 1))
+            rows = block.reshape(block.shape[0], -1, s.shape[1])
+            states = np.array([rows[r] @ v for r, v in zip(runs, s)])
+            frame = states.reshape(len(s), -1, s.shape[1]).transpose(2, 0, 1)
+            bad = ~np.all(np.abs(_occupations(frame)) <= BLOWUP, axis=(0, 1))
             if bad.any():
                 first = m0 + int(np.argmax(bad))
                 raise MomentBlowupError(
                     "occupation exceeded the blow-up guard",
                     time=float(t[(first + 1) // 2]))
-            out[..., m0 // 2 + 1:(m0 + bad.size) // 2 + 1] = states[..., 1::2]
-            s = states[..., -1]
-    out = np.ascontiguousarray(out.transpose(2, 0, 1, 3))  # (start, n|y, osc, t)
+            grid[..., m0 // 2 + 1:(m0 + bad.size) // 2 + 1] = frame[..., 1::2]
+            s = frame[..., -1].T
+
+    # (oscillator, start, t) from here on
+    occ = _occupations(grid)
+    y = np.multiply.outer([0.5, -0.5], grid[2]) if n_osc == 2 else 0.0
+    series = [[maps.series[r][i] for r in runs] for i in range(n_osc)]
+    lam = np.array([[ser.friction for ser in row] for row in series])
+    dif = np.array([[ser.diffusion for ser in row] for row in series])
+    dt = np.diff([[ser.t for ser in row] for row in series])
+    omega = np.array([[maps.specs[r][i].omega_renormalized for r in runs]
+                      for i in range(n_osc)])[..., None]
+    rates = y - 2.0 * lam * occ + 2.0 * dif
+    power = 2.0 * omega * lam * occ
+    diss = np.zeros_like(power)
+    np.cumsum(dt * (power[..., 1:] + power[..., :-1]) / 2.0, axis=-1,
+              out=diss[..., 1:])
 
     trajectories = []
-    for r, start, (occ_out, y_out) in zip(runs, n0, out):
-        series, specs = maps.series[r], maps.specs[r]
-        envelopes = tuple(_envelope(spec) for spec in specs)
-        occ, rates, diss = [], [], []
-        for n, y, ser, spec in zip(occ_out, y_out, series, specs):
-            occ.append(n)
-            rates.append(y - 2.0 * ser.friction * n + 2.0 * ser.diffusion)
-            power = 2.0 * spec.omega_renormalized * ser.friction * n
-            diss.append(np.concatenate(([0.0], np.cumsum(
-                np.diff(ser.t) * (power[1:] + power[:-1]) / 2.0))))
-        exceeded = [bool(np.any(n > env)) for n, env in zip(occ, envelopes)]
+    for i, (r, start) in enumerate(zip(runs, n0)):
+        envelopes = tuple(_envelope(spec) for spec in maps.specs[r])
+        exceeded = [bool(np.any(x > env))
+                    for x, env in zip(occ[:, i], envelopes)]
         if any(exceeded):
-            detail = (f" (max n = {occ[0].max():.3g} > {envelopes[0]:.3g})"
-                      if len(occ) == 1 else "")
+            detail = (f" (max n = {occ[0, i].max():.3g} > {envelopes[0]:.3g})"
+                      if n_osc == 1 else "")
             warnings.warn(
                 f"occupation left the equilibrium envelope{detail}; expected "
                 "for persistently oscillating regimes, suspicious otherwise",
                 stacklevel=4,  # past _evolve, at the public call's caller
             )
         trajectories.append(Trajectory(
-            t=t, occupations=tuple(occ), rates=tuple(rates),
-            dissipation=tuple(diss),
+            t=t, occupations=tuple(occ[:, i]), rates=tuple(rates[:, i]),
+            dissipation=tuple(diss[:, i]),
             metadata={"beta": maps.betas[r], "n0": tuple(start),
                       "envelope": envelopes, "envelope_exceeded": exceeded},
         ))

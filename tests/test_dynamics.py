@@ -18,8 +18,8 @@ from openosc import (
     stationarity_condition_residual,
 )
 from openosc import dynamics
-from openosc.dynamics import (BLOCK, CHUNK, _build_maps, _compose,
-                              _trajectories, _uniform_step)
+from openosc.dynamics import (BLOCK, CHUNK, _build_maps, _trajectories,
+                              _uniform_step)
 from openosc.errors import (
     DomainError,
     InsufficientDataError,
@@ -147,15 +147,17 @@ def test_scan_matches_sequential_composition(monkeypatch, n_half):
             m.setattr(dynamics, "BLOCK", 1)
             steps = _build_maps(series, specs, betas).blocks
         assert len(steps) == n_half
-        assert [b.shape[-1] for b in scanned] == [
-            min(BLOCK, n_half - m0) for m0 in range(0, n_half, BLOCK)]
+        d = 2 * len(series[0])
+        assert [b.shape for b in scanned] == [
+            (len(series), min(BLOCK, n_half - m0), d, d)
+            for m0 in range(0, n_half, BLOCK)]
         for m0, block in zip(range(0, n_half, BLOCK), scanned):
-            prefix = steps[m0]
+            prefix = steps[m0][:, 0]
             want = [prefix]
-            for step in steps[m0 + 1:m0 + block.shape[-1]]:
-                prefix = _compose(step, prefix)
+            for step in steps[m0 + 1:m0 + block.shape[1]]:
+                prefix = step[:, 0] @ prefix
                 want.append(prefix)
-            want = np.concatenate(want, axis=-1)
+            want = np.stack(want, axis=1)
             assert np.abs(block - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -434,6 +436,31 @@ def test_coupled_swap_symmetry():
     for ab, ba in ((ab, ba), shared, same):
         assert np.array_equal(ab.occupations[0], ba.occupations[1])
         assert np.array_equal(ab.occupations[1], ba.occupations[0])
+
+
+def test_fig5_pair_swap_symmetry_at_every_coupling(pair5_case):
+    # the fig5 pair (distinct baths) on a grid of several blocks, one start
+    # per coupling with n1 != n2: swapping the oscillators swaps the
+    # outputs bit for bit, with the two orders from one build and from two
+    specs, (s1, s2) = pair5_case
+    k = len(BETA_FAMILY)
+    starts = tuple((0.2 + i, 0.7 * i) for i in range(k))
+    swapped = tuple(v[::-1] for v in starts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        one = _trajectories(
+            _build_maps(((s1, s2),) * k + ((s2, s1),) * k,
+                        (specs,) * k + (specs[::-1],) * k, BETA_FAMILY * 2),
+            range(2 * k), starts + swapped)
+        ab = _trajectories(_build_maps(((s1, s2),) * k, (specs,) * k,
+                                       BETA_FAMILY), range(k), starts)
+        ba = _trajectories(_build_maps(((s2, s1),) * k, (specs[::-1],) * k,
+                                       BETA_FAMILY), range(k), swapped)
+    assert 2 * (s1.t.size - 1) > 2 * BLOCK
+    for x, y in (*zip(one[:k], one[k:]), *zip(ab, ba)):
+        assert np.array_equal(x.occupations[0], y.occupations[1])
+        assert np.array_equal(x.occupations[1], y.occupations[0])
+        assert not np.array_equal(x.occupations[0], x.occupations[1])
 
 
 def test_coupling_transfers_occupation():
