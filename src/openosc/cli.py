@@ -62,6 +62,7 @@ from .scenarios import (
     _trajectory_table,
     run_scenario,
 )
+from .transport import quadrature
 from .transport.asymptotics import (
     asymptotic_bath_integral,
     asymptotic_occupation,
@@ -70,7 +71,6 @@ from .transport.asymptotics import (
     stationarity_condition_residual,
 )
 from .transport.coefficients import _local_cubic, coefficient_series
-from .transport.quadrature import DEFAULT_RTOL
 
 _BATH_KEYS = ("statistics", "alpha", "gamma_over_Omega", "kT_over_hOmega")
 _SCHEMA = {
@@ -82,15 +82,13 @@ _SCHEMA = {
     "bath2.2": _BATH_KEYS,
     "coupling": ("beta",),
     "run": ("t_max", "dt", "n0"),
-    "quadrature": ("rtol",),
     "sweep": None,  # keys are parameter paths, validated separately
 }
 
-_DEFAULTS = {"t_max": 20.0, "dt": 0.005, "n0": (0.0,), "rtol": DEFAULT_RTOL,
-             "beta": 0.0}
+_DEFAULTS = {"t_max": 20.0, "dt": 0.005, "n0": (0.0,), "beta": 0.0}
 
 #: the sections whose numeric keys a sweep point's outputs depend on: it runs
-#: the first system alone, uncoupled, and [quadrature] rtol steers no node
+#: the first system alone, uncoupled
 _SWEPT = ("oscillator", "bath.1", "bath.2")
 
 _UNITS_NOTE = (
@@ -207,14 +205,6 @@ def config_run(raw) -> dict:
     return out
 
 
-def config_numerics(raw) -> dict:
-    rtol = _get_float(raw, "quadrature", "rtol", _DEFAULTS["rtol"])
-    if not (np.isfinite(rtol) and rtol > 0):
-        raise ConfigError(f"[quadrature] rtol = {rtol!r} must be a positive "
-                          "finite number")
-    return {"rtol": rtol}
-
-
 def config_sweep(raw) -> list:
     """[(parameter_path, [values...]), ...] in file order."""
     sweep = raw.get("sweep")
@@ -274,20 +264,18 @@ def _quad_summary(report):
         "ray_kept_fraction": (report.ray_entries_kept / report.ray_entries
                               if report.ray_entries else 1.0),
         "n_panels_total": report.n_panels,
-        "w_max_final": report.w_max,
         "max_rel_error": report.max_rel_error,
-        "remainder_error_max": max(report.tail_bound.values()),
     }
 
 
-def write_metadata(out: Path, command: str, raw, numerics, extra=None):
+def write_metadata(out: Path, command: str, raw, extra=None):
     meta = {
         "command": command,
         "package_version": __version__,
         "numpy_version": np.__version__,
         "units": _UNITS_NOTE,
         "resolved_config": raw,
-        "numerics": numerics,
+        "numerics": {"rtol": quadrature.RTOL},
     }
     if extra:
         meta.update(extra)
@@ -302,12 +290,12 @@ def _time_grid(run):
     return np.arange(0.0, run["t_max"] + 0.5 * run["dt"], run["dt"])
 
 
-def cmd_coeffs(raw, out, numerics):
+def cmd_coeffs(raw, out):
     spec = config_system(raw)
     run = config_run(raw)
-    series = coefficient_series(spec, _time_grid(run), **numerics)
+    series = coefficient_series(spec, _time_grid(run))
     write_csv(out / "coefficients.csv", *_coefficient_table(series))
-    write_metadata(out, "coeffs", raw, numerics,
+    write_metadata(out, "coeffs", raw,
                    {"quadrature": _quad_summary(series.quadrature_report)})
     return 0
 
@@ -350,26 +338,26 @@ def _single_run_settings(raw) -> dict:
     return run
 
 
-def _single_run(raw, numerics):
+def _single_run(raw):
     """The configured single-system run: series, trajectory, observables."""
     spec = config_system(raw)
     run = _single_run_settings(raw)
-    series = coefficient_series(spec, _time_grid(run), **numerics)
+    series = coefficient_series(spec, _time_grid(run))
     traj = evolve(series, spec, run["n0"][0])
     return series, traj, _series_observables(series, traj)
 
 
-def cmd_evolve(raw, out, numerics):
-    series, traj, rows = _single_run(raw, numerics)
+def cmd_evolve(raw, out):
+    series, traj, rows = _single_run(raw)
     write_csv(out / "coefficients.csv", *_coefficient_table(series))
     write_csv(out / "trajectory.csv", *_trajectory_table(traj))
     write_observables(out / "observables.csv", rows)
-    write_metadata(out, "evolve", raw, numerics,
+    write_metadata(out, "evolve", raw,
                    {"quadrature": _quad_summary(series.quadrature_report)})
     return 0
 
 
-def cmd_coupled(raw, out, numerics):
+def cmd_coupled(raw, out):
     if not has_second_system(raw):
         raise ConfigError("coupled needs [oscillator2]/[bath2.1]/[bath2.2]")
     s1 = config_system(raw)
@@ -377,8 +365,8 @@ def cmd_coupled(raw, out, numerics):
     run = config_run(raw)
     beta = _get_float(raw, "coupling", "beta", _DEFAULTS["beta"])
     t = _time_grid(run)
-    series1 = coefficient_series(s1, t, **numerics)
-    series2 = coefficient_series(s2, t, **numerics)
+    series1 = coefficient_series(s1, t)
+    series2 = coefficient_series(s2, t)
     n0 = run["n0"] if len(run["n0"]) == 2 else (run["n0"][0], run["n0"][0])
     traj = evolve_coupled(series1, series2, s1, s2, beta, n0)
     write_csv(out / "coefficients_system1.csv", *_coefficient_table(series1))
@@ -398,7 +386,7 @@ def cmd_coupled(raw, out, numerics):
             rows.append(("antiphase_correlation", np.nan, lo, hi, np.nan,
                          "undefined"))
     write_observables(out / "observables.csv", rows)
-    write_metadata(out, "coupled", raw, numerics, {
+    write_metadata(out, "coupled", raw, {
         "beta": beta,
         "quadrature": {
             "system1": _quad_summary(series1.quadrature_report),
@@ -408,7 +396,7 @@ def cmd_coupled(raw, out, numerics):
     return 0
 
 
-def cmd_asymptotics(raw, out, numerics):
+def cmd_asymptotics(raw, out):
     systems = [("system1", config_system(raw))]
     if has_second_system(raw):
         systems.append(("system2", config_system(raw, second=True)))
@@ -429,15 +417,15 @@ def cmd_asymptotics(raw, out, numerics):
         rows += [(f"{label}_{name}", value, np.nan, np.nan, np.nan, status)
                  for name, value, status in values]
     write_observables(out / "observables.csv", rows)
-    write_metadata(out, "asymptotics", raw, numerics, {})
+    write_metadata(out, "asymptotics", raw, {})
     return 0
 
 
-def cmd_scenario(name, raw, out, numerics, run_overrides):
-    result = run_scenario(name, **numerics, **run_overrides)
+def cmd_scenario(name, raw, out, run_overrides):
+    result = run_scenario(name, **run_overrides)
     for stem, (names, cols) in result.tables.items():
         write_csv(out / f"{stem}.csv", names, cols)
-    write_metadata(out, f"scenario {name}", raw, numerics,
+    write_metadata(out, f"scenario {name}", raw,
                    {"scenario": result.metadata})
     return 0
 
@@ -446,9 +434,9 @@ def cmd_scenario(name, raw, out, numerics, run_overrides):
 
 def _sweep_point(args):
     """One sweep evaluation; returns (index, summary dict, status, message)."""
-    index, raw, numerics = args
+    index, raw = args
     try:
-        _, _, rows = _single_run(raw, numerics)
+        _, _, rows = _single_run(raw)
         value = {name: v for name, v, *_ in rows}
         summary = {"n_final": value["n_final"],
                    "n_tail_mean": value["n_tail_mean"],
@@ -458,7 +446,7 @@ def _sweep_point(args):
         return index, {}, f"error:{type(exc).__name__}", str(exc)
 
 
-def cmd_sweep(raw, out, numerics, workers):
+def cmd_sweep(raw, out, workers):
     entries = config_sweep(raw)
     base = {s: b for s, b in raw.items() if s != "sweep"}
     _single_run_settings(base)  # [run] is not swept: check it once, up front
@@ -472,8 +460,11 @@ def cmd_sweep(raw, out, numerics, workers):
         for path, value in zip(paths, point):
             section, _, key = path.rpartition(".")
             cfg[section] = {**cfg.get(section, {}), key: repr(float(value))}
-        points.append((flat, cfg, numerics))
+        points.append((flat, cfg))
 
+    # a pool forks all its workers on the first submit: start no more
+    # than there are points
+    workers = min(workers, len(points))
     if workers > 1:
         # imported here: it pulls in multiprocessing, which every other
         # command would pay for at import
@@ -496,7 +487,7 @@ def cmd_sweep(raw, out, numerics, workers):
                 cells.append(_fmt(summary.get(col, np.nan)))
             writer.writerow(cells + [status, message])
     n_failed = sum(1 for _, _, status, _ in results if status != "ok")
-    write_metadata(out, "sweep", raw, numerics, {
+    write_metadata(out, "sweep", raw, {
         "sweep": {"parameters": paths, "shape": [len(g) for g in grids],
                   "points": len(values),
                   "failed": n_failed, "workers": workers},
@@ -548,7 +539,7 @@ def _second_order_resolve(series, base, start_index):
     return base.occupations[0][k0:], out
 
 
-def cmd_validate(raw, out, numerics):
+def cmd_validate(raw, out):
     """Invariant suite; any 'fail' row raises ValidationError (exit 4)."""
     from dataclasses import replace
 
@@ -565,7 +556,7 @@ def cmd_validate(raw, out, numerics):
         BathSpec(statistics=+1, alpha=0.01, gamma=10.0, temperature=1.0),
     )
     t = np.arange(0.0, 10.0 + 1e-9, 0.02)
-    series = coefficient_series(spec, t, **numerics)
+    series = coefficient_series(spec, t)
     n0 = 0.0
     # a 3% friction corruption, for the fault-injection check
     corrupted = replace(
@@ -578,7 +569,7 @@ def cmd_validate(raw, out, numerics):
         BathSpec(statistics=+1, alpha=0.0, gamma=10.0, temperature=1.0),
         BathSpec(statistics=+1, alpha=0.0, gamma=12.0, temperature=0.5),
     )
-    series0 = coefficient_series(spec0, t, rtol=numerics["rtol"])
+    series0 = coefficient_series(spec0, t)
     # every RK4 run below comes from two map builds, one for the single
     # runs and one for the coupled ones; the maps do not depend on n0
     traj, traj_bad, traj0, single_b = _trajectories(
@@ -652,7 +643,7 @@ def cmd_validate(raw, out, numerics):
           report.max_abs_dev <= 1e-3)
 
     write_observables(out / "observables.csv", rows)
-    write_metadata(out, "validate", raw, numerics, {
+    write_metadata(out, "validate", raw, {
         "checks": {name: status for name, *_, status in rows},
     })
     failed = [name for name, *_, status in rows if status == "fail"]
@@ -701,28 +692,27 @@ def main(argv=None) -> int:
         if args.command in _NEEDS_CONFIG and not args.config:
             raise ConfigError(f"{args.command} requires --config")
         raw = load_config(args.config) if args.config else {}
-        numerics = config_numerics(raw)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "coeffs":
-            return cmd_coeffs(raw, out, numerics)
+            return cmd_coeffs(raw, out)
         if args.command == "evolve":
-            return cmd_evolve(raw, out, numerics)
+            return cmd_evolve(raw, out)
         if args.command == "coupled":
-            return cmd_coupled(raw, out, numerics)
+            return cmd_coupled(raw, out)
         if args.command == "asymptotics":
-            return cmd_asymptotics(raw, out, numerics)
+            return cmd_asymptotics(raw, out)
         if args.command == "scenario":
             overrides = {}
             if args.t_max is not None:
                 overrides["t_max"] = args.t_max
             if args.dt is not None:
                 overrides["dt"] = args.dt
-            return cmd_scenario(args.name, raw, out, numerics, overrides)
+            return cmd_scenario(args.name, raw, out, overrides)
         if args.command == "sweep":
-            return cmd_sweep(raw, out, numerics, max(1, args.workers))
+            return cmd_sweep(raw, out, max(1, args.workers))
         if args.command == "validate":
-            return cmd_validate(raw, out, numerics)
+            return cmd_validate(raw, out)
         raise ConfigError(f"unknown command {args.command!r}")
     except OpenOscError as exc:
         print(f"openosc {args.command}: {exc}", file=sys.stderr)

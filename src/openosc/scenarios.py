@@ -26,8 +26,8 @@ import numpy as np
 from .dynamics import _dissipation_excess, _evolve, evolve
 from .errors import ConfigError
 from .model import BathSpec, CoupledSpec, SystemSpec, make_system
+from .transport import quadrature
 from .transport.coefficients import coefficient_series
-from .transport.quadrature import DEFAULT_RTOL
 
 #: coupling strengths used by the coupled-run scenarios (units Omega_1^2)
 BETA_FAMILY = (0.01, 0.03, 0.1, 0.6)
@@ -163,8 +163,7 @@ def _energies_table(traj):
             [traj.t, traj.dissipation[0], traj.dissipation[1]])
 
 
-def run_scenario(name: str, *, t_max=None, dt=None,
-                 rtol=DEFAULT_RTOL) -> ScenarioResult:
+def run_scenario(name: str, *, t_max=None, dt=None) -> ScenarioResult:
     """Run one preset scenario and return its tables."""
     if name not in SCENARIOS:
         raise ConfigError(
@@ -180,12 +179,12 @@ def run_scenario(name: str, *, t_max=None, dt=None,
     t = np.arange(0.0, t_max + 0.5 * dt, dt)
 
     meta = {"scenario": name, "description": d.description, "t_max": t_max,
-            "dt": dt, "rtol": rtol}
+            "dt": dt, "rtol": quadrature.RTOL}
     tables = {}
 
     if d.product in ("coefficients", "trajectory"):
         spec = fig1_system()
-        series = coefficient_series(spec, t, rtol=rtol)
+        series = coefficient_series(spec, t)
         if d.product == "coefficients":
             names, cols = _coefficient_table(series)
             tables["coefficients"] = (names, cols)
@@ -197,8 +196,8 @@ def run_scenario(name: str, *, t_max=None, dt=None,
 
     pair = _PAIR_BUILDERS[name]()
     s1, s2 = pair.systems
-    series1 = coefficient_series(s1, t, rtol=rtol)
-    series2 = coefficient_series(s2, t, rtol=rtol)
+    series1 = coefficient_series(s1, t)
+    series2 = coefficient_series(s2, t)
 
     if d.product == "coupled-coefficients":
         for label, series in (("system1", series1), ("system2", series2)):

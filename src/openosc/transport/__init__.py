@@ -10,13 +10,12 @@ from .asymptotics import (
 )
 from .coefficients import RATIO_FLOOR, CoefficientSeries, coefficient_series
 from .kernels import AmplitudeSeries, KernelEvaluator
-from .quadrature import DEFAULT_RTOL, MemoryIntegrator
+from .quadrature import MemoryIntegrator
 from .roots import RootSet, characteristic_polynomial, characteristic_roots
 
 __all__ = [
     "AmplitudeSeries",
     "CoefficientSeries",
-    "DEFAULT_RTOL",
     "KernelEvaluator",
     "MemoryIntegrator",
     "RATIO_FLOOR",

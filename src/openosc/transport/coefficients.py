@@ -44,8 +44,7 @@ from ..model import (
     mixing_fraction,
 )
 from .kernels import AmplitudeSeries, KernelEvaluator
-from .quadrature import (DEFAULT_RTOL, MemoryIntegrator, QuadratureReport,
-                         _checked_rtol)
+from .quadrature import MemoryIntegrator, QuadratureReport
 from .roots import characteristic_roots
 
 #: friction magnitudes below this fraction of the series maximum make the
@@ -185,10 +184,9 @@ def _j_parts(series):
     return (J1, J2), (dJ1, dJ2)
 
 
-def _free_series(spec: SystemSpec, t, rtol) -> CoefficientSeries:
+def _free_series(spec: SystemSpec, t) -> CoefficientSeries:
     """The free oscillator's series: A = e^{-i omega t}, nothing bath-borne,
     and lambda = -0.0, the sign -(1/2) dX/X gives for X = |A|^2."""
-    _checked_rtol(rtol)
     A = np.exp(-1j * spec.omega * t)
     amp = AmplitudeSeries(t, A, -1j * spec.omega * A,
                           *np.zeros((6, t.size), dtype=complex))  # B, dB, ...
@@ -203,17 +201,17 @@ def _free_series(spec: SystemSpec, t, rtol) -> CoefficientSeries:
         ratio=np.full(t.size, np.nan), amplitudes=amp, quadrature_report=report)
 
 
-def coefficient_series(spec: SystemSpec, t, *,
-                       rtol: float = DEFAULT_RTOL) -> CoefficientSeries:
+def coefficient_series(spec: SystemSpec, t) -> CoefficientSeries:
     """Compute lambda(t) and D(t) for one system on the given time grid.
+
+    Raises QuadratureError if the memory integrals' error budget exceeds
+    ``quadrature.RTOL``.
 
     Parameters
     ----------
     spec : SystemSpec
     t : array_like
         Finite, nonnegative, strictly increasing times.
-    rtol : float
-        Accuracy contract of the memory integrals (see ``MemoryIntegrator``).
     """
     t = np.asarray(t, dtype=float)
     if t.ndim != 1 or t.size == 0:
@@ -224,13 +222,13 @@ def coefficient_series(spec: SystemSpec, t, *,
     if (t < 0).any() or (np.diff(t) <= 0).any():
         raise DomainError("time grid must be nonnegative and strictly increasing")
     if spec.decoupled:
-        return _free_series(spec, t, rtol)
+        return _free_series(spec, t)
 
     rootset = characteristic_roots(spec)
     ev = KernelEvaluator(rootset, spec)
     amp = ev.amplitude_series(t)
 
-    integ = MemoryIntegrator(ev, rtol=rtol)
+    integ = MemoryIntegrator(ev)
     out = integ.integrate(t)
     I1, dI1 = out["bath1"]
     I2, dI2 = out["bath2"]

@@ -66,12 +66,14 @@ Nothing is adaptive: the node count follows from the spec and grows only as
 log2(t_max/t_min).  The error budget adds the static parts' estimates,
 the cross terms' difference to one bisection, the bound on the ray's
 left-out nodes, and a rounding allowance on the parts' magnitudes, which
-cancel as t -> 0.  The static parts bisect every panel.  The cross terms
-bisect only their two end panels and the panels that overlap
-[m_lo/2, 2 m_hi], m_lo and m_hi the smallest and largest modulus of a
-singularity (``_bisected``), and take their value from the halves there;
-on the other panels one K15 level is accurate to rounding.  All sums run
-in a fixed order, so repeated runs are bit-identical.
+cancel as t -> 0; ``integrate`` raises QuadratureError when it exceeds
+``RTOL`` of the error scale at any time.  The static parts bisect every
+panel.  The cross terms bisect only their two end panels and the panels
+that overlap [m_lo/2, 2 m_hi], m_lo and m_hi the smallest and largest
+modulus of a singularity (``_bisected``), and take their value from the
+halves there; on the other panels one K15 level is accurate to rounding.
+All sums run in a fixed order, so repeated runs at one BLAS thread count
+are bit-identical.
 """
 
 from __future__ import annotations
@@ -113,7 +115,9 @@ _WK_HALF = np.array(
 XK = np.concatenate([-_XK_HALF[:-1], _XK_HALF[::-1]])  # 15 ascending
 WK = np.concatenate([_WK_HALF[:-1], _WK_HALF[::-1]])
 
-DEFAULT_RTOL = 1e-7
+#: The accuracy contract: the largest relative error budget ``integrate``
+#: accepts.  It steers no node, so no computed value depends on it.
+RTOL = 1e-7
 
 #: Rounding allowance, relative to the summed magnitudes of the parts.
 _ROUNDING = 64 * np.finfo(float).eps
@@ -148,13 +152,6 @@ def _weights(bath: BathSpec, w):
     pref = (a * g * g / np.pi) * w / (g * g + w * w)
     n = equilibrium_occupation(w, bath.temperature, bath.statistics)
     return pref * n, pref * (1.0 + bath.statistics * n)
-
-
-def _checked_rtol(rtol) -> float:
-    """``rtol``, finite and > 0: a nan or inf one passes every budget check."""
-    if not (math.isfinite(rtol) and rtol > 0):
-        raise DomainError(f"rtol must be finite and > 0, got {rtol}")
-    return float(rtol)
 
 
 @dataclass
@@ -192,15 +189,10 @@ class MemoryIntegrator:
     evaluator : KernelEvaluator
         Supplies the roots and the per-node coefficients of M and N, and
         the system, whose baths are integrated.
-    rtol : float
-        Accuracy contract, finite and > 0: ``integrate`` raises
-        QuadratureError if the error budget exceeds rtol times the error
-        scale at any time.
     """
 
-    def __init__(self, evaluator, *, rtol=DEFAULT_RTOL):
+    def __init__(self, evaluator):
         self.ev = evaluator
-        self.rtol = _checked_rtol(rtol)
         spec = evaluator.spec
         self.w_max = _default_w_max(spec)
         self._Omega = spec.omega_renormalized
@@ -387,7 +379,7 @@ class MemoryIntegrator:
         uncoupled bath (its weights are 0), and stores a QuadratureReport in
         ``last_report``.  I(0) = dI(0) = 0 exactly, because every kernel
         vanishes at t = 0.  Raises QuadratureError if the error budget
-        exceeds rtol, and DomainError for a time that is negative or not
+        exceeds ``RTOL``, and DomainError for a time that is negative or not
         finite.
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -413,10 +405,10 @@ class MemoryIntegrator:
                                             * np.abs(E)).sum(axis=2)
             entries = tp.size * sum(n_nodes)
             worst = float((budget / self._error_scales(value)).max())
-            if worst > self.rtol:
+            if worst > RTOL:
                 raise QuadratureError(
                     f"memory-integral error budget {worst:.3g} exceeds rtol "
-                    f"{self.rtol:g}",
+                    f"{RTOL:g}",
                     achieved=worst,
                 )
             totals[:, :, pos] = value

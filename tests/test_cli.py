@@ -15,7 +15,6 @@ import openosc
 from openosc.cli import (
     _quad_summary,
     _second_order_resolve,
-    config_numerics,
     config_sweep,
     config_system,
     has_second_system,
@@ -25,6 +24,7 @@ from openosc.cli import (
 )
 from openosc.errors import ConfigError, DomainError
 from openosc.model import BathSpec
+from openosc.transport import quadrature
 from openosc.transport.asymptotics import resonance_occupation
 from openosc.transport.coefficients import _local_cubic
 
@@ -82,8 +82,8 @@ def test_schema_rejections():
         parse_config_text("[oscillators]\nOmega = 1\n")
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config_text("[oscillator]\nomega = 1\n")
-    # the memory integrals have no cutoff knob any more
-    with pytest.raises(ConfigError, match="unknown key"):
+    # the memory integrals have no cutoff knob any more, nor a section
+    with pytest.raises(ConfigError, match="unknown config section"):
         parse_config_text("[quadrature]\nw_max_factor = 1.0\n")
     with pytest.raises(ConfigError, match="malformed"):
         parse_config_text("[oscillator\nOmega = 1\n")
@@ -109,21 +109,17 @@ def test_second_system_must_be_complete():
 
 
 def test_numerics_validation():
-    assert config_numerics(parse_config_text(WEAK_SINGLE)) == {"rtol": 1e-7}
-    # the friction normalization |A|^2 is fixed: no [kernel] section
-    with pytest.raises(ConfigError, match="unknown config section"):
-        parse_config_text("[kernel]\nabs_A_power = 2\n")
-    assert config_numerics(parse_config_text("[quadrature]\nrtol = 1e-5\n")) \
-        == {"rtol": 1e-5}
-    # a nan or inf rtol would pass every budget check
-    for bad in ("-1e-7", "0", "nan", "inf"):
-        with pytest.raises(ConfigError, match="positive finite"):
-            config_numerics(parse_config_text(f"[quadrature]\nrtol = {bad}\n"))
+    # the friction normalization |A|^2 is fixed: no [kernel] section; the
+    # memory integrals' accuracy contract is quadrature.RTOL: no
+    # [quadrature] section
+    for text in ("[kernel]\nabs_A_power = 2\n", "[quadrature]\nrtol = 1e-5\n"):
+        with pytest.raises(ConfigError, match="unknown config section"):
+            parse_config_text(text)
 
 
 @pytest.mark.parametrize("extra, message", [
-    ("\n[quadrature]\nrtol = nan\n", "rtol = nan"),
-    ("\n[quadrature]\nrtol = inf\n", "rtol = inf"),
+    # a config written for a settable tolerance fails loudly
+    ("\n[quadrature]\nrtol = 1e-7\n", "unknown config section [quadrature]"),
     # the bundled presets are run by `scenario NAME`; [run] names none
     ("scenario = fig1\n", "unknown key 'scenario' in section [run]"),
 ])
@@ -136,8 +132,20 @@ def test_config_error_exits_2(tmp_path, capsys, extra, message):
     assert not (out / "coefficients.csv").exists()
 
 
+def test_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
+    # the weak config's budget reads about 1e-10: below a contract of 1e-15
+    # the finished series raises QuadratureError, and nothing is written
+    monkeypatch.setattr(quadrature, "RTOL", 1e-15)
+    cfg = tmp_path / "weak.ini"
+    cfg.write_text(WEAK_SINGLE)
+    out = tmp_path / "run"
+    assert main(["--config", str(cfg), "--out", str(out), "coeffs"]) == 3
+    assert "exceeds rtol 1e-15" in capsys.readouterr().err
+    assert not (out / "coefficients.csv").exists()
+
+
 def test_rtol_is_not_an_option(tmp_path):
-    # the tolerance has one source, [quadrature] rtol
+    # the tolerance has one source, quadrature.RTOL
     with pytest.raises(SystemExit) as info:
         main(["--out", str(tmp_path), "--rtol", "1e-5", "validate"])
     assert info.value.code == 2
@@ -153,9 +161,8 @@ def test_sweep_paths():
                 "nosuch.key = 1", "bath.1.alpha = a, b", "sweep.x = 1"):
         with pytest.raises(ConfigError):
             config_sweep(parse_config_text(f"[sweep]\n{bad}\n"))
-    # a sweep point runs the first system alone, and rtol only gates the
-    # memory integrals' error budget, so these would give rows that differ
-    # only in the swept column
+    # a sweep point runs the first system alone, so these would give rows
+    # that differ only in the swept column; quadrature.rtol names no key
     for path in ("coupling.beta", "oscillator2.Omega", "bath2.1.alpha",
                  "quadrature.rtol"):
         with pytest.raises(ConfigError, match=repr(path)):
@@ -237,9 +244,8 @@ def test_evolve_end_to_end(tmp_path):
     assert "timestamp" not in meta
     quad = meta["quadrature"]
     assert sorted(quad) == ["max_rel_error", "n_panels_total",
-                            "ray_kept_fraction", "remainder_error_max",
-                            "w_max_final"]
-    for key in ("n_panels_total", "max_rel_error", "remainder_error_max"):
+                            "ray_kept_fraction"]
+    for key in ("n_panels_total", "max_rel_error"):
         assert math.isfinite(quad[key])
     assert quad["n_panels_total"] > 0
     assert 0.0 < quad["ray_kept_fraction"] <= 1.0
@@ -452,6 +458,48 @@ def test_sweep_end_to_end(tmp_path):
     assert float(rows[1][1]) == 2e-3
     meta = json.loads((out / "run_metadata.json").read_text())
     assert meta["sweep"]["points"] == 2
+
+
+class _InlinePool:
+    """A ProcessPoolExecutor stand-in that records its size and maps in
+    process: no worker is started."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("values, workers, pools", [
+    ("1e-3, 2e-3", 64, [2]),
+    ("1e-3", 8, []),  # a one-point sweep runs in process
+])
+def test_sweep_starts_no_more_workers_than_points(tmp_path, monkeypatch,
+                                                  values, workers, pools):
+    import concurrent.futures
+
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _InlinePool)
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text(WEAK_SINGLE + f"\n[sweep]\nbath.1.alpha = {values}\n")
+    out = tmp_path / "run"
+    assert main(["--config", str(cfg), "--out", str(out),
+                 "--workers", str(workers), "sweep"]) == 0
+    assert _InlinePool.sizes == pools
+    meta = json.loads((out / "run_metadata.json").read_text())
+    assert meta["sweep"]["workers"] == (pools or [1])[0]
+    _, rows = _read_csv(out / "sweep_index.csv")
+    assert [r[-2] for r in rows] == ["ok"] * len(values.split(","))
 
 
 def test_failed_sweep_point_carries_its_message(tmp_path):

@@ -140,13 +140,6 @@ def test_zero_coupling_is_the_free_oscillator(eps1, eps2, gamma2):
     assert np.all(traj.occupations[0] == 0.3)
 
 
-@pytest.mark.parametrize("rtol", [np.nan, np.inf, 0.0, -1e-7])
-def test_zero_coupling_still_checks_rtol(rtol):
-    with pytest.raises(DomainError, match="rtol"):
-        coefficient_series(_both_uncoupled(+1, +1, 12.0),
-                           np.linspace(0.0, 1.0, 11), rtol=rtol)
-
-
 def test_weak_friction_beats_at_the_root_pair_frequency(weak_case):
     # |A|^2 carries the beat of the conjugate root pair at +-i nu, so the
     # friction oscillates with period pi/nu (and is dissipative on average)
