@@ -111,7 +111,8 @@ def parse_config_text(text: str) -> dict:
     raw = {}
     for section in parser.sections():
         if section not in _SCHEMA:
-            raise ConfigError(f"unknown config section [{section}]")
+            lines = "; ".join(f"{k} = {v.strip()}" for k, v in parser.items(section))
+            raise ConfigError(f"unknown config section [{section}] ({lines})")
         allowed = _SCHEMA[section]
         body = {}
         for key, value in parser.items(section):

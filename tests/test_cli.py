@@ -120,6 +120,9 @@ def test_numerics_validation():
 @pytest.mark.parametrize("extra, message", [
     # a config written for a settable tolerance fails loudly
     ("\n[quadrature]\nrtol = 1e-7\n", "unknown config section [quadrature]"),
+    # the error names the lines the section held
+    ("\n[quadrature]\nrtol = inf\n", "rtol = inf"),
+    ("\n[quadrature]\nrtol = nan\n", "rtol = nan"),
     # the bundled presets are run by `scenario NAME`; [run] names none
     ("scenario = fig1\n", "unknown key 'scenario' in section [run]"),
 ])
