@@ -46,7 +46,6 @@ from .transport import (
     characteristic_polynomial,
     characteristic_roots,
     coefficient_series,
-    markovian_mixture,
     resonance_occupation,
     stationarity_condition_residual,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "evolve_coupled",
     "evolve_exact",
     "make_system",
-    "markovian_mixture",
     "mixing_fraction",
     "resonance_occupation",
     "run_scenario",

@@ -64,9 +64,9 @@ from .scenarios import (
 )
 from .transport import quadrature
 from .transport.asymptotics import (
+    _stationary_integrals,
     asymptotic_bath_integral,
     asymptotic_occupation,
-    markovian_mixture,
     resonance_occupation,
     stationarity_condition_residual,
 )
@@ -402,12 +402,12 @@ def cmd_asymptotics(raw, out):
     if has_second_system(raw):
         systems.append(("system2", config_system(raw, second=True)))
     rows = []
+    errors = {}
     for label, spec in systems:
         values = [("bath1_integral", asymptotic_bath_integral(spec, 0), "info"),
                   ("bath2_integral", asymptotic_bath_integral(spec, 1), "info"),
                   ("asymptotic_occupation", asymptotic_occupation(spec),
                    "info"),
-                  ("markovian_mixture", markovian_mixture(spec), "info"),
                   ("resonance_occupation", resonance_occupation(spec), "info")]
         if spec.statistics_mode == "mixed":
             try:
@@ -417,8 +417,11 @@ def cmd_asymptotics(raw, out):
                 values.append(("stationarity_residual", np.nan, "undefined"))
         rows += [(f"{label}_{name}", value, np.nan, np.nan, np.nan, status)
                  for name, value, status in values]
+        # each bath integral's error estimate, from the same memoized build
+        errors[label] = dict(zip(("bath1_integral", "bath2_integral"),
+                                 _stationary_integrals(spec)[1]))
     write_observables(out / "observables.csv", rows)
-    write_metadata(out, "asymptotics", raw, {})
+    write_metadata(out, "asymptotics", raw, {"stationary_error": errors})
     return 0
 
 

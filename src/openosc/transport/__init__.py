@@ -4,7 +4,6 @@ integrals, and the friction/diffusion coefficient assembly."""
 from .asymptotics import (
     asymptotic_bath_integral,
     asymptotic_occupation,
-    markovian_mixture,
     resonance_occupation,
     stationarity_condition_residual,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "characteristic_polynomial",
     "characteristic_roots",
     "coefficient_series",
-    "markovian_mixture",
     "resonance_occupation",
     "stationarity_condition_residual",
 ]

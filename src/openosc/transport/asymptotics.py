@@ -48,15 +48,19 @@ def _require_coupling(spec: SystemSpec) -> None:
 @functools.lru_cache(maxsize=64)  # specs are frozen; queries share a build
 def _stationary_integrals(spec: SystemSpec) -> tuple:
     """Stationary values (I_1(inf), I_2(inf)) of both baths' memory
-    integrals: S_0 of their static parts, exactly 0.0 for an uncoupled bath.
+    integrals and their error estimates, ((I_1, I_2), (err_1, err_2)):
+    S_0 of their static parts and its S_err, exactly 0.0 for an uncoupled
+    bath.
 
     The cache holds values for the quadrature module's fixed static rule;
     code that changes that rule calls ``integrate_static`` itself.  Raises
     DomainError if both couplings vanish (an error is not cached).
     """
     _require_coupling(spec)
-    S = integrate_static(KernelEvaluator(characteristic_roots(spec), spec))[0]
-    return float(S[0, 0].real), float(S[1, 0].real)
+    S, S_err, _ = integrate_static(
+        KernelEvaluator(characteristic_roots(spec), spec))
+    return ((float(S[0, 0].real), float(S[1, 0].real)),
+            (float(S_err[0, 0]), float(S_err[1, 0])))
 
 
 def asymptotic_bath_integral(spec: SystemSpec, bath_index: int) -> float:
@@ -67,33 +71,13 @@ def asymptotic_bath_integral(spec: SystemSpec, bath_index: int) -> float:
     """
     if not isinstance(bath_index, (int, np.integer)) or bath_index not in (0, 1):
         raise DomainError(f"bath index must be 0 or 1, got {bath_index!r}")
-    return _stationary_integrals(spec)[bath_index]
+    return _stationary_integrals(spec)[0][bath_index]
 
 
 def asymptotic_occupation(spec: SystemSpec) -> float:
     """Stationary occupation: the sum of both baths' asymptotic integrals."""
-    i1, i2 = _stationary_integrals(spec)
+    i1, i2 = _stationary_integrals(spec)[0]
     return i1 + i2
-
-
-def markovian_mixture(spec: SystemSpec) -> float:
-    """Coupling-weighted mix of the bath equilibria at the bare omega.
-
-    p n_1(omega) + (1-p) n_2(omega) with p = alpha_1/(alpha_1 + alpha_2),
-    each occupation taken with its own bath's statistics and temperature.
-    This is not the alpha -> 0 limit of the stationary occupation: that
-    limit is ``resonance_occupation``, which samples the baths at
-    nu = sqrt(omega Omega) with the omega/Omega stiffness factors.  On a
-    weakly coupled two-temperature system (acceptance item 07) the
-    asymptote lies 0.63% from this mixture and 0.02% from
-    ``resonance_occupation``.
-    """
-    b1, b2 = spec.baths
-    p = mixing_fraction(b1, b2)
-    w = spec.omega
-    n1 = equilibrium_occupation(w, b1.temperature, b1.statistics)
-    n2 = equilibrium_occupation(w, b2.temperature, b2.statistics)
-    return float(p * n1 + (1.0 - p) * n2)
 
 
 def resonance_occupation(spec: SystemSpec) -> float:
@@ -143,7 +127,7 @@ def stationarity_condition_residual(spec: SystemSpec) -> float:
         raise DomainError(
             "stationarity residual is defined for mixed statistics only"
         )
-    I_f, I_b = _stationary_integrals(spec)
+    I_f, I_b = _stationary_integrals(spec)[0]
     p = mixing_fraction(*spec.baths)
     if p in (0.0, 1.0):  # I_f/p or I_b/(1 - p) is 0/0
         raise DomainError(f"one channel is uncoupled (p = {p:g})")

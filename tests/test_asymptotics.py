@@ -10,8 +10,6 @@ from openosc import (
     asymptotic_occupation,
     equilibrium_occupation,
     make_system,
-    markovian_mixture,
-    mixing_fraction,
     resonance_occupation,
     stationarity_condition_residual,
 )
@@ -51,17 +49,6 @@ def test_time_integrals_approach_the_stationary_values(fig1_case):
         target = asymptotic_bath_integral(spec, idx)
         reached = series.memory_integrals[idx][-1]
         assert reached == pytest.approx(target, rel=1e-4)
-
-
-def test_markovian_mixture_is_the_weighted_equilibrium():
-    spec = _strong()
-    b1, b2 = spec.baths
-    p = mixing_fraction(b1, b2)
-    w = spec.omega
-    expected = (p * equilibrium_occupation(w, b1.temperature, b1.statistics)
-                + (1 - p) * equilibrium_occupation(w, b2.temperature, b2.statistics))
-    assert markovian_mixture(spec) == pytest.approx(expected, rel=1e-14)
-    assert markovian_mixture(spec) == pytest.approx(0.0073246284203954525, rel=1e-12)
 
 
 def test_stationarity_residual_strong_system():

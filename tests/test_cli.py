@@ -376,18 +376,19 @@ def test_asymptotics_end_to_end(tmp_path):
     header, rows = _read_csv(out / "observables.csv")
     names = [r[0] for r in rows]
     assert "system1_asymptotic_occupation" in names
-    assert "system1_markovian_mixture" in names
+    assert "system1_resonance_occupation" in names
     vals = {r[0]: float(r[1]) for r in rows}
     total = (vals["system1_bath1_integral"] + vals["system1_bath2_integral"])
     assert vals["system1_asymptotic_occupation"] == pytest.approx(total, rel=1e-12)
-    # weak coupling: stationary occupation lands near the mixed equilibrium,
-    # a few percent high (the counter-rotating terms always add population)
-    assert vals["system1_asymptotic_occupation"] > vals["system1_markovian_mixture"]
-    assert vals["system1_asymptotic_occupation"] == pytest.approx(
-        vals["system1_markovian_mixture"], rel=0.05)
     assert vals["system1_resonance_occupation"] == pytest.approx(
         resonance_occupation(config_system(parse_config_text(WEAK_SINGLE))),
         rel=1e-12)
+    # each bath integral's error estimate, within the accuracy contract
+    meta = json.loads((out / "run_metadata.json").read_text())
+    errors = meta["stationary_error"]["system1"]
+    assert sorted(errors) == ["bath1_integral", "bath2_integral"]
+    for name, err in errors.items():
+        assert 0.0 <= err <= quadrature.RTOL * vals[f"system1_{name}"]
 
 
 @pytest.mark.parametrize("uncoupled", ["fermionic", "bosonic"])

@@ -30,6 +30,8 @@ FIG1 = ((-1, 0.10, 10.0, 1.0), (+1, 0.05, 15.0, 0.1))
 FERMIONIC_T0 = ((-1, 0.05, 10.0, 0.0), (-1, 0.05, 12.0, 1.0))
 #: a resonance of width eta ~ 1e-5 at nu ~ 1
 WEAK = ((+1, 1e-5, 10.0, 1.0), (+1, 1e-5, 12.0, 0.5))
+#: CI's weak config: equal cutoffs, a resonance of width ~1e-6
+CI_WEAK = ((+1, 1e-6, 10.0, 1.0), (+1, 1e-6, 10.0, 1.0))
 
 
 def _spec(baths):
@@ -414,6 +416,47 @@ def test_static_part_is_the_stationary_integral(baths):
             reference, rel=1e-12)
 
 
+def _extended(edges):
+    """``edges`` with two more panels at each end of the ray's inner ones,
+    each a factor 2 in r = R v/(1 - v)."""
+    inner = edges[1:-1]
+    for _ in range(2):
+        lo, hi = inner[0], inner[-1]
+        inner = np.concatenate([[lo / (2.0 - lo)], inner,
+                                [2.0 * hi / (1.0 + hi)]])
+    return np.concatenate([[0.0], inner, [1.0]])
+
+
+#: the stationary integrals' systems: fig1, validate's, both of fig5's and
+#: CI's weak config
+STATIONARY_CASES = {
+    "fig1": FIG1,
+    "validate": EQUAL_CUTOFFS,
+    "fig5-system1": (fig5_pair, 0),
+    "fig5-system2": (fig5_pair, 1),
+    "ci-weak": CI_WEAK,
+}
+
+
+@pytest.mark.parametrize("baths", list(STATIONARY_CASES.values()),
+                         ids=list(STATIONARY_CASES))
+def test_stationary_error_covers_a_tighter_build(baths, monkeypatch):
+    # every part of the static build, S_0 (the stationary integral) first,
+    # moves by at most its error estimate plus rounding on its own size
+    # when every ray panel is bisected and the ray reaches two panels
+    # further in and out
+    spec = _stationary_spec(baths)
+    ev = KernelEvaluator(characteristic_roots(spec), spec)
+    S, S_err, n_panels = quadrature.integrate_static(ev)
+    edges = quadrature._ray_edges
+    monkeypatch.setattr(quadrature, "_ray_edges",
+                        lambda *args: _bisect(_extended(edges(*args))))
+    tight, _, tight_panels = quadrature.integrate_static(ev)
+    assert tight_panels == 2 * n_panels + 24
+    assert np.all(np.abs(tight - S)
+                  <= S_err + quadrature._ROUNDING * np.abs(S))
+
+
 def test_uncoupled_bath_has_exact_zero_stationary_integral():
     # mixed systems are ordered fermionic first, so bath 1 is the uncoupled one
     spec = _spec(((-1, 0.0, 10.0, 1.0), (+1, 0.01, 12.0, 0.5)))
@@ -519,7 +562,7 @@ WEAK_CASES = {
     "weak": WEAK,
     "weak-1e-6": ((+1, 1e-6, 10.0, 1.0), (+1, 1e-6, 12.0, 0.5)),
     "weak-1e-8": ((+1, 1e-8, 10.0, 1.0), (+1, 1e-8, 12.0, 0.5)),
-    "ci-weak": ((+1, 1e-6, 10.0, 1.0), (+1, 1e-6, 10.0, 1.0)),
+    "ci-weak": CI_WEAK,
 }
 
 
