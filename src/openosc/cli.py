@@ -417,7 +417,7 @@ def cmd_asymptotics(raw, out):
                 values.append(("stationarity_residual", np.nan, "undefined"))
         rows += [(f"{label}_{name}", value, np.nan, np.nan, np.nan, status)
                  for name, value, status in values]
-        # each bath integral's error estimate, from the same memoized build
+        # a bound on each bath integral's error, from the same memoized build
         errors[label] = dict(zip(("bath1_integral", "bath2_integral"),
                                  _stationary_integrals(spec)[1]))
     write_observables(out / "observables.csv", rows)

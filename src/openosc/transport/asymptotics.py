@@ -33,7 +33,7 @@ from ..model import (
     spectral_density,
 )
 from .kernels import KernelEvaluator
-from .quadrature import integrate_static
+from .quadrature import _ROUNDING, integrate_static
 from .roots import characteristic_roots
 
 
@@ -48,9 +48,11 @@ def _require_coupling(spec: SystemSpec) -> None:
 @functools.lru_cache(maxsize=64)  # specs are frozen; queries share a build
 def _stationary_integrals(spec: SystemSpec) -> tuple:
     """Stationary values (I_1(inf), I_2(inf)) of both baths' memory
-    integrals and their error estimates, ((I_1, I_2), (err_1, err_2)):
-    S_0 of their static parts and its S_err, exactly 0.0 for an uncoupled
-    bath.
+    integrals and bounds on their errors, ((I_1, I_2), (err_1, err_2)):
+    S_0 of their static parts, and its S_err plus the rounding allowance
+    ``quadrature._ROUNDING`` |S_0|, exactly 0.0 for an uncoupled bath.
+    S_err alone is not a bound: a tighter build can move S_0 by more, at
+    rounding.
 
     The cache holds values for the quadrature module's fixed static rule;
     code that changes that rule calls ``integrate_static`` itself.  Raises
@@ -59,8 +61,9 @@ def _stationary_integrals(spec: SystemSpec) -> tuple:
     _require_coupling(spec)
     S, S_err, _ = integrate_static(
         KernelEvaluator(characteristic_roots(spec), spec))
+    err = S_err[:, 0] + _ROUNDING * np.abs(S[:, 0])
     return ((float(S[0, 0].real), float(S[1, 0].real)),
-            (float(S_err[0, 0]), float(S_err[1, 0])))
+            (float(err[0]), float(err[1])))
 
 
 def asymptotic_bath_integral(spec: SystemSpec, bath_index: int) -> float:

@@ -123,10 +123,11 @@ RTOL = 1e-7
 _ROUNDING = 64 * np.finfo(float).eps
 
 #: (node, time) entries of one e^{iwt} table of the ray, the working set of
-#: its contraction (16 bytes each, and 8 more for their moduli): the times
-#: are cut into the fewest equal slices whose tables over the largest node
-#: group hold at most this many (``_slices``).  fig1's benchmark grid (250
-#: times, 300 nodes) takes one slice, validate's (500 times) two.
+#: its contraction (16 bytes each; their moduli reuse the table's block,
+#: ``MemoryIntegrator._ray``): the times are cut into the fewest equal
+#: slices whose tables over the largest node group hold at most this many
+#: (``_slices``).  fig1's benchmark grid (250 times, 300 nodes) takes one
+#: slice, validate's (500 times) two.
 _TABLE_ENTRIES = 2**17
 
 #: A ray node leaves a time slice's table when its weighted factor
@@ -275,7 +276,8 @@ class MemoryIntegrator:
         groups = []
         for a, b in zip(ends[:-1], ends[1:]):
             order = a + np.argsort(w[a:b].imag, kind="stable")
-            groups.append((w[order], f[order], np.abs(f[order])))
+            f_g = f[order]
+            groups.append((w[order], f_g, np.abs(f_g)))
         return groups
 
     def _static(self, t):
@@ -325,10 +327,12 @@ class MemoryIntegrator:
         m = math.isqrt(longest)
         # one block holds each table (up to m - 1 rows longer than its
         # slice) and its moduli in turn, so that the contraction allocates
-        # its working set once per call
+        # its working set once per call.  The moduli overwrite the table
+        # only after ``_contract`` has formed C = X @ f from it, and the
+        # next slice's table overwrites them only after X_abs @ f_abs
         n = -(-longest // m) * m * max(len(w) for w, _, _ in groups)
-        work = np.empty(3 * n)
-        tables, moduli = work[:2 * n].view(complex), work[2 * n:]
+        work = np.empty(2 * n)
+        tables, moduli = work.view(complex), work[:n]
         for g, (w, f, f_abs) in enumerate(groups):
             # the fine factors of the phases and of their moduli, shared by
             # every slice

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,7 +16,10 @@ from openosc.errors import DomainError, QuadratureError
 from openosc.model import _default_w_max
 from openosc.scenarios import fig3_pair, fig5_pair
 from openosc.transport import quadrature
-from openosc.transport.asymptotics import asymptotic_bath_integral
+from openosc.transport.asymptotics import (
+    _stationary_integrals,
+    asymptotic_bath_integral,
+)
 from openosc.transport.kernels import KernelEvaluator
 from openosc.transport.quadrature import MemoryIntegrator
 
@@ -444,8 +448,10 @@ def test_stationary_error_covers_a_tighter_build(baths, monkeypatch):
     # every part of the static build, S_0 (the stationary integral) first,
     # moves by at most its error estimate plus rounding on its own size
     # when every ray panel is bisected and the ray reaches two panels
-    # further in and out
+    # further in and out; for S_0 that sum is the stationary_error the
+    # asymptotics command records
     spec = _stationary_spec(baths)
+    recorded = np.array(_stationary_integrals(spec)[1])
     ev = KernelEvaluator(characteristic_roots(spec), spec)
     S, S_err, n_panels = quadrature.integrate_static(ev)
     edges = quadrature._ray_edges
@@ -455,6 +461,7 @@ def test_stationary_error_covers_a_tighter_build(baths, monkeypatch):
     assert tight_panels == 2 * n_panels + 24
     assert np.all(np.abs(tight - S)
                   <= S_err + quadrature._ROUNDING * np.abs(S))
+    assert np.all(np.abs(tight[:, 0] - S[:, 0]) <= recorded)
 
 
 def test_uncoupled_bath_has_exact_zero_stationary_integral():
@@ -710,6 +717,29 @@ def test_pruning_drops_entries_on_fig1s_preset_grid():
     integ.integrate(np.arange(0.0, 20.0 + 0.005, 0.01))
     report = integ.last_report
     assert 0 < report.ray_entries_kept < report.ray_entries
+
+
+def test_ray_tables_and_their_moduli_share_one_block():
+    # the largest allocation of a warm integrate is the block that holds
+    # each e^{iwt} table and, over the same memory, its moduli: 16 bytes
+    # per entry.  On fig1's benchmark grid (t <= 5, dt 0.02) the rest of the
+    # call stays below the block's size, so the traced peak stays below
+    # twice the block; moduli held beside the tables, 8 more bytes per
+    # entry, would exceed it
+    integ = _integrator(FIG1)
+    t = np.arange(0.0, 5.0 + 0.01, 0.02)
+    integ.integrate(t)
+    nodes = max(len(w) for w, _, _ in integ._ray_groups(t[1:]))
+    longest = max(np.diff(quadrature._slices(t.size - 1, nodes)))
+    rows = -(-longest // math.isqrt(longest)) * math.isqrt(longest)
+    block = 16 * rows * nodes
+    tracemalloc.start()
+    try:
+        integ.integrate(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * block
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
