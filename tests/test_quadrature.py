@@ -731,8 +731,8 @@ def test_ray_tables_and_their_moduli_share_one_block():
     integ.integrate(t)
     nodes = max(len(w) for w, _, _ in integ._ray_groups(t[1:]))
     longest = max(np.diff(quadrature._slices(t.size - 1, nodes)))
-    rows = -(-longest // math.isqrt(longest)) * math.isqrt(longest)
-    block = 16 * rows * nodes
+    m = math.isqrt(longest)  # the table runs up to m - 1 rows past a slice
+    block = 16 * (-(-longest // m) * m) * nodes
     tracemalloc.start()
     try:
         integ.integrate(t)
