@@ -167,8 +167,10 @@ def config_system(raw, *, second=False) -> SystemSpec:
     if osc not in raw:
         raise ConfigError(f"missing required section [{osc}]")
     omega_own = _get_float(raw, osc, "Omega")
-    if omega_own <= 0:
-        raise ConfigError(f"[{osc}] Omega must be positive")
+    # checked before the per-bath keys are scaled by it
+    if not (np.isfinite(omega_own) and omega_own > 0):
+        raise ConfigError(f"[{osc}] Omega = {omega_own!r} must be a positive "
+                          "finite number")
     return make_system(omega_own, _build_bath(raw, baths[0], omega_own),
                        _build_bath(raw, baths[1], omega_own))
 
@@ -563,10 +565,7 @@ def cmd_validate(raw, out):
     series = coefficient_series(spec, t)
     n0 = 0.0
     # a 3% friction corruption, for the fault-injection check
-    corrupted = replace(
-        series, friction=series.friction * 1.03,
-        ratio=series.ratio, amplitudes=series.amplitudes,
-    )
+    corrupted = replace(series, friction=series.friction * 1.03)
     # a decoupled preset, whose occupation must stay exactly at its start
     spec0 = make_system(
         1.0,

@@ -315,9 +315,10 @@ def _trajectories(maps: _MapSet, runs, n0) -> list:
             bad = ~np.all(np.abs(_occupations(frame)) <= BLOWUP, axis=(0, 1))
             if bad.any():
                 first = m0 + int(np.argmax(bad))
+                time = float(t[(first + 1) // 2])
                 raise MomentBlowupError(
-                    "occupation exceeded the blow-up guard",
-                    time=float(t[(first + 1) // 2]))
+                    f"occupation exceeded the blow-up guard at t = {time:g}",
+                    time=time)
             grid[..., m0 // 2 + 1:(m0 + bad.size) // 2 + 1] = frame[..., 1::2]
             s = frame[..., -1].T
 

@@ -7,18 +7,12 @@ from .asymptotics import (
     resonance_occupation,
     stationarity_condition_residual,
 )
-from .coefficients import RATIO_FLOOR, CoefficientSeries, coefficient_series
-from .kernels import AmplitudeSeries, KernelEvaluator
-from .quadrature import MemoryIntegrator
-from .roots import RootSet, characteristic_polynomial, characteristic_roots
+from .coefficients import coefficient_series
+from .kernels import KernelEvaluator
+from .roots import characteristic_polynomial, characteristic_roots
 
 __all__ = [
-    "AmplitudeSeries",
-    "CoefficientSeries",
     "KernelEvaluator",
-    "MemoryIntegrator",
-    "RATIO_FLOOR",
-    "RootSet",
     "asymptotic_bath_integral",
     "asymptotic_occupation",
     "characteristic_polynomial",

@@ -153,21 +153,33 @@ class CoefficientSeries:
 
 
 def _friction_from(A, dA, B, dB, eps, t):
-    """-(1/2) dX/X for X = |A|^2 + eps |B|^2, with cancellation guard."""
+    """-(1/2) dX/X for X = |A|^2 + eps |B|^2; SingularKernelError where X
+    first loses its digits or ends a grid interval it changes sign across
+    (a pole of lambda)."""
     A2 = A.real**2 + A.imag**2
     B2 = B.real**2 + B.imag**2
     re_AdA = A.real * dA.real + A.imag * dA.imag
     re_BdB = B.real * dB.real + B.imag * dB.imag
     X = A2 + eps * B2
     dX = 2.0 * re_AdA + 2.0 * eps * re_BdB
-    healthy = A2 + B2  # both decay as e^{-2 eta t}; X must not be small
-    bad = np.abs(X) <= _CANCEL_TOL * healthy  # relative to that envelope
+    # sign bits: a product of neighbours would underflow as X decays
+    flip = np.flatnonzero(np.signbit(X[1:]) != np.signbit(X[:-1]))
+    end = flip[0] + 1 if flip.size else X.size  # the grid times before it
+    # both decay as e^{-2 eta t}; X must not be small against them
+    healthy = A2[:end] + B2[:end]
+    bad = np.abs(X[:end]) <= _CANCEL_TOL * healthy  # relative to that envelope
     if bad.any():
         k = int(np.argmax(bad))
         raise SingularKernelError(
             "friction denominator lost all significant digits "
-            f"(|X| <= {_CANCEL_TOL:g} x (|A|^2 + |B|^2))",
-            time=float(np.atleast_1d(t)[k]),
+            f"(|X| <= {_CANCEL_TOL:g} x (|A|^2 + |B|^2)) at t = {t[k]:g}",
+            time=float(t[k]),
+        )
+    if flip.size:
+        raise SingularKernelError(
+            "friction denominator X = |A|^2 + eps |B|^2 changes sign between "
+            f"t = {t[end - 1]:g} and {t[end]:g}",
+            time=float(t[end]),
         )
     return -0.5 * dX / X
 

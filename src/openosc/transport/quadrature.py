@@ -56,8 +56,9 @@ cross terms.
   block allocated per call.  A slice's table leaves out the nodes whose
   e^{iwt} has underflowed against the rest of the group by the slice's
   smallest time (``_contract``), and the budget carries a bound on what
-  they would add.  On a uniform grid t_k = t_0 + k h the table is itself
-  an outer product, e^{iw(t_0 + a m h)} e^{iwjh} with k = a m + j
+  they would add; the same bound on the kept nodes sizes the slice's
+  rounding allowance.  On a uniform grid t_k = t_0 + k h the table is
+  itself an outer product, e^{iw(t_0 + a m h)} e^{iwjh} with k = a m + j
   (``_exp_table``): one complex multiply per entry, exponentials only for
   the coarse factors, and the fine ones built once per group for every
   slice.  Other grids take one exponential per entry.
@@ -123,11 +124,10 @@ RTOL = 1e-7
 _ROUNDING = 64 * np.finfo(float).eps
 
 #: (node, time) entries of one e^{iwt} table of the ray, the working set of
-#: its contraction (16 bytes each; their moduli reuse the table's block,
-#: ``MemoryIntegrator._ray``): the times are cut into the fewest equal
-#: slices whose tables over the largest node group hold at most this many
-#: (``_slices``).  fig1's benchmark grid (250 times, 300 nodes) takes one
-#: slice, validate's (500 times) two.
+#: its contraction (16 bytes each, ``MemoryIntegrator._ray``): the times are
+#: cut into the fewest equal slices whose tables over the largest node group
+#: hold at most this many (``_slices``).  fig1's benchmark grid (250 times,
+#: 300 nodes) takes one slice, validate's (500 times) two.
 _TABLE_ENTRIES = 2**17
 
 #: A ray node leaves a time slice's table when its weighted factor
@@ -315,8 +315,8 @@ class MemoryIntegrator:
         the halves' part minus the base level's, on the bisected panels
         alone.  Returns (C_value, C_diff, bound, kept): the first three
         (2 * 2 * 4, n_t), bound the rounding allowance on the value's
-        magnitudes plus the bound on every group's left-out nodes, and kept
-        the entries of the tables built.
+        magnitudes per slice plus the bound on every group's left-out
+        nodes, and kept the entries of the tables built.
         """
         n_c = groups[0][1].shape[1]
         C_value = np.zeros((n_c, t.size), dtype=complex)
@@ -325,26 +325,17 @@ class MemoryIntegrator:
         kept = 0
         longest = max(np.diff(bounds))
         m = math.isqrt(longest)
-        # one block holds each table (up to m - 1 rows longer than its
-        # slice) and its moduli in turn, so that the contraction allocates
-        # its working set once per call.  The moduli overwrite the table
-        # only after ``_contract`` has formed C = X @ f from it, and the
-        # next slice's table overwrites them only after X_abs @ f_abs
+        # one block, allocated once per call, holds each table, up to m - 1
+        # rows longer than its slice
         n = -(-longest // m) * m * max(len(w) for w, _, _ in groups)
-        work = np.empty(2 * n)
-        tables, moduli = work.view(complex), work[:n]
+        tables = np.empty(n, dtype=complex)
         for g, (w, f, f_abs) in enumerate(groups):
-            # the fine factors of the phases and of their moduli, shared by
-            # every slice
-            fine = _fine_factors(1j * w, t, m)
-            fine_abs = None if fine is None else (fine[0], np.abs(fine[1]))
-            for a, b, C, X, drop in _contract(w, f, f_abs, t, bounds, fine,
-                                              tables):
-                k = X.shape[1]
+            fine = _fine_factors(1j * w, t, m)  # shared by every slice
+            for a, b, C, X, drop, size in _contract(w, f, f_abs, t, bounds,
+                                                    fine, tables):
                 if g < 2:  # the value's groups
                     C_value[:, a:b] += C.T
-                    X_abs = _exp_table(-w[:k].imag, t[a:b], fine_abs, moduli)
-                    bound[:, a:b] += _ROUNDING * (X_abs @ f_abs[:k]).T
+                    bound[:, a:b] += _ROUNDING * size[:, None]
                 if g == 1:
                     C_diff[:, a:b] += C.T
                 elif g == 2:
@@ -450,8 +441,7 @@ def _fine_factors(z, t, m):
 
 def _exp_table(z, t, fine, out=None):
     """The table e^{zt}, (n_t, n_z), for Re z <= 0 and t >= 0, held in the
-    flat array ``out`` if one is given: the ray's phases e^{iwt} with
-    z = iw, and their moduli e^{-Im(w) t} with z = -Im w.
+    flat array ``out`` if one is given: the ray's phases e^{iwt}, z = iw.
 
     ``fine`` is None, and the table takes one exponential per entry, unless
     t is a run of a uniform grid t_k = t_0 + k h.  Then it is
@@ -485,10 +475,11 @@ def _contract(w, f, f_abs, t, bounds, fine, out=None):
     max_c |f_jc| e^{-Im(w_j) t_min}, with t_min the slice's smallest time,
     is below ``_DROP`` of the group's sum; the table keeps the prefix up to
     the last node that is not.  |e^{i w_j t}| <= e^{-Im(w_j) t_min} at every
-    time of the slice, which bounds the part left out.  Yields (a, b, C, X,
-    drop) per slice: C (b - a, n_c), the table X = e^{iwt} of the kept
-    nodes (``_exp_table`` with ``fine`` of iw; held in ``out`` if given,
-    which the next slice overwrites) and that bound per component, (n_c,).
+    time of the slice, which bounds the part left out and the kept part.
+    Yields (a, b, C, X, drop, size) per slice: C (b - a, n_c), the table
+    X = e^{iwt} of the kept nodes (``_exp_table`` with ``fine`` of iw; held
+    in ``out`` if given, which the next slice overwrites) and those bounds
+    per component, (n_c,), on sum_j |f_jc e^{i w_j t}| over each part.
     """
     t_min = np.minimum.reduceat(t, bounds[:-1])
     decay = np.exp(-np.multiply.outer(w.imag, t_min))  # (n_w, n_slices)
@@ -497,9 +488,10 @@ def _contract(w, f, f_abs, t, bounds, fine, out=None):
     keep = np.max(rank * (weight >= _DROP * weight.sum(axis=0)), axis=0,
                   initial=0)
     drop = f_abs.T @ (decay * (rank > keep))
+    size = f_abs.T @ (decay * (rank <= keep))
     for s, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
         X = _exp_table(1j * w[:keep[s]], t[a:b], fine, out)
-        yield a, b, X @ f[:keep[s]], X, drop[:, s]
+        yield a, b, X @ f[:keep[s]], X, drop[:, s], size[:, s]
 
 
 def _k15_nodes(lo, hi):
@@ -560,8 +552,8 @@ def _bisected(edges, R, band):
     estimate bisects.
 
     These are the two end panels, [0, v_lo] and [v_hi, 1], and every
-    panel that overlaps ``band``: the moduli r from half the smallest
-    singularity's to twice the largest's (``_singularities``).  Every
+    panel that overlaps ``band``: the r = |w| from half the smallest
+    singularity's modulus to twice the largest's (``_singularities``).  Every
     inner panel spans a factor 2 in r, so on the others the weights are
     analytic well beyond the panel and the K15 rule converges
     geometrically on them.  That argument does not cover the factor

@@ -135,6 +135,73 @@ def test_config_error_exits_2(tmp_path, capsys, extra, message):
     assert not (out / "coefficients.csv").exists()
 
 
+_BATH2 = """[bath.2]
+statistics = bosonic
+alpha = 1e-3
+gamma_over_Omega = 12
+kT_over_hOmega = 0.5
+
+"""
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("coeffs", WEAK_SINGLE.replace("alpha = 1e-3\n", "", 1),
+     "missing required key 'alpha' in [bath.1]"),
+    ("coeffs", WEAK_SINGLE.replace(_BATH2, ""),
+     "missing required section [bath.2]"),
+    ("coeffs", WEAK_SINGLE.replace("statistics = bosonic\n", "", 1),
+     "missing 'statistics' in [bath.1]"),
+    ("coeffs", WEAK_SINGLE.replace("Omega = 1.0", "Omega = 0"),
+     "[oscillator] Omega = 0.0 must be a positive finite number"),
+    # a non-finite Omega is named as itself, before it scales the baths'
+    # cutoffs and temperatures
+    ("coeffs", WEAK_SINGLE.replace("Omega = 1.0", "Omega = nan"),
+     "[oscillator] Omega = nan must be a positive finite number"),
+    ("coeffs", WEAK_SINGLE.replace("Omega = 1.0", "Omega = inf"),
+     "[oscillator] Omega = inf must be a positive finite number"),
+    ("coupled", WEAK_PAIR.replace("Omega = 2.0", "Omega = nan"),
+     "[oscillator2] Omega = nan must be a positive finite number"),
+    ("coupled", WEAK_PAIR.replace("Omega = 2.0", "Omega = inf"),
+     "[oscillator2] Omega = inf must be a positive finite number"),
+    ("evolve", WEAK_SINGLE + "n0 = 0.1, x\n",
+     "[run] n0 = '0.1, x' is not a number list"),
+    ("sweep", WEAK_SINGLE,
+     "sweep requires a [sweep] section with parameter paths"),
+    ("sweep", WEAK_SINGLE + "\n[sweep]\nbath.1.alpha = ,\n",
+     "[sweep] bath.1.alpha lists no values"),
+    ("coupled", WEAK_SINGLE,
+     "coupled needs [oscillator2]/[bath2.1]/[bath2.2]"),
+], ids=["no-alpha", "no-bath.2", "no-statistics", "Omega-0", "Omega-nan",
+        "Omega-inf", "Omega2-nan", "Omega2-inf", "n0-list", "no-sweep",
+        "sweep-no-values", "coupled-one-system"])
+def test_config_error_of_a_command_exits_2(tmp_path, capsys, command, text,
+                                           message):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
+    out = tmp_path / "run"
+    assert main(["--config", str(cfg), "--out", str(out), command]) == 2
+    assert message in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_sign_change_of_the_friction_denominator_exits_3(tmp_path, capsys):
+    # fig1's baths at alpha_f 0.3: X_f = |A|^2 - |B|^2 changes sign between
+    # grid times, first near t = 0.600, so lambda_f passes a pole there
+    cfg = tmp_path / "fig1.ini"
+    cfg.write_text("[oscillator]\nOmega = 1.0\n\n"
+                   "[bath.1]\nstatistics = fermionic\nalpha = 0.30\n"
+                   "gamma_over_Omega = 10\nkT_over_hOmega = 1.0\n\n"
+                   "[bath.2]\nstatistics = bosonic\nalpha = 0.05\n"
+                   "gamma_over_Omega = 15\nkT_over_hOmega = 0.1\n\n"
+                   "[run]\nt_max = 5\ndt = 0.02\n")
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["--config", str(cfg), "--out", str(out), "coeffs"]) == 3
+    assert "changes sign between t = 0.6 and 0.62" in capsys.readouterr().err
+    assert not (out / "coefficients.csv").exists()
+
+
 def test_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
     # the weak config's budget reads about 1e-10: below a contract of 1e-15
     # the finished series raises QuadratureError, and nothing is written

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from openosc import BathSpec, coefficient_series, evolve, make_system
-from openosc.errors import DomainError
+from openosc.errors import DomainError, SingularKernelError
 from openosc.scenarios import fig1_system
 from openosc.transport import coefficients
 from openosc.transport.asymptotics import asymptotic_bath_integral
+from openosc.transport.kernels import KernelEvaluator
+from openosc.transport.roots import characteristic_roots
 
 
 def test_grid_validation():
@@ -50,6 +52,31 @@ def test_series_working_set_on_validates_grid():
     finally:
         tracemalloc.stop()
     assert peak <= 4e6
+
+
+@pytest.mark.parametrize("dt, end", [(0.02, 0.62), (0.01, 0.61), (0.05, 0.65)])
+def test_friction_guard_catches_a_sign_change_of_x(dt, end):
+    # fig1's system with alpha_f 0.3: X_f = |A|^2 - |B|^2 first crosses zero
+    # near t = 0.600, and lambda_f has a pole there.  No grid time lands near
+    # enough to the zero for the digits test, so the series raises at the
+    # end of the interval across which X_f changes sign
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        spec = make_system(
+            1.0,
+            BathSpec(statistics=-1, alpha=0.30, gamma=10.0, temperature=1.0),
+            BathSpec(statistics=+1, alpha=0.05, gamma=15.0, temperature=0.1))
+    t = np.arange(0.0, 5.0 + 0.5 * dt, dt)
+    with pytest.raises(SingularKernelError,
+                       match=f"changes sign between t = 0.6 and {end}") as info:
+        coefficient_series(spec, t)
+    assert info.value.time == pytest.approx(end, abs=1e-12)
+    # independently, from the amplitudes: X_f keeps its sign up to
+    # t = 0.6 at steps of 1e-4, and is negative at the interval's end
+    amp = KernelEvaluator(characteristic_roots(spec), spec).amplitude_series(
+        np.append(np.linspace(0.0, 0.6, 6001), end))
+    X = np.abs(amp.A) ** 2 - np.abs(amp.B) ** 2
+    assert np.all(X[:-1] > 0.0) and X[-1] < 0.0
 
 
 def test_initial_values_vanish(fig1_case):

@@ -680,7 +680,8 @@ def test_pruned_contraction_matches_the_full_tables(baths, t, monkeypatch):
     # each group's share of C on each time slice, against the table over
     # all of the group's nodes: within the bound on the part left out plus
     # the rounding allowance, and within 1e-15 of the group's max|C| on the
-    # grid
+    # grid.  The slice's size bounds the kept nodes' magnitudes at every
+    # time of the slice
     integ = _integrator(baths)
     tp = t[t > 0.0]
     groups = integ._ray_groups(tp)
@@ -689,15 +690,17 @@ def test_pruned_contraction_matches_the_full_tables(baths, t, monkeypatch):
     dev_max, C_max = np.zeros(3), np.zeros(3)
     for g, (w, f, f_abs) in enumerate(groups):
         fine = quadrature._fine_factors(1j * w, tp, m)
-        for a, b, C, X, drop in quadrature._contract(w, f, f_abs, tp, bounds,
-                                                     fine):
+        for a, b, C, X, drop, size in quadrature._contract(w, f, f_abs, tp,
+                                                           bounds, fine):
             full = quadrature._exp_table(1j * w, tp[a:b], fine)
             ref = full @ f
             dev = np.abs(C - ref)
-            size = np.abs(full) @ f_abs
-            assert np.all(dev <= drop + quadrature._ROUNDING * size)
-            # the floor: sums of subnormal numbers carry no relative accuracy
+            assert np.all(dev <= drop + quadrature._ROUNDING
+                          * (np.abs(full) @ f_abs))
             kept = X.shape[1]
+            assert np.all(np.abs(full[:, :kept]) @ f_abs[:kept]
+                          <= size * (1.0 + 1e-12))
+            # the floor: sums of subnormal numbers carry no relative accuracy
             left_out = np.abs(full[:, kept:] @ f[kept:])
             assert np.all(left_out <= drop * (1.0 + 1e-12) + 1e-300)
             dev_max[g] = max(dev_max[g], dev.max())
@@ -719,13 +722,12 @@ def test_pruning_drops_entries_on_fig1s_preset_grid():
     assert 0 < report.ray_entries_kept < report.ray_entries
 
 
-def test_ray_tables_and_their_moduli_share_one_block():
+def test_ray_tables_share_one_block():
     # the largest allocation of a warm integrate is the block that holds
-    # each e^{iwt} table and, over the same memory, its moduli: 16 bytes
-    # per entry.  On fig1's benchmark grid (t <= 5, dt 0.02) the rest of the
-    # call stays below the block's size, so the traced peak stays below
-    # twice the block; moduli held beside the tables, 8 more bytes per
-    # entry, would exceed it
+    # each e^{iwt} table in turn: 16 bytes per entry.  On fig1's benchmark
+    # grid (t <= 5, dt 0.02) the rest of the call stays below the block's
+    # size, so the traced peak stays below twice the block; 8 more bytes
+    # per entry beside it, such as the tables' moduli, would exceed it
     integ = _integrator(FIG1)
     t = np.arange(0.0, 5.0 + 0.01, 0.02)
     integ.integrate(t)
