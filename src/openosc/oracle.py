@@ -68,7 +68,11 @@ from .model import (
 MODE_CAP = 2000
 
 #: times per block of the propagation: each block holds a few
-#: (n_modes, _TIME_BLOCK) tables, the oracle's working set
+#: (n_modes, _TIME_BLOCK) tables, the oracle's working set.  Unlike the
+#: memory integrals' products, its (201 x 201)(201 x 128) products in
+#: validate stay threaded: on a 2-core VM they took 0.09-0.10 ms at two
+#: OpenBLAS threads, against 0.19 ms in stacks of 16 rows, which run on
+#: the calling thread
 _TIME_BLOCK = 128
 
 #: How far, in ulp of the largest time, each time may sit from t_0 + k h

@@ -61,7 +61,11 @@ cross terms.
   itself an outer product, e^{iw(t_0 + a m h)} e^{iwjh} with k = a m + j
   (``_exp_table``): one complex multiply per entry, exponentials only for
   the coarse factors, and the fine ones built once per group for every
-  slice.  Other grids take one exponential per entry.
+  slice.  Other grids take one exponential per entry.  Each table is
+  contracted in blocks of ``_ROWS`` = 16 times, one stacked product, and
+  the static parts over at most 1024 times a product: OpenBLAS runs
+  products that small on the calling thread, so no series waits on a
+  BLAS worker, whose hand-off can cost far more than the product.
 
 Nothing is adaptive: the node count follows from the spec and grows only as
 log2(t_max/t_min).  The error budget adds the static parts' estimates,
@@ -73,8 +77,8 @@ panel.  The cross terms bisect only their two end panels and the panels
 that overlap [m_lo/2, 2 m_hi], m_lo and m_hi the smallest and largest
 modulus of a singularity (``_bisected``), and take their value from the
 halves there; on the other panels one K15 level is accurate to rounding.
-All sums run in a fixed order, so repeated runs at one BLAS thread count
-are bit-identical.
+All sums run in a fixed order on the calling thread, so repeated runs
+are bit-identical, at any BLAS thread count.
 """
 
 from __future__ import annotations
@@ -129,6 +133,16 @@ _ROUNDING = 64 * np.finfo(float).eps
 #: hold at most this many (``_slices``).  fig1's benchmark grid (250 times,
 #: 300 nodes) takes one slice, validate's (500 times) two.
 _TABLE_ENTRIES = 2**17
+
+#: Time rows per product of the ray's contraction (``_contract``).
+#: OpenBLAS 0.3.31 ran a complex (16 x K)(K x 16) product on the calling
+#: thread for every K tried, up to 4001, but split one of 17 rows or more
+#: across its threads once K reached a few hundred, e.g.
+#: (20 x 1000)(1000 x 16).  On a 2-core VM such a split product took
+#: 5-8 ms against 0.05 ms when the worker shared a core with the caller,
+#: and how it split the rows moved the sums' last bits with the thread
+#: count.
+_ROWS = 16
 
 #: A ray node leaves a time slice's table when its weighted factor
 #: max_c |f_jc| e^{-Im(w_j) t_min} is below this fraction of the sum over
@@ -289,15 +303,23 @@ class MemoryIntegrator:
         """
         s = self.ev.s
         E = np.exp(np.multiply.outer(s, t))  # (4, n_t)
-        EE = (E[:, None, :] * E[None, :, :].conj()).reshape(16, t.size)
         S, eS = self._S, self._S_err
         terms = self._rate[None] * S[:, None, 1:]  # (n_l, 2, 16)
-        value = (terms @ EE).real
+        terms_abs = np.abs(terms)
+        errors = np.abs(self._rate)[None] * eS[:, None, 1:]
+        value, size, budget = np.empty((3, len(S), 2, t.size))
+        # OpenBLAS splits a (2 x 16)(16 x 4001) product across its threads,
+        # but runs one over at most 1024 times on the calling thread
+        for a in range(0, t.size, 1024):
+            cols = slice(a, a + 1024)
+            EE = (E[:, None, cols] * E[None, :, cols].conj()).reshape(16, -1)
+            EE_abs = np.abs(EE)
+            value[..., cols] = (terms @ EE).real
+            # the parts cancel as t -> 0, so rounding scales with their size
+            size[..., cols] = terms_abs @ EE_abs
+            budget[..., cols] = errors @ EE_abs
         value[:, 0] += S[:, 0, None].real
-        # the parts cancel as t -> 0, so rounding scales with their size
-        size = np.abs(terms) @ np.abs(EE)
         size[:, 0] += np.abs(S[:, 0, None])
-        budget = (np.abs(self._rate)[None] * eS[:, None, 1:]) @ np.abs(EE)
         budget[:, 0] += eS[:, 0, None]
 
         Ej = E[self._inside]
@@ -325,9 +347,9 @@ class MemoryIntegrator:
         kept = 0
         longest = max(np.diff(bounds))
         m = math.isqrt(longest)
-        # one block, allocated once per call, holds each table, up to m - 1
-        # rows longer than its slice
-        n = -(-longest // m) * m * max(len(w) for w, _, _ in groups)
+        # one block, allocated once per call, holds each table in turn
+        # (``_block_rows``)
+        n = _block_rows(longest, m) * max(len(w) for w, _, _ in groups)
         tables = np.empty(n, dtype=complex)
         for g, (w, f, f_abs) in enumerate(groups):
             fine = _fine_factors(1j * w, t, m)  # shared by every slice
@@ -466,6 +488,14 @@ def _exp_table(z, t, fine, out=None):
     return table.reshape(len(coarse) * m, z.size)[:t.size]
 
 
+def _block_rows(n_t, m):
+    """Rows of the flat block that holds an n_t-time slice's e^{iwt} table:
+    the factored table runs up to m - 1 rows past its slice
+    (``_exp_table``), and ``_contract`` reads it in whole ``_ROWS``-row
+    blocks."""
+    return max(-(-n_t // m) * m, -(-n_t // _ROWS) * _ROWS)
+
+
 def _contract(w, f, f_abs, t, bounds, fine, out=None):
     """One group's share of the cross terms, C_c(t) = sum_j f_jc e^{i w_j t},
     one time slice [a, b) of ``bounds`` at a time; the nodes w are sorted
@@ -476,10 +506,13 @@ def _contract(w, f, f_abs, t, bounds, fine, out=None):
     is below ``_DROP`` of the group's sum; the table keeps the prefix up to
     the last node that is not.  |e^{i w_j t}| <= e^{-Im(w_j) t_min} at every
     time of the slice, which bounds the part left out and the kept part.
+    The table is held in the flat block ``out`` (one is allocated if none
+    is given; ``_block_rows`` sizes it) and contracted in blocks of
+    ``_ROWS`` times, one stacked product, its padding rows zeroed.
     Yields (a, b, C, X, drop, size) per slice: C (b - a, n_c), the table
-    X = e^{iwt} of the kept nodes (``_exp_table`` with ``fine`` of iw; held
-    in ``out`` if given, which the next slice overwrites) and those bounds
-    per component, (n_c,), on sum_j |f_jc e^{i w_j t}| over each part.
+    X = e^{iwt} of the kept nodes (``_exp_table`` with ``fine`` of iw),
+    which the next slice overwrites, and those bounds per component,
+    (n_c,), on sum_j |f_jc e^{i w_j t}| over each part.
     """
     t_min = np.minimum.reduceat(t, bounds[:-1])
     decay = np.exp(-np.multiply.outer(w.imag, t_min))  # (n_w, n_slices)
@@ -489,9 +522,18 @@ def _contract(w, f, f_abs, t, bounds, fine, out=None):
                   initial=0)
     drop = f_abs.T @ (decay * (rank > keep))
     size = f_abs.T @ (decay * (rank <= keep))
+    if out is None:
+        m = 1 if fine is None else len(fine[1])
+        out = np.empty(_block_rows(max(np.diff(bounds)), m) * len(w),
+                       dtype=complex)
     for s, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
-        X = _exp_table(1j * w[:keep[s]], t[a:b], fine, out)
-        yield a, b, X @ f[:keep[s]], X, drop[:, s], size[:, s]
+        k = keep[s]
+        X = _exp_table(1j * w[:k], t[a:b], fine, out)
+        rows = -(-(b - a) // _ROWS) * _ROWS
+        blocks = out[:rows * k].reshape(rows // _ROWS, _ROWS, k)
+        blocks.reshape(rows, k)[b - a:] = 0.0
+        C = np.matmul(blocks, f[:k]).reshape(rows, -1)[:b - a]
+        yield a, b, C, X, drop[:, s], size[:, s]
 
 
 def _k15_nodes(lo, hi):

@@ -1,4 +1,8 @@
 import math
+import pathlib
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -742,6 +746,41 @@ def test_ray_tables_share_one_block():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * block
+
+
+def _other_threads_cpu_ticks():
+    """utime + stime ticks of every thread of this process but the calling
+    one, from /proc/self/task/*/stat."""
+    ticks = 0
+    for task in pathlib.Path("/proc/self/task").iterdir():
+        if int(task.name) != threading.get_native_id():
+            # the fields after the command's closing parenthesis start at
+            # the state; utime and stime are the 12th and 13th
+            fields = (task / "stat").read_text().rsplit(")", 1)[1].split()
+            ticks += int(fields[11]) + int(fields[12])
+    return ticks
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux")
+    or len(list(pathlib.Path("/proc/self/task").iterdir())) < 2,
+    reason="needs Linux and a second thread")
+def test_series_products_stay_on_the_calling_thread():
+    # every matrix product of a series is small enough in its time rows
+    # (_ROWS in the ray's contraction, 1024 in the static parts) that
+    # OpenBLAS runs it on the calling thread: its workers, and any other
+    # thread, use no CPU meanwhile.  The sleep lets a worker that an
+    # earlier product woke stop spinning
+    spec = _spec(FIG1)
+    grids = [np.arange(0.0, 5.0 + 0.01, 0.02),
+             np.arange(0.0, 20.0 + 0.005, 0.01),
+             np.arange(0.0, 20.0 + 0.0025, 0.005)]
+    time.sleep(0.5)
+    before = _other_threads_cpu_ticks()
+    for t in grids:
+        for _ in range(3):
+            coefficient_series(spec, t)
+    assert _other_threads_cpu_ticks() == before
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
