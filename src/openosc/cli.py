@@ -61,6 +61,7 @@ from .scenarios import (
     _energies_table,
     _trajectory_table,
     run_scenario,
+    time_grid,
 )
 from .transport import quadrature
 from .transport.asymptotics import (
@@ -128,9 +129,11 @@ def parse_config_text(text: str) -> dict:
 
 def load_config(path) -> dict:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
     return parse_config_text(text)
 
 
@@ -186,11 +189,11 @@ def has_second_system(raw) -> bool:
 
 
 def config_run(raw) -> dict:
+    """[run] of a config: t_max, its time grid t, and n0."""
     run = raw.get("run", {})
-    out = {
-        "t_max": _get_float(raw, "run", "t_max", _DEFAULTS["t_max"]),
-        "dt": _get_float(raw, "run", "dt", _DEFAULTS["dt"]),
-    }
+    t_max = _get_float(raw, "run", "t_max", _DEFAULTS["t_max"])
+    dt = _get_float(raw, "run", "dt", _DEFAULTS["dt"])
+    out = {"t_max": t_max}
     if "n0" in run:
         try:
             out["n0"] = tuple(float(v) for v in run["n0"].split(","))
@@ -201,10 +204,7 @@ def config_run(raw) -> dict:
     if len(out["n0"]) > 2:
         raise ConfigError(f"[run] n0 = {run['n0']!r} lists more than two "
                           "values (one per oscillator)")
-    for key in ("t_max", "dt"):
-        if not (np.isfinite(out[key]) and out[key] > 0):
-            raise ConfigError(f"[run] {key} = {out[key]!r} must be a positive "
-                              "finite number")
+    out["t"] = time_grid(t_max, dt, "[run] ")
     return out
 
 
@@ -289,14 +289,10 @@ def write_metadata(out: Path, command: str, raw, extra=None):
 
 # ----------------------------------------------------------------- subcommands
 
-def _time_grid(run):
-    return np.arange(0.0, run["t_max"] + 0.5 * run["dt"], run["dt"])
-
-
 def cmd_coeffs(raw, out):
     spec = config_system(raw)
     run = config_run(raw)
-    series = coefficient_series(spec, _time_grid(run))
+    series = coefficient_series(spec, run["t"])
     write_csv(out / "coefficients.csv", *_coefficient_table(series))
     write_metadata(out, "coeffs", raw,
                    {"quadrature": _quad_summary(series.quadrature_report)})
@@ -345,7 +341,7 @@ def _single_run(raw):
     """The configured single-system run: series, trajectory, observables."""
     spec = config_system(raw)
     run = _single_run_settings(raw)
-    series = coefficient_series(spec, _time_grid(run))
+    series = coefficient_series(spec, run["t"])
     traj = evolve(series, spec, run["n0"][0])
     return series, traj, _series_observables(series, traj)
 
@@ -367,7 +363,7 @@ def cmd_coupled(raw, out):
     s2 = config_system(raw, second=True)
     run = config_run(raw)
     beta = _get_float(raw, "coupling", "beta", _DEFAULTS["beta"])
-    t = _time_grid(run)
+    t = run["t"]
     series1 = coefficient_series(s1, t)
     series2 = coefficient_series(s2, t)
     n0 = run["n0"] if len(run["n0"]) == 2 else (run["n0"][0], run["n0"][0])
@@ -561,7 +557,7 @@ def cmd_validate(raw, out):
         BathSpec(statistics=+1, alpha=0.01, gamma=10.0, temperature=1.0),
         BathSpec(statistics=+1, alpha=0.01, gamma=10.0, temperature=1.0),
     )
-    t = np.arange(0.0, 10.0 + 1e-9, 0.02)
+    t = time_grid(10.0, 0.02)
     series = coefficient_series(spec, t)
     n0 = 0.0
     # a 3% friction corruption, for the fault-injection check

@@ -163,6 +163,20 @@ def _energies_table(traj):
             [traj.t, traj.dissipation[0], traj.dissipation[1]])
 
 
+def time_grid(t_max, dt, section=""):
+    """The times 0, dt, 2 dt, ... up to t_max, for a positive finite t_max
+    and dt; a ConfigError names a value by its key, after ``section``."""
+    for key, value in (("t_max", t_max), ("dt", dt)):
+        if not (np.isfinite(value) and value > 0):
+            raise ConfigError(f"{section}{key} = {value!r} must be a positive "
+                              "finite number")
+    try:
+        return np.arange(0.0, t_max + 0.5 * dt, dt)
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(f"{section}dt = {dt!r} up to t_max = {t_max!r} asks "
+                          f"for a time grid numpy cannot build: {exc}") from exc
+
+
 def run_scenario(name: str, *, t_max=None, dt=None) -> ScenarioResult:
     """Run one preset scenario and return its tables."""
     if name not in SCENARIOS:
@@ -172,11 +186,7 @@ def run_scenario(name: str, *, t_max=None, dt=None) -> ScenarioResult:
     d = SCENARIOS[name]
     t_max = float(t_max if t_max is not None else d.t_max)
     dt = float(dt if dt is not None else d.dt)
-    for key, value in (("t_max", t_max), ("dt", dt)):
-        if not (np.isfinite(value) and value > 0):
-            raise ConfigError(f"{key} = {value!r} must be a positive finite "
-                              "number")
-    t = np.arange(0.0, t_max + 0.5 * dt, dt)
+    t = time_grid(t_max, dt)
 
     meta = {"scenario": name, "description": d.description, "t_max": t_max,
             "dt": dt, "rtol": quadrature.RTOL}

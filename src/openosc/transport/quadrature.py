@@ -57,15 +57,15 @@ cross terms.
   e^{iwt} has underflowed against the rest of the group by the slice's
   smallest time (``_contract``), and the budget carries a bound on what
   they would add; the same bound on the kept nodes sizes the slice's
-  rounding allowance.  On a uniform grid t_k = t_0 + k h the table is
-  itself an outer product, e^{iw(t_0 + a m h)} e^{iwjh} with k = a m + j
-  (``_exp_table``): one complex multiply per entry, exponentials only for
-  the coarse factors, and the fine ones built once per group for every
-  slice.  Other grids take one exponential per entry.  Each table is
-  contracted in blocks of ``_ROWS`` = 16 times, one stacked product, and
-  the static parts over at most 1024 times a product: OpenBLAS runs
-  products that small on the calling thread, so no series waits on a
-  BLAS worker, whose hand-off can cost far more than the product.
+  rounding allowance.  Each table is a stack of blocks of ``_ROWS`` = 16
+  times, contracted as it is in one stacked product, and the static parts
+  take at most 1024 times a product: OpenBLAS runs products that small on
+  the calling thread, so no series waits on a BLAS worker, whose hand-off
+  can cost far more than the product.  On a uniform grid t_k = t_0 + k h
+  block a is an outer product, e^{iw(t_0 + 16 a h)} e^{iwjh} with
+  k = 16 a + j (``_exp_table``): one complex multiply per entry, and the
+  16 fine factors built once per group for every slice.  Other grids take
+  one exponential per entry.
 
 Nothing is adaptive: the node count follows from the spec and grows only as
 log2(t_max/t_min).  The error budget adds the static parts' estimates,
@@ -83,7 +83,6 @@ are bit-identical, at any BLAS thread count.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,11 +133,11 @@ _ROUNDING = 64 * np.finfo(float).eps
 #: 300 nodes) takes one slice, validate's (500 times) two.
 _TABLE_ENTRIES = 2**17
 
-#: Time rows per product of the ray's contraction (``_contract``).
-#: OpenBLAS 0.3.31 ran a complex (16 x K)(K x 16) product on the calling
-#: thread for every K tried, up to 4001, but split one of 17 rows or more
-#: across its threads once K reached a few hundred, e.g.
-#: (20 x 1000)(1000 x 16).  On a 2-core VM such a split product took
+#: Times per block of the ray's e^{iwt} tables (``_exp_table``), and so
+#: rows per product of their contraction (``_contract``).  OpenBLAS 0.3.31
+#: ran a complex (16 x K)(K x 16) product on the calling thread for every K
+#: tried, up to 4001, but split one of 17 rows or more across its threads
+#: once K reached a few hundred, e.g. (20 x 1000)(1000 x 16).  On a 2-core VM such a split product took
 #: 5-8 ms against 0.05 ms when the worker shared a core with the caller,
 #: and how it split the rows moved the sums' last bits with the thread
 #: count.
@@ -345,15 +344,14 @@ class MemoryIntegrator:
         C_diff = np.zeros_like(C_value)
         bound = np.zeros((n_c, t.size))
         kept = 0
-        longest = max(np.diff(bounds))
-        m = math.isqrt(longest)
-        # one block, allocated once per call, holds each table in turn
-        # (``_block_rows``)
-        n = _block_rows(longest, m) * max(len(w) for w, _, _ in groups)
-        tables = np.empty(n, dtype=complex)
+        # one block, allocated once per call, holds each table in turn: the
+        # longest slice's whole ``_ROWS``-time blocks over the largest group
+        rows = -(-max(np.diff(bounds)) // _ROWS) * _ROWS
+        tables = np.empty(rows * max(len(w) for w, _, _ in groups),
+                          dtype=complex)
         for g, (w, f, f_abs) in enumerate(groups):
-            fine = _fine_factors(1j * w, t, m)  # shared by every slice
-            for a, b, C, X, drop, size in _contract(w, f, f_abs, t, bounds,
+            fine = _fine_factors(1j * w, t)  # shared by every slice
+            for a, b, C, k, drop, size in _contract(w, f, f_abs, t, bounds,
                                                     fine, tables):
                 if g < 2:  # the value's groups
                     C_value[:, a:b] += C.T
@@ -363,7 +361,7 @@ class MemoryIntegrator:
                 elif g == 2:
                     C_diff[:, a:b] -= C.T
                 bound[:, a:b] += drop[:, None]
-                kept += X.size
+                kept += (b - a) * k
         return C_value, C_diff, bound, kept
 
     def _error_scales(self, totals: np.ndarray) -> np.ndarray:
@@ -448,52 +446,46 @@ def _slices(n_t, n_nodes):
     return list(range(0, n_t, length)) + [n_t]
 
 
-def _fine_factors(z, t, m):
-    """(h, e^{z j h} for 0 <= j < m), the latter (m, n_z), if t_k = t_0 + k h
-    with h >= 0 for every k, to within ``_UNIFORM_ULPS`` of the largest
-    time; else None."""
+def _fine_factors(z, t):
+    """(h, e^{z j h} for 0 <= j < ``_ROWS``), the latter (_ROWS, n_z), if
+    t_k = t_0 + k h with h >= 0 for every k, to within ``_UNIFORM_ULPS`` of
+    the largest time; else None."""
     n = t.size
     if n > 1:
         h = (t[-1] - t[0]) / (n - 1)
         drift = np.abs(t[0] + h * np.arange(n) - t).max()
         if h >= 0.0 and drift <= _UNIFORM_ULPS * np.spacing(np.abs(t).max()):
-            return h, np.exp(np.multiply.outer(h * np.arange(m), z))
+            return h, np.exp(np.multiply.outer(h * np.arange(_ROWS), z))
     return None
 
 
 def _exp_table(z, t, fine, out=None):
-    """The table e^{zt}, (n_t, n_z), for Re z <= 0 and t >= 0, held in the
-    flat array ``out`` if one is given: the ray's phases e^{iwt}, z = iw.
+    """The table e^{zt} for Re z <= 0 and t >= 0 as a stack of blocks of
+    ``_ROWS`` times, (blocks, _ROWS, n_z), held in the flat array ``out``
+    if one is given: the ray's phases e^{iwt}, z = iw.  Row k of the
+    stack's (blocks * _ROWS, n_z) view is time k.
 
-    ``fine`` is None, and the table takes one exponential per entry, unless
-    t is a run of a uniform grid t_k = t_0 + k h.  Then it is
-    ``_fine_factors`` of that grid and of exponents whose first columns are
-    z; write k = a m + j: e^{z t_k} = e^{z (t_0 + a m h)} e^{z j h}, so the
-    table is an outer product of n_t/m coarse and the m fine factors per
-    exponent, with one multiply per entry in place of one exponential.
-    With h >= 0 neither factor exceeds 1 in magnitude, so their product
-    cannot be 0 * inf.
+    ``fine`` is None, and the table takes one exponential per entry, its
+    last block padded with the last time, unless t is a run of a uniform
+    grid t_k = t_0 + k h.  Then it is ``_fine_factors`` of that grid and of
+    exponents whose first columns are z; write k = 16 a + j:
+    e^{z t_k} = e^{z (t_0 + 16 a h)} e^{z j h}, so block a is coarse factor
+    a times the fine factors, one multiply per entry in place of one
+    exponential, and the last block runs on along the grid.  With h >= 0
+    neither factor exceeds 1 in magnitude, so their product cannot be
+    0 * inf.
     """
-    if fine is None:
-        if out is not None:
-            out = out[:t.size * z.size].reshape(t.size, z.size)
-        return np.exp(np.multiply.outer(t, z, out=out), out=out)
-    h, steps = fine
-    m = len(steps)
-    coarse = np.exp(np.multiply.outer(
-        t[0] + (m * h) * np.arange(-(-t.size // m)), z))
+    blocks = -(-t.size // _ROWS)
     if out is not None:
-        out = out[:coarse.size * m].reshape(len(coarse), m, z.size)
-    table = np.multiply(coarse[:, None, :], steps[None, :, :z.size], out=out)
-    return table.reshape(len(coarse) * m, z.size)[:t.size]
-
-
-def _block_rows(n_t, m):
-    """Rows of the flat block that holds an n_t-time slice's e^{iwt} table:
-    the factored table runs up to m - 1 rows past its slice
-    (``_exp_table``), and ``_contract`` reads it in whole ``_ROWS``-row
-    blocks."""
-    return max(-(-n_t // m) * m, -(-n_t // _ROWS) * _ROWS)
+        out = out[:blocks * _ROWS * z.size].reshape(blocks, _ROWS, z.size)
+    if fine is None:
+        times = np.pad(t, (0, blocks * _ROWS - t.size), mode="edge")
+        return np.exp(np.multiply.outer(times.reshape(blocks, _ROWS), z,
+                                        out=out), out=out)
+    h, steps = fine
+    coarse = np.exp(np.multiply.outer(
+        t[0] + (_ROWS * h) * np.arange(blocks), z))
+    return np.multiply(coarse[:, None, :], steps[None, :, :z.size], out=out)
 
 
 def _contract(w, f, f_abs, t, bounds, fine, out=None):
@@ -506,13 +498,12 @@ def _contract(w, f, f_abs, t, bounds, fine, out=None):
     is below ``_DROP`` of the group's sum; the table keeps the prefix up to
     the last node that is not.  |e^{i w_j t}| <= e^{-Im(w_j) t_min} at every
     time of the slice, which bounds the part left out and the kept part.
-    The table is held in the flat block ``out`` (one is allocated if none
-    is given; ``_block_rows`` sizes it) and contracted in blocks of
-    ``_ROWS`` times, one stacked product, its padding rows zeroed.
-    Yields (a, b, C, X, drop, size) per slice: C (b - a, n_c), the table
-    X = e^{iwt} of the kept nodes (``_exp_table`` with ``fine`` of iw),
-    which the next slice overwrites, and those bounds per component,
-    (n_c,), on sum_j |f_jc e^{i w_j t}| over each part.
+    The table, ``_exp_table`` of the kept nodes with ``fine`` of iw, is
+    held in the flat block ``out`` if one is given, which the next slice
+    overwrites, and its stack of ``_ROWS``-time blocks is multiplied as it
+    is, one stacked product.  Yields (a, b, C, k, drop, size) per slice:
+    C (b - a, n_c), k the count of kept nodes, and those bounds per
+    component, (n_c,), on sum_j |f_jc e^{i w_j t}| over each part.
     """
     t_min = np.minimum.reduceat(t, bounds[:-1])
     decay = np.exp(-np.multiply.outer(w.imag, t_min))  # (n_w, n_slices)
@@ -522,18 +513,11 @@ def _contract(w, f, f_abs, t, bounds, fine, out=None):
                   initial=0)
     drop = f_abs.T @ (decay * (rank > keep))
     size = f_abs.T @ (decay * (rank <= keep))
-    if out is None:
-        m = 1 if fine is None else len(fine[1])
-        out = np.empty(_block_rows(max(np.diff(bounds)), m) * len(w),
-                       dtype=complex)
     for s, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
-        k = keep[s]
+        k = int(keep[s])
         X = _exp_table(1j * w[:k], t[a:b], fine, out)
-        rows = -(-(b - a) // _ROWS) * _ROWS
-        blocks = out[:rows * k].reshape(rows // _ROWS, _ROWS, k)
-        blocks.reshape(rows, k)[b - a:] = 0.0
-        C = np.matmul(blocks, f[:k]).reshape(rows, -1)[:b - a]
-        yield a, b, C, X, drop[:, s], size[:, s]
+        C = np.matmul(X, f[:k]).reshape(-1, f.shape[1])[:b - a]
+        yield a, b, C, k, drop[:, s], size[:, s]
 
 
 def _k15_nodes(lo, hi):

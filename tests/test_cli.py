@@ -349,7 +349,7 @@ def test_summary_reports_the_rays_kept_fraction(fig1_case):
 
 
 @pytest.mark.parametrize("key, value", [("t_max", "nan"), ("t_max", "inf"),
-                                        ("dt", "nan")])
+                                        ("dt", "nan"), ("dt", "1e-300")])
 def test_run_grid_must_be_finite(tmp_path, capsys, key, value):
     # np.arange used to raise a bare ValueError (exit 1) on these
     cfg = tmp_path / "weak.ini"
@@ -364,6 +364,22 @@ def test_scenario_grid_must_be_finite(tmp_path, capsys):
     assert main(["--out", str(tmp_path), "scenario", "fig1", "--t-max",
                  "nan"]) == 2
     assert "t_max = nan" in capsys.readouterr().err
+
+
+def test_scenario_grid_numpy_cannot_build_exits_2(tmp_path, capsys):
+    # np.arange raised a bare ValueError (exit 1) on 2e301 times
+    assert main(["--out", str(tmp_path), "scenario", "fig1", "--dt",
+                 "1e-300"]) == 2
+    assert ("dt = 1e-300 up to t_max = 20.0 asks for a time grid numpy "
+            "cannot build") in capsys.readouterr().err
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "random.ini"
+    cfg.write_bytes(np.random.default_rng(0).bytes(200))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "run"),
+                 "coeffs"]) == 2
+    assert f"config {cfg} is not UTF-8 text" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ["fig2", "fig6", "fig8"])
