@@ -108,7 +108,8 @@ class ComparisonReport:
 
 def _midpoints(n_modes: int, w_max: float):
     """Midpoint frequencies w_i and spacing dw of the comb every bath shares."""
-    if not isinstance(n_modes, (int, np.integer)) or n_modes < 1:
+    if (isinstance(n_modes, (bool, np.bool_))
+            or not isinstance(n_modes, (int, np.integer)) or n_modes < 1):
         raise DomainError(f"need a whole number of bath modes >= 1, "
                           f"got {n_modes}")
     if not (np.isfinite(w_max) and w_max > 0):
@@ -155,6 +156,8 @@ def evolve_exact(spec: SystemSpec, t, n0: float, *, n_modes: int = 400,
         Sampling cutoff (default: the quadrature cutoff rule).
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
+    if t.size == 0:
+        raise DomainError("oracle times must not be empty")
     bad = t[~(t >= 0) | np.isinf(t)]
     if bad.size:
         raise DomainError(f"oracle times must be finite and nonnegative, "
@@ -393,9 +396,14 @@ def _cos_sin(nu, t):
 
 def compare(t_a, n_a, t_b, n_b) -> ComparisonReport:
     """Pointwise deviation of two trajectories on their common time window,
-    sampled at as many uniform times as the shorter trajectory has."""
-    t_a = np.asarray(t_a, dtype=float)
-    t_b = np.asarray(t_b, dtype=float)
+    sampled at as many uniform times as the shorter trajectory has.  Each
+    trajectory is a nonempty 1-D array of times and as many values."""
+    t_a, n_a, t_b, n_b = (np.asarray(x, dtype=float)
+                          for x in (t_a, n_a, t_b, n_b))
+    for t, n in ((t_a, n_a), (t_b, n_b)):
+        if t.ndim != 1 or t.size == 0 or n.shape != t.shape:
+            raise DomainError(f"a trajectory needs nonempty 1-D times and as "
+                              f"many values; got {t.shape} and {n.shape}")
     lo = max(t_a.min(), t_b.min())
     hi = min(t_a.max(), t_b.max())
     if hi <= lo:
@@ -404,8 +412,7 @@ def compare(t_a, n_a, t_b, n_b) -> ComparisonReport:
             f"vs [{t_b.min():g}, {t_b.max():g}])"
         )
     grid = np.linspace(lo, hi, min(t_a.size, t_b.size))
-    dev = np.abs(np.interp(grid, t_a, np.asarray(n_a, dtype=float))
-                 - np.interp(grid, t_b, np.asarray(n_b, dtype=float)))
+    dev = np.abs(np.interp(grid, t_a, n_a) - np.interp(grid, t_b, n_b))
     k = int(np.argmax(dev))
     return ComparisonReport(
         max_abs_dev=float(dev[k]),

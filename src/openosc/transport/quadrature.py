@@ -48,37 +48,44 @@ cross terms.
   e^{i w_j t} = e^{s_j t}.  The other poles (Lorentzian, Matsubara, real
   roots) lie on the imaginary axis, and those of c_k in the lower
   half-plane.  theta bisects the widest angular gap between the real axis,
-  the first-quadrant poles and the imaginary axis.  The ray's nodes do not
-  depend on t, so each time costs one column of an e^{iwt} product.  The
-  nodes come in three groups (``_ray_groups``), each sorted by Im w, and
+  the first-quadrant poles and the imaginary axis.
+* Every term of I(t) but S_0 is e^{s_k t} times a sum of f e^{iwt} over
+  nodes w, which one contraction (``_contract``) evaluates: the ray's
+  nodes (f = F_k dw, and s_k + iw on dI), the residues' poles w_j, and
+  w = -i s_k* for S_jk e^{(s_j + s_k*) t} = e^{s_j t} S_jk/2 e^{iwt} plus
+  its conjugate, whose dI factor s_j + s_k* is s_j + iw again.  These
+  static nodes, at most 8, are built once.  No node depends on t, so each
+  time costs one column of an e^{iwt} product.  The nodes come in four
+  groups (``_ray_groups``), each sorted by Im w, and
   the times in equal slices whose tables hold at most ``_TABLE_ENTRIES``
-  entries; one table, of one group on one slice, exists at a time, in one
-  block allocated per call.  A slice's table leaves out the nodes whose
-  e^{iwt} has underflowed against the rest of the group by the slice's
-  smallest time (``_contract``), and the budget carries a bound on what
-  they would add; the same bound on the kept nodes sizes the slice's
-  rounding allowance.  Each table is a stack of blocks of ``_ROWS`` = 16
-  times, contracted as it is in one stacked product, and the static parts
-  take at most 1024 times a product: OpenBLAS runs products that small on
-  the calling thread, so no series waits on a BLAS worker, whose hand-off
-  can cost far more than the product.  On a uniform grid t_k = t_0 + k h
-  block a is an outer product, e^{iw(t_0 + 16 a h)} e^{iwjh} with
-  k = 16 a + j (``_exp_table``): one complex multiply per entry, and the
-  16 fine factors built once per group for every slice.  Other grids take
-  one exponential per entry.
+  entries over the ray's largest group; one table, of one group on one
+  slice, exists at a time, in one block allocated per call.  A slice's
+  table leaves out the nodes whose e^{iwt} has underflowed against the
+  rest of the group by the slice's smallest time, and the budget carries
+  a bound on what they would add; the same bound on the kept nodes sizes
+  the slice's rounding allowance.  Each table is a stack of blocks of
+  ``_ROWS`` = 16 times, contracted as it is in one stacked product:
+  OpenBLAS runs products that small on the calling thread, so no series
+  waits on a BLAS worker, whose hand-off can cost far more than the
+  product.  On a uniform grid t_k = t_0 + k h block a is an outer
+  product, e^{iw(t_0 + 16 a h)} e^{iwjh} with k = 16 a + j
+  (``_exp_table``): one complex multiply per entry, and the 16 fine
+  factors built once per group for every slice.  Other grids take one
+  exponential per entry.
 
 Nothing is adaptive: the node count follows from the spec and grows only as
-log2(t_max/t_min).  The error budget adds the static parts' estimates,
-the cross terms' difference to one bisection, the bound on the ray's
-left-out nodes, and a rounding allowance on the parts' magnitudes, which
-cancel as t -> 0; ``integrate`` raises QuadratureError when it exceeds
-``RTOL`` of the error scale at any time.  The static parts bisect every
-panel.  The cross terms bisect only their two end panels and the panels
-that overlap [m_lo/2, 2 m_hi], m_lo and m_hi the smallest and largest
-modulus of a singularity (``_bisected``), and take their value from the
-halves there; on the other panels one K15 level is accurate to rounding.
-All sums run in a fixed order on the calling thread, so repeated runs
-are bit-identical, at any BLAS thread count.
+log2(t_max/t_min).  The error budget adds, each as a sum of magnitudes,
+the static parts' estimates, the cross terms' difference to one
+bisection, the bound on every group's left-out nodes, and a rounding
+allowance on the parts' magnitudes, which cancel as t -> 0; ``integrate``
+raises QuadratureError when it exceeds ``RTOL`` of the error scale at any
+time.  The static parts bisect every panel.  The cross terms bisect only
+their two end panels and the panels that overlap [m_lo/2, 2 m_hi], m_lo
+and m_hi the smallest and largest modulus of a singularity
+(``_bisected``), and take their value from the halves there; on the
+other panels one K15 level is accurate to rounding.  All sums run in a
+fixed order on the calling thread, so repeated runs are bit-identical,
+at any BLAS thread count.
 """
 
 from __future__ import annotations
@@ -195,8 +202,8 @@ class QuadratureReport:
 class MemoryIntegrator:
     """Integrates both baths' memory integrals on a time grid.
 
-    The static parts are integrated on construction; ``integrate`` adds the
-    cross terms for the requested times.
+    The static parts are integrated on construction; ``integrate`` adds
+    every time-dependent term for the requested times.
 
     Parameters
     ----------
@@ -213,8 +220,7 @@ class MemoryIntegrator:
         self.last_report = None
         self._S, self._S_err, self._static_panels = integrate_static(evaluator)
         s = evaluator.s
-        self._rate = _rates(s)  # (2, 16): I and dI
-        self._R, self._theta, self._inside = _ray_geometry(spec, s)
+        self._R, self._theta, inside = _ray_geometry(spec, s)
         # the cross terms' panels that overlap [m_lo/2, 2 m_hi], m_lo and
         # m_hi the smallest and largest singularity's modulus, are bisected
         # for their error estimate (``_bisected``); m_lo also sets the ray's
@@ -222,19 +228,29 @@ class MemoryIntegrator:
         modulus = np.abs(_singularities(spec, s))
         self._r_min = modulus.min()
         self._band = np.array([0.5 * self._r_min, 2.0 * modulus.max()])
-        inside = self._inside
-        self._P = self._residues(-1j * s[inside], s[inside],
-                                 evaluator.rootset.xi_prime[inside])
+        # the static nodes: w = -i s_k* for the root-root terms, and the
+        # poles w_j = -i s_j of the residues
+        w = np.concatenate([-1j * s.conj(), -1j * s[inside]])
+        half, half_err = (0.5 * S[:, 1:].reshape(-1, 4, 4).transpose(2, 0, 1)
+                          for S in (self._S, self._S_err))  # (k, bath, j)
+        f = self._columns(w, np.concatenate([half, self._residues(
+            w[4:], s[inside], evaluator.rootset.xi_prime[inside])]))
+        order = np.argsort(w.imag, kind="stable")
+        self._nodes = (w[order], f[order], np.abs(f[order]))
+        # the root-root terms' estimates alike, (4, 2 * 2 * 4), row k
+        # taking |e^{iwt}| = |e^{s_k t}|
+        self._S_est = np.abs(self._columns(w[:4], half_err))
 
     # ---------------------------------------------------------------- parts
 
     def _residues(self, wj, sj, xj):
-        """2 pi i Res_{w_j} F_k for I and dI: (2, 2, 4, n_j).
+        """2 pi i Res_{w_j} F_k of both baths: (n_j, 2, 4).
 
         The residue of conj(c_0^N(conj w)) = (w - omega)(g1 + iw)(g2 + iw)
         / q(iw) at w_j is -i xi'_j (w_j - omega)(g1 + s_j)(g2 + s_j); for
         c_0^M, (w - omega) becomes -(w + omega).  The term carries
-        e^{(s_k + s_j) t}, so dI takes the factor s_k + s_j.
+        e^{(s_k + s_j) t} = e^{s_k t} e^{i w_j t}, so dI takes the factor
+        s_k + s_j = s_k + i w_j, as on the ray (``_columns``).
         """
         ev = self.ev
         poles = -1j * xj * (ev.g1 + sj) * (ev.g2 + sj)
@@ -242,12 +258,17 @@ class MemoryIntegrator:
         out = []
         for bath in ev.spec.baths:
             wn, wp = _weights(bath, wj)
-            res = 2j * np.pi * (
+            out.append(2j * np.pi * (
                 (-wn * (wj + ev.w) * poles)[:, None] * cMk
-                + (wp * (wj - ev.w) * poles)[:, None] * cNk)  # (n_j, 4)
-            res = res.T
-            out.append(np.stack([res, res * (ev.s[:, None] + sj[None, :])]))
-        return np.array(out)
+                + (wp * (wj - ev.w) * poles)[:, None] * cNk))  # (n_j, 4)
+        return np.stack(out, axis=1)
+
+    def _columns(self, w, F):
+        """The columns f of C_k for the nodes w, (n_w, 2 * 2 * 4) by bath,
+        I or dI, and k: F (n_w, 2, 4) by bath and k, and F (s_k + iw) for
+        dI."""
+        rate = self.ev.s[None, :] + 1j * w[:, None]
+        return np.stack([F, F * rate[:, None, :]], axis=2).reshape(w.size, -1)
 
     def _ray_nodes(self, lo, hi):
         """Ray nodes w = R v/(1 - v) e^{i theta} on the K15 panels [lo, hi]
@@ -258,19 +279,18 @@ class MemoryIntegrator:
         _, cM0, cN0 = self.ev._c0_coefficients(w.conj())
         R = self.ev._resolvent(w)
         cMk, cNk = self.ev.aM * R, self.ev.aN * R
-        rate = self.ev.s[None, :] + 1j * w[:, None]
-        f = []
+        F = []
         for bath in self.ev.spec.baths:
             wn, wp = _weights(bath, w)
-            F = ((wn * cM0.conj() * jac)[:, None] * cMk
-                 + (wp * cN0.conj() * jac)[:, None] * cNk)  # (n_v, 4)
-            f.append(np.stack([F, F * rate], axis=1))
-        return w, np.stack(f, axis=1).reshape(w.size, -1)
+            F.append((wn * cM0.conj() * jac)[:, None] * cMk
+                     + (wp * cN0.conj() * jac)[:, None] * cNk)  # (n_v, 4)
+        return w, self._columns(w, np.stack(F, axis=1))
 
     def _ray_groups(self, t):
-        """The ray's nodes for the times t > 0 in three groups: the panels
-        taken once, the halves of the bisected panels (``_bisected``), and
-        those panels at the base level.
+        """The nodes for the times t > 0 in four groups: the static nodes
+        (built on construction), the ray's panels taken once, the halves of
+        its bisected panels (``_bisected``), and those panels at the base
+        level.
 
         Each group is sorted by Im w, so that the nodes a time slice keeps
         form a prefix (``_contract``).  Returns [(w, f, |f|)] per group.
@@ -286,58 +306,25 @@ class MemoryIntegrator:
             np.concatenate([hi[~bis], mid[bis], hi[bis], hi[bis]]))
         n_bis = bis.sum()
         ends = np.cumsum([0, 15 * (len(bis) - n_bis), 30 * n_bis, 15 * n_bis])
-        groups = []
+        groups = [self._nodes]
         for a, b in zip(ends[:-1], ends[1:]):
             order = a + np.argsort(w[a:b].imag, kind="stable")
             f_g = f[order]
             groups.append((w[order], f_g, np.abs(f_g)))
         return groups
 
-    def _static(self, t):
-        """The static parts and the residues' cross terms of both baths at
-        the times t > 0, with their budgets, and e^{s t}.
-
-        Returns (value, budget, E): value and budget of shape (2, 2, n_t)
-        and E, (4, n_t).
-        """
-        s = self.ev.s
-        E = np.exp(np.multiply.outer(s, t))  # (4, n_t)
-        S, eS = self._S, self._S_err
-        terms = self._rate[None] * S[:, None, 1:]  # (n_l, 2, 16)
-        terms_abs = np.abs(terms)
-        errors = np.abs(self._rate)[None] * eS[:, None, 1:]
-        value, size, budget = np.empty((3, len(S), 2, t.size))
-        # OpenBLAS splits a (2 x 16)(16 x 4001) product across its threads,
-        # but runs one over at most 1024 times on the calling thread
-        for a in range(0, t.size, 1024):
-            cols = slice(a, a + 1024)
-            EE = (E[:, None, cols] * E[None, :, cols].conj()).reshape(16, -1)
-            EE_abs = np.abs(EE)
-            value[..., cols] = (terms @ EE).real
-            # the parts cancel as t -> 0, so rounding scales with their size
-            size[..., cols] = terms_abs @ EE_abs
-            budget[..., cols] = errors @ EE_abs
-        value[:, 0] += S[:, 0, None].real
-        size[:, 0] += np.abs(S[:, 0, None])
-        budget[:, 0] += eS[:, 0, None]
-
-        Ej = E[self._inside]
-        value += 2.0 * ((self._P @ Ej) * E).sum(axis=2).real
-        size += 2.0 * ((np.abs(self._P) @ np.abs(Ej)) * np.abs(E)).sum(axis=2)
-        budget += _ROUNDING * size
-        return value, budget, E
-
     def _ray(self, t, groups, bounds):
-        """The ray's part of C_k(t) in the value and in its error estimate,
-        at the times t > 0, one node group and one time slice at a time.
+        """Every time-dependent part of C_k(t) in the value and the ray's
+        part in its error estimate, at the times t > 0, one node group and
+        one time slice at a time.
 
         ``groups`` comes from ``_ray_groups`` and ``bounds`` from
-        ``_slices``.  The value takes the first two groups; the estimate is
-        the halves' part minus the base level's, on the bisected panels
+        ``_slices``.  The value takes the first three groups; the estimate
+        is the halves' part minus the base level's, on the bisected panels
         alone.  Returns (C_value, C_diff, bound, kept): the first three
         (2 * 2 * 4, n_t), bound the rounding allowance on the value's
         magnitudes per slice plus the bound on every group's left-out
-        nodes, and kept the entries of the tables built.
+        nodes, and kept the entries of the ray's tables built.
         """
         n_c = groups[0][1].shape[1]
         C_value = np.zeros((n_c, t.size), dtype=complex)
@@ -353,15 +340,16 @@ class MemoryIntegrator:
             fine = _fine_factors(1j * w, t)  # shared by every slice
             for a, b, C, k, drop, size in _contract(w, f, f_abs, t, bounds,
                                                     fine, tables):
-                if g < 2:  # the value's groups
+                if g < 3:  # the value's groups
                     C_value[:, a:b] += C.T
                     bound[:, a:b] += _ROUNDING * size[:, None]
-                if g == 1:
+                if g == 2:
                     C_diff[:, a:b] += C.T
-                elif g == 2:
+                elif g == 3:
                     C_diff[:, a:b] -= C.T
                 bound[:, a:b] += drop[:, None]
-                kept += (b - a) * k
+                if g > 0:  # the ray's
+                    kept += (b - a) * k
         return C_value, C_diff, bound, kept
 
     def _error_scales(self, totals: np.ndarray) -> np.ndarray:
@@ -409,15 +397,21 @@ class MemoryIntegrator:
         if pos.any():
             tp = t[pos]
             groups = self._ray_groups(tp)
-            n_nodes = [len(w) for w, _, _ in groups]
-            value, budget, E = self._static(tp)
+            n_nodes = [len(w) for w, _, _ in groups[1:]]  # the ray's
             C_value, C_diff, bound, kept = self._ray(
                 tp, groups, _slices(tp.size, max(n_nodes)))
+            E = np.exp(np.multiply.outer(self.ev.s, tp))  # (4, n_t)
+            E_abs = np.abs(E)
+            # the root-root terms' estimates, by root k of |e^{s_k t}|
+            bound += np.einsum("kc,kt->ct", self._S_est, E_abs)
             shape = (2, 2, 4, tp.size)
-            value += 2.0 * (C_value.reshape(shape) * E).sum(axis=2).real
+            value = 2.0 * (C_value.reshape(shape) * E).sum(axis=2).real
             diff = 2.0 * (C_diff.reshape(shape) * E).sum(axis=2).real
-            budget += np.abs(diff) + 2.0 * (bound.reshape(shape)
-                                            * np.abs(E)).sum(axis=2)
+            budget = np.abs(diff) + 2.0 * (bound.reshape(shape)
+                                           * E_abs).sum(axis=2)
+            S_0 = self._S[:, 0, None]
+            value[:, 0] += S_0.real
+            budget[:, 0] += self._S_err[:, 0, None] + _ROUNDING * np.abs(S_0)
             entries = tp.size * sum(n_nodes)
             worst = float((budget / self._error_scales(value)).max())
             if worst > RTOL:
@@ -611,13 +605,7 @@ def _singularities(spec: SystemSpec, roots: np.ndarray) -> list:
     return poles
 
 
-def _rates(s):
-    """(2, 16): the factors 1 and s_j + s_k* that the root-root terms of I
-    and dI carry."""
-    return np.stack([np.ones(16), (s[:, None] + s[None, :].conj()).ravel()])
-
-
-def _assemble(ev, rate, G):
+def _assemble(ev, G):
     """S_0 and the S_jk, (n, 17), from the resolvent integrals G.
 
     With c_k = a_k/(s_k + iw), partial fractions turn each product
@@ -628,7 +616,8 @@ def _assemble(ev, rate, G):
     AM = ev.aM[:, None] * ev.aM[None, :].conj()
     AN = ev.aN[:, None] * ev.aN[None, :].conj()
     S = ((AM * (Gn + Gn.swapaxes(1, 2).conj())
-          + AN * (Gp + Gp.swapaxes(1, 2).conj())).reshape(-1, 16) / rate[1])
+          + AN * (Gp + Gp.swapaxes(1, 2).conj()))
+         / (ev.s[:, None] + ev.s[None, :].conj())).reshape(-1, 16)
     return np.concatenate([S.sum(axis=1, keepdims=True).real, S], axis=1)
 
 
@@ -661,6 +650,5 @@ def integrate_static(ev):
     base, halves = terms[:n_base].sum(axis=0), terms[n_base:].sum(axis=0)
     # the assembly is linear, so the signed difference propagates through
     # it before its magnitude is taken
-    rate = _rates(s)
-    return (_assemble(ev, rate, halves),
-            np.abs(_assemble(ev, rate, halves - base)), 3 * lo.size)
+    return (_assemble(ev, halves), np.abs(_assemble(ev, halves - base)),
+            3 * lo.size)

@@ -311,6 +311,26 @@ def test_oracle_rejects_a_fractional_mode_count():
         evolve_exact(_weak(), [0.0, 1.0], 0.0, n_modes=50.5)
 
 
+def test_oracle_rejects_an_empty_grid_and_a_boolean_mode_count():
+    # numpy's "zero-size array" ValueError, and True run as one mode
+    with pytest.raises(DomainError, match="empty"):
+        evolve_exact(_weak(), [], 0.0, n_modes=20)
+    with pytest.raises(DomainError, match="got True"):
+        evolve_exact(_weak(), [0.0, 1.0], 0.0, n_modes=True)
+
+
+@pytest.mark.parametrize("t_a, n_a, t_b, n_b", [
+    ([], [], [0.0, 1.0], [0.0, 0.0]),
+    ([0.0, 1.0], [0.0, 0.0], [], []),
+    ([0.0, 1.0, 2.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0]),
+    ([0.0, 1.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 0.0]),
+], ids=["empty-a", "empty-b", "unequal-a", "unequal-b"])
+def test_compare_rejects_empty_and_unequal_trajectories(t_a, n_a, t_b, n_b):
+    # numpy raised ValueError, e.g. "fp and xp are not of the same length"
+    with pytest.raises(DomainError, match="trajectory"):
+        compare(t_a, n_a, t_b, n_b)
+
+
 def test_recurrence_horizon_warns():
     spec = _weak()
     with pytest.warns(UserWarning, match="recurrence"):

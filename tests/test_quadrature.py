@@ -695,7 +695,7 @@ def test_pruned_contraction_matches_the_full_tables(baths, t, monkeypatch):
     tp = t[t > 0.0]
     groups = integ._ray_groups(tp)
     bounds = quadrature._slices(tp.size, max(len(w) for w, _, _ in groups))
-    dev_max, C_max = np.zeros(3), np.zeros(3)
+    dev_max, C_max = np.zeros(len(groups)), np.zeros(len(groups))
     for g, (w, f, f_abs) in enumerate(groups):
         fine = quadrature._fine_factors(1j * w, tp)
         for a, b, C, kept, drop, size in quadrature._contract(w, f, f_abs, tp,
@@ -728,6 +728,60 @@ def test_pruning_drops_entries_on_fig1s_preset_grid():
     integ.integrate(np.arange(0.0, 20.0 + 0.005, 0.01))
     report = integ.last_report
     assert 0 < report.ray_entries_kept < report.ray_entries
+
+
+def _direct_integrals(integ, t):
+    """I and dI, (2, 2, n_t), at the times t > 0 by the direct formula
+
+        S_0 + Re sum_jk S_jk e^{(s_j + s_k*) t}
+            + 2 Re sum_jk Res_jk e^{(s_j + s_k) t} + the ray's cross terms,
+
+    with s_j + s_k* and s_j + s_k on dI and every e^{st} from np.exp: the
+    static parts' and the residues' time dependence apart from the ray's
+    contraction, which adds only the panels taken once and the halves."""
+    ev = integ.ev
+    s = ev.s
+    E = np.exp(np.multiply.outer(s, t))  # (4, n_t)
+    S = integ._S[:, 1:].reshape(-1, 4, 4)  # (bath, j, k)
+    SE = np.einsum("ljk,jt,kt->ljkt", S, E, E.conj())
+    value = np.stack([np.einsum("ljkt->lt", SE),
+                      np.einsum("ljkt,jk->lt", SE, s[:, None] + s.conj())],
+                     axis=1).real
+    value[:, 0] += integ._S[:, 0, None].real
+    inside = quadrature._ray_geometry(ev.spec, s)[2]
+    res = integ._residues(-1j * s[inside], s[inside],
+                          ev.rootset.xi_prime[inside])  # (j, bath, k)
+    RE = np.einsum("jlk,jt,kt->ljkt", res, E[inside], E)
+    value += 2.0 * np.stack([
+        np.einsum("ljkt->lt", RE),
+        np.einsum("ljkt,jk->lt", RE, s[inside, None] + s)], axis=1).real
+    groups = integ._ray_groups(t)[1:3]  # the ray's value groups
+    bounds = quadrature._slices(t.size, max(len(w) for w, _, _ in groups))
+    C = np.zeros((groups[0][1].shape[1], t.size), dtype=complex)
+    for w, f, f_abs in groups:
+        fine = quadrature._fine_factors(1j * w, t)
+        for a, b, C_s, *_ in quadrature._contract(w, f, f_abs, t, bounds,
+                                                  fine):
+            C[:, a:b] += C_s.T
+    return value + 2.0 * (C.reshape(2, 2, 4, -1) * E).sum(axis=2).real
+
+
+@pytest.mark.parametrize("baths, t", [
+    (EQUAL_CUTOFFS, np.arange(0.0, 10.0 + 0.01, 0.02)),
+    (FIG1, np.arange(0.0, 5.0 + 0.01, 0.02)),
+    (WEAK_1E6, np.arange(0.0, 20.0 + 0.0025, 0.005)),
+], ids=["validate", "fig1-scenario", "weak-1e-6-default-grid"])
+def test_contraction_matches_the_direct_formula(baths, t):
+    # every time-dependent term through the one contraction, against the
+    # static parts and residues summed term by term, within the reported
+    # budget at every time
+    integ = _integrator(baths)
+    out = integ.integrate(t)
+    budget = integ.last_report.max_rel_error * _error_scales(integ, out)
+    ref = _direct_integrals(integ, t[1:])
+    for ci, name in enumerate(out):
+        dev = np.abs(np.array(out[name])[:, 1:] - ref[ci])
+        assert np.all(dev <= budget[ci][:, 1:])
 
 
 def test_ray_tables_share_one_block():
@@ -771,9 +825,9 @@ def _other_threads_cpu_ticks():
     reason="needs Linux and a second thread")
 def test_series_products_stay_on_the_calling_thread():
     # every matrix product of a series is small enough in its time rows
-    # (_ROWS in the ray's contraction, 1024 in the static parts) that
-    # OpenBLAS runs it on the calling thread: its workers, and any other
-    # thread, use no CPU meanwhile.  The sleep lets a worker that an
+    # (_ROWS in the one contraction, which takes every time-dependent
+    # term) that OpenBLAS runs it on the calling thread: its workers, and
+    # any other thread, use no CPU meanwhile.  The sleep lets a worker that an
     # earlier product woke stop spinning
     spec = _spec(FIG1)
     grids = [np.arange(0.0, 5.0 + 0.01, 0.02),
